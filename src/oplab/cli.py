@@ -1,14 +1,14 @@
 """Command-line interface: one binary for all pipelines.
 
-Subcommands: dims, series, gk, guess, fit, gapcheck, sweep, operadize,
-envelope, preset-list.  Output is CSV by default (JSON carries full
-metadata, gnuplot emits a plottable block); every numeric value is an
+Subcommands: dims, grammar, series, gk, guess, fit, gapcheck, sweep,
+operadize, envelope, preset-list.  Output is CSV by default (JSON carries
+full metadata, gnuplot emits a plottable block); every numeric value is an
 exact integer or rational unless explicitly labelled as a floating
-estimate.  Exit codes: 0 success, 1 usage error, 2 computation error.
+estimate.  Exit codes: 0 success, 1 usage error, 2 computation error
+(including a failed internal invariant).
 
-Sweep rows may be computed in parallel (OPLAB_THREADS); output is ordered
-by presentation key before emission, so results are byte-identical across
-runs and thread counts.
+Sweep rows are ordered by presentation key before emission, so results are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -307,15 +305,6 @@ def _json_report(command: str, label: str, values: Sequence[Fraction], meta: dic
     return json.dumps(payload, sort_keys=True)
 
 
-def _parallel_map(fn, items):
-    threads_raw = os.environ.get("OPLAB_THREADS", "").strip()
-    threads = int(threads_raw) if threads_raw.isdigit() else 1
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -338,6 +327,8 @@ def _get_presentation(args) -> MonomialOperadPresentation:
 
 
 def cmd_dims(args, out) -> int:
+    if args.max_arity < 0:
+        raise UsageError("--max-arity must be nonnegative")
     p = _get_presentation(args)
     dims = mono.dim_by_arity(p, args.max_arity, engine=args.engine,
                              weight_cap=args.weight_cap)
@@ -350,6 +341,21 @@ def cmd_dims(args, out) -> int:
         _emit_gnuplot(out, dims.values, f"dims {label}")
     else:
         _emit_table(out, dims.values, "index", "dim")
+    return 0
+
+
+def cmd_grammar(args, out) -> int:
+    crowns, rules = mono.compile_grammar(_get_presentation(args))
+    terms: list[list[str]] = [[] for _ in crowns]
+    for c, g, children in rules:
+        kids = ("*" if k == mono.LEAF_ID else f"K{k + 1}" for k in children)
+        terms[c].append(f"{g.name}({','.join(kids)})")
+    out.write(f"# crowns={len(crowns)} rules={len(rules)}\n"
+              "# rule g(k1,..,km) = z^deg(g) * k1 * ... * km with * = 1 (a leaf); "
+              "deg(g) = 1 counts weight, arity(g)-1 counts arity-1\n"
+              "# [crown] = the relation subtrees that match at the root of the trees it derives\n")
+    for i, k in enumerate(crowns):
+        out.write(f"K{i + 1} [{', '.join(map(format_monomial, k))}] = {' + '.join(terms[i])}\n")
     return 0
 
 
@@ -519,7 +525,7 @@ def cmd_sweep(args, out) -> int:
     if args.horizon < 8:
         raise UsageError("sweep horizon must be at least 8")
     family = sweep_family(args.relation_weight)
-    rows = _parallel_map(lambda item: _sweep_row(item, args.horizon), family)
+    rows = [_sweep_row(item, args.horizon) for item in family]
     rows.sort(key=lambda r: r["relations"])
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["relations", "criterion_d", "growth_class", "tail_exponent"])
@@ -573,6 +579,11 @@ def build_parser() -> _Parser:
     p.add_argument("--rank", default=None, help="comma-separated generator rank")
     add_emit(p)
     p.set_defaults(fn=cmd_dims)
+
+    p = sub.add_parser("grammar", help="the compiled crown grammar as a system of equations")
+    p.add_argument("--presentation")
+    p.add_argument("--preset")
+    p.set_defaults(fn=cmd_grammar)
 
     def add_source(p):
         p.add_argument("--source", default=None,
@@ -647,7 +658,7 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except UsageError as exc:
         print(f"oplab: usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, AssertionError) as exc:
         print(f"oplab: computation error: {exc}", file=sys.stderr)
         return 2
 

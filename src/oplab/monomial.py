@@ -10,17 +10,22 @@ weight-indexed counts.
 Two engines compute dimensions.  ``brute`` explicitly builds every normal
 form by composing smaller normal forms (sound because every submonomial of
 a normal form is normal, so only a root-anchored divisor can appear when a
-fresh root is added).  ``dp`` is the transfer-matrix engine: it aggregates
-subtrees by their depth-limited top profile (the "crown"), which is the
-only part of a child a root-anchored relation match can inspect.
+fresh root is added).  ``dp`` compiles the presentation once into a crown
+grammar, rules ``crown <- g(k_1..k_m)`` whose crowns are the sets of
+relation subtrees matching at a tree's root (all a root-anchored relation
+match can see of a child), then counts over the rules with one graded
+convolution ``F_c[d] = sum over rules of sum_{d_1+..+d_m = d-deg g} prod
+F_{k_i}[d_i]`` (deg g = 1 by weight, arity(g)-1 by arity): an explicit
+algebraic system for the series.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from operator import add, mul
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .dims import DimSeries
 from .order import TreeOrder
@@ -122,10 +127,6 @@ def is_normal_form(p: MonomialOperadPresentation, t: TreeMonomial) -> bool:
     return not any(divides(r, t) for r in p.relations)
 
 
-def _root_clean(p: MonomialOperadPresentation, t: TreeMonomial) -> bool:
-    return not any(matches_at_root(r, t) for r in p.relations)
-
-
 def _root_rejects(rels_g, children: tuple) -> bool:
     """Does some relation (rooted at the candidate's generator) match the
     candidate root against this child tuple?"""
@@ -187,14 +188,19 @@ def _relations_by_root(p: MonomialOperadPresentation) -> dict:
     return by_root
 
 
-def _irr_levels(p: MonomialOperadPresentation, max_weight: int,
-                max_arity: Optional[int] = None) -> list[list[TreeMonomial]]:
-    """Normal forms grouped by weight (levels unsorted; counting only)."""
+def _irr_levels(p: MonomialOperadPresentation, max_weight: int, max_arity: Optional[int] = None,
+                key=None) -> Iterator[list[TreeMonomial]]:
+    """Normal forms level by level (one level per weight), each sorted by
+    ``key`` when given."""
     rels_by_root = _relations_by_root(p)
     levels: list[list[TreeMonomial]] = [[TreeMonomial.trivial(p.alphabet)]]
+    yield levels[0]
     for w in range(1, max_weight + 1):
-        levels.append(_build_level(p, rels_by_root, w, levels, max_arity))
-    return levels
+        level = _build_level(p, rels_by_root, w, levels, max_arity)
+        if key is not None:
+            level.sort(key=key)
+        levels.append(level)
+        yield level
 
 
 def _child_combos(nslots: int, weight: int, levels: list[list[TreeMonomial]],
@@ -217,10 +223,11 @@ def _child_combos(nslots: int, weight: int, levels: list[list[TreeMonomial]],
             if rest == 0 and w1 != remaining:
                 continue
             for m in levels[w1]:
-                if max_arity is not None and arity_used + m.arity + rest > max_arity:
+                n1 = 0 if max_arity is None else m.arity  # arities matter only under a bound
+                if max_arity is not None and arity_used + n1 + rest > max_arity:
                     continue
                 acc.append(m)
-                yield from rec(slot + 1, remaining - w1, arity_used + m.arity, acc)
+                yield from rec(slot + 1, remaining - w1, arity_used + n1, acc)
                 acc.pop()
 
     yield from rec(0, weight, 0, [])
@@ -233,139 +240,122 @@ def enumerate_irr(p: MonomialOperadPresentation, max_weight: int) -> Iterator[Tr
     """
     if max_weight < 0:
         raise PresentationError("max_weight must be nonnegative")
-    key = p._order.key
-    rels_by_root = _relations_by_root(p)
-    levels: list[list[TreeMonomial]] = [[TreeMonomial.trivial(p.alphabet)]]
-    yield levels[0][0]
-    for w in range(1, max_weight + 1):
-        level = _build_level(p, rels_by_root, w, levels, None)
-        level.sort(key=key)
-        levels.append(level)
+    for level in _irr_levels(p, max_weight, key=p._order.key):
         yield from level
 
 
 # ---------------------------------------------------------------------------
-# profile-DP engine
+# dp engine: compiled crown grammar, counted by graded convolution
 # ---------------------------------------------------------------------------
 
-UNKNOWN = "?"
-LEAF_MARK = "L"
+LEAF_ID = -1  # a leaf child in a compiled rule
 
 
-def _crown_of(t: TreeMonomial, budget: int):
-    """Top profile of a nontrivial tree down to ``budget`` levels."""
-    if budget <= 0:
-        return UNKNOWN
-    return (
-        t.generator.name,
-        tuple(LEAF_MARK if c is LEAF else _crown_of(c, budget - 1) for c in t.children),
-    )
+class CrownGrammar(NamedTuple):
+    crowns: tuple  # per crown, the relation subtrees that match at its root
+    rules: tuple  # (crown index, generator, child crown indices or LEAF_ID)
 
 
-@lru_cache(maxsize=None)
-def _truncate_crown(crown, budget: int):
-    if budget <= 0 or crown == UNKNOWN:
-        return UNKNOWN
-    name, slots = crown
-    return (name, tuple(
-        s if s == LEAF_MARK else _truncate_crown(s, budget - 1) for s in slots))
+def compile_grammar(p: MonomialOperadPresentation, max_degree: Optional[int] = None,
+                    shift=lambda g: 1) -> CrownGrammar:
+    """Find the rules ``crown <- g(k_1..k_m)`` of ``p``, starting from "leaf only".
 
-
-def _crown_matches(pattern: TreeMonomial, crown) -> bool:
-    """Does a relation subtree match a child whose top profile is ``crown``?"""
-    if crown == LEAF_MARK:
-        return False
-    if crown == UNKNOWN:
-        raise AssertionError("crown budget exhausted while matching a relation")
-    name, slots = crown
-    if pattern.generator.name != name:
-        return False
-    for pc, slot in zip(pattern.children, slots):
-        if pc is LEAF:
-            continue
-        if not _crown_matches(pc, slot):
-            return False
-    return True
-
-
-def _profile_dp_counts(p: MonomialOperadPresentation, max_weight: int,
-                       max_arity: Optional[int] = None) -> list[dict[int, int]]:
-    """counts[w][arity] = number of normal forms of weight w (w >= 1).
-
-    State per subtree is its crown (top profile of depth H-1, H the maximal
-    relation height): a candidate root is clean iff no relation matches its
-    label against the child crowns, so counts convolve over child slots per
-    generator while a frozenset tracks which relations still fully match.
+    A relation matching at a root sees a child only through the relation
+    subtrees that match at the child's root, so a crown is that set (a leaf
+    matches none).  A rule exists when no relation rooted at g matches over
+    the child crowns, so each nontrivial normal form derives by exactly one
+    rule.  Rules are found by degree (shift(g) >= 1 plus the children's least
+    degrees), so each crown first appears at its least degree; rules above
+    ``max_degree`` add nothing to counts up to it and are never built.
     """
-    alphabet = p.alphabet
-    budget = p.max_relation_height - 1
-    rels_by_root: dict[str, list[TreeMonomial]] = {}
-    for r in p.relations:
-        rels_by_root.setdefault(r.generator.name, []).append(r)
+    subtrees = sorted({t for r in p.relations for t in r.internal_nodes() if t is not r},
+                      key=lambda t: (t.weight, p._order.key(t)))
+    ids = {t: q for q, t in enumerate(subtrees)}
 
-    levels: list[dict] = [{}]  # levels[w]: crown -> {arity: count}
-    counts: list[dict[int, int]] = [{}]
-    for w in range(1, max_weight + 1):
-        level: dict = {}
-        total: dict[int, int] = {}
-        for g in alphabet.generators:
-            k = g.arity
-            rels_g = rels_by_root.get(g.name, [])
-            alive0 = frozenset(range(len(rels_g)))
-            states: dict[tuple, int] = {(0, 0, (), alive0): 1}
-            for j in range(k):
-                rest = k - j - 1
-                new_states: dict[tuple, int] = {}
-                for (wu, au, ts, alive), cnt in states.items():
-                    if max_arity is None or au + 1 + rest <= max_arity:
-                        na = frozenset(i for i in alive if rels_g[i].children[j] is LEAF)
-                        key = (wu, au + 1, ts + (LEAF_MARK,), na)
-                        new_states[key] = new_states.get(key, 0) + cnt
-                    for w1 in range(1, w - wu):
-                        if rest == 0 and w1 != w - 1 - wu:
-                            continue
-                        for crown, by_arity in levels[w1].items():
-                            na = frozenset(
-                                i for i in alive
-                                if rels_g[i].children[j] is LEAF
-                                or _crown_matches(rels_g[i].children[j], crown))
-                            tc = _truncate_crown(crown, budget - 1) if budget > 0 else UNKNOWN
-                            for n1, c1 in by_arity.items():
-                                if max_arity is not None and au + n1 + rest > max_arity:
-                                    continue
-                                key = (wu + w1, au + n1, ts + (tc,), na)
-                                new_states[key] = new_states.get(key, 0) + cnt * c1
-                states = new_states
-            for (wu, au, ts, alive), cnt in states.items():
-                if wu != w - 1 or alive:
+    def needs(t: TreeMonomial) -> list:  # (slot, subtree id) per non-leaf child
+        return [(i, ids[c]) for i, c in enumerate(t.children) if c is not LEAF]
+
+    gens = [(g, shift(g), [needs(r) for r in p.relations if r.generator == g],
+             [(q, needs(t)) for q, t in enumerate(subtrees) if t.generator == g])
+            for g in p.alphabet.generators]
+    by_degree: list[list] = [[]]  # (index, crown) by least degree; _child_combos adds leaves
+    index: dict = {}  # crown -> its index
+    rules = []
+    most = max(g.arity for g in p.alphabet.generators)
+    top_shift = max(map(shift, p.alphabet.generators))
+    d = deepest = 0
+    # a rule's degree is at most top_shift + most * (the deepest crown's degree)
+    while d < most * deepest + top_shift and (max_degree is None or d < max_degree):
+        d += 1
+        level = []
+        for g, s, rel_needs, tests in gens:
+            for kids in (_child_combos(g.arity, d - s, by_degree, None) if s <= d else ()):
+                sets = [() if k is LEAF else k[1] for k in kids]
+                if any(all(c in sets[i] for i, c in need) for need in rel_needs):
                     continue
-                crown = (g.name, ts) if budget > 0 else UNKNOWN
-                level.setdefault(crown, {})
-                level[crown][au] = level[crown].get(au, 0) + cnt
-                total[au] = total.get(au, 0) + cnt
-        levels.append(level)
-        counts.append(total)
-    return counts
+                crown = frozenset(q for q, need in tests if all(c in sets[i] for i, c in need))
+                if crown not in index:
+                    index[crown] = len(index)
+                    level.append((index[crown], crown))
+                rules.append((index[crown], g, tuple(LEAF_ID if k is LEAF else k[0] for k in kids)))
+        by_degree.append(level)
+        deepest = d if level else deepest
+    return CrownGrammar(tuple(tuple(subtrees[q] for q in sorted(k)) for k in index), tuple(rules))
+
+
+class _ArityPoly(tuple):
+    """Counts indexed by arity-1, truncated to a fixed length: the coefficient
+    ring when a weight cap, not the arity, bounds arity-indexed counts."""
+
+    def __add__(self, other):
+        return _ArityPoly(map(add, self, other))
+
+    def __mul__(self, other):
+        out = [0] * len(self)
+        for i, a in enumerate(self):
+            for j, b in enumerate(other[:len(self) - i] if a else ()):
+                out[i + j] += a * b
+        return _ArityPoly(out)
+
+
+def _graded_counts(p: MonomialOperadPresentation, n: int, shift, coef=None,
+                   one=1, zero=0) -> list:
+    """Coefficients 0..n of the series of all nontrivial normal forms.
+
+    A rule ``c <- g(k_1..k_m)`` adds coef(g) * x^shift(g) * F_k1..F_km to
+    F_c (coef defaults to ``one``, a leaf's series).  Child products are
+    shared as sorted multisets whose prefixes keep running series, so a
+    degree costs O(n) per factor.
+    """
+    grammar = compile_grammar(p, n, shift)
+    series = [[zero] for _ in grammar.crowns]
+    prods: dict = {(): [one] + [zero] * n, **{(i,): f for i, f in enumerate(series)}}
+    keys = [tuple(sorted(k for k in children if k != LEAF_ID)) for _, _, children in grammar.rules]
+    chains = []
+    for key in sorted({key[:j] for key in keys for j in range(2, len(key) + 1)}, key=len):
+        prods[key] = [zero]
+        chains.append((prods[key], prods[key[:-1]], series[key[-1]]))
+    sums: list[list] = [[] for _ in series]
+    for (c, g, _), key in zip(grammar.rules, keys):
+        sums[c].append((shift(g), one if coef is None else coef(g), prods[key]))
+    for d in range(1, n + 1):
+        for f, s in zip(series, sums):
+            f.append(sum((a * prod[d - e] for e, a, prod in s if e <= d), zero))
+        for out, prefix, last in chains:
+            out.append(sum(map(mul, prefix[:d], last[d:0:-1]), zero))
+    return [sum((f[d] for f in series), zero) for d in range(n + 1)]
 
 
 def _brute_counts(p: MonomialOperadPresentation, max_weight: int,
-                  max_arity: Optional[int] = None) -> list[dict[int, int]]:
-    levels = _irr_levels(p, max_weight, max_arity)
-    out: list[dict[int, int]] = [{}]
-    for level in levels[1:]:
-        total: dict[int, int] = {}
-        for t in level:
-            total[t.arity] = total.get(t.arity, 0) + 1
-        out.append(total)
-    return out
+                  max_arity: Optional[int] = None) -> list[Counter]:
+    """Normal forms counted by arity, one Counter per weight."""
+    return [Counter(t.arity for t in level) for level in _irr_levels(p, max_weight, max_arity)]
 
 
-def _counts_by_engine(p, max_weight, max_arity, engine):
-    if engine == "brute":
-        return _brute_counts(p, max_weight, max_arity)
-    if engine in ("dp", "profile_dp"):
-        return _profile_dp_counts(p, max_weight, max_arity)
-    raise PresentationError(f"unknown engine {engine!r}; pick one of {ENGINES}")
+def _engine(engine: str) -> str:
+    if engine not in ENGINES:
+        raise PresentationError(f"unknown engine {engine!r}; pick one of {ENGINES}")
+    return engine
 
 
 def dim_by_arity(p: MonomialOperadPresentation, max_arity: int, engine: str = "dp",
@@ -389,14 +379,21 @@ def dim_by_arity(p: MonomialOperadPresentation, max_arity: int, engine: str = "d
         full = max(0, max_arity - 1)
         max_weight = full if weight_cap is None else min(weight_cap, full)
         exact = max_weight >= full
-    counts = _counts_by_engine(p, max_weight, max_arity, engine)
-    values = [0] * (max_arity + 1)
-    if max_arity >= 1:
-        values[1] = 1  # the trivial monomial
-    for per_arity in counts[1:]:
-        for n, c in per_arity.items():
-            if n <= max_arity:
-                values[n] += c
+    # nontrivial[e]: nontrivial normal forms of arity e+1
+    if _engine(engine) == "brute":
+        nontrivial = [0] * max_arity
+        for per_arity in _brute_counts(p, max_weight, max_arity)[1:]:
+            for n, c in per_arity.items():
+                nontrivial[n - 1] += c
+    elif exact:  # g adds arity(g)-1 to arity-1
+        nontrivial = _graded_counts(p, max_arity - 1, lambda g: g.arity - 1)
+    else:  # graded by weight, which the cap truncates; coefficients by arity-1
+        def x(e: int) -> _ArityPoly:  # x^e; zero for e < 0
+            return _ArityPoly(int(i == e) for i in range(max_arity))
+        by_weight = _graded_counts(p, max(max_weight, 0), lambda g: 1,
+                                   lambda g: x(g.arity - 1), x(0), x(-1))
+        nontrivial = [sum(col) for col in zip(*by_weight)]
+    values = [0] + [c + (e == 0) for e, c in enumerate(nontrivial)]  # + the trivial monomial
     return DimSeries(tuple(values), "arity", exact=exact)
 
 
@@ -405,9 +402,11 @@ def dim_by_weight(p: MonomialOperadPresentation, max_weight: int,
     """Count normal forms by weight up to ``max_weight`` (always exact)."""
     if max_weight < 0:
         raise PresentationError("max_weight must be nonnegative")
-    counts = _counts_by_engine(p, max_weight, None, engine)
-    values = [1] + [sum(per_arity.values()) for per_arity in counts[1:]]
-    return DimSeries(tuple(values), "weight", exact=True)
+    if _engine(engine) == "brute":
+        nontrivial = [sum(per_arity.values()) for per_arity in _brute_counts(p, max_weight)]
+    else:
+        nontrivial = _graded_counts(p, max_weight, lambda g: 1)
+    return DimSeries((1, *nontrivial[1:]), "weight", exact=True)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,34 @@ class TestDims:
             assert dp == brute, spec
 
 
+class TestGrammar:
+    def test_fibonacci_rules(self):
+        code, text = invoke("grammar", "--preset", "ex53-2")
+        assert code == 0
+        lines = [l for l in text.splitlines() if not l.startswith("#")]
+        assert text.splitlines()[0] == "# crowns=2 rules=4"
+        # K1 = z (1 + K1 + K2), K2 = z K1: K1 + K2 = (z + z^2) / (1 - z - z^2), Fibonacci
+        assert lines == [
+            "K1 [a(*,*)] = a(*,*) + a(*,K1) + a(*,K2)",
+            "K2 [a(*,*), a(a(*,*),*)] = a(K1,*)",
+        ]
+
+    def test_presentation_file(self, tmp_path):
+        f = tmp_path / "p.txt"
+        f.write_text("generator a 2\nrelation a(a(*,*),a(*,*))\n")
+        code, text = invoke("grammar", "--presentation", str(f))
+        assert code == 0
+        assert text.startswith("# crowns=1 rules=3\n")
+        # K1 = z (1 + 2 K1): 2^(n-2) trees of arity n
+        assert text.endswith("\nK1 [a(*,*)] = a(*,*) + a(*,K1) + a(K1,*)\n")
+        assert invoke("grammar", "--presentation", str(f)) == (code, text)
+
+    def test_free_operad_has_one_crown(self):
+        code, text = invoke("grammar", "--preset", "free-operad:2")
+        assert code == 0
+        assert text.splitlines()[-1] == "K1 [] = a(*,*) + a(*,K1) + a(K1,*) + a(K1,K1)"
+
+
 class TestSeriesPipes:
     def test_partition_guess_pipe(self, monkeypatch):
         _, series_csv = invoke("series", "--preset", "ex64-partition", "--max", "50")
@@ -221,6 +249,20 @@ class TestUsageErrors:
         code, _ = invoke("dims", "--presentation", str(f), "--max-arity", "4")
         assert code == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_negative_max_arity_is_usage_error(self, capsys):
+        code, _ = invoke("dims", "--preset", "ex53-2", "--max-arity", "-1")
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_failed_invariant_is_computation_error(self, monkeypatch, capsys):
+        from oplab import monomial
+        from oplab.dims import DimSeries
+        monkeypatch.setattr(monomial, "dim_by_weight",
+                            lambda *a, **k: DimSeries((1, 1, 0, 1, 0, 0, 0), "weight"))
+        code, _ = invoke("gapcheck", "--preset", "ex53-3", "--max-weight", "6")
+        assert code == 2
+        assert "oplab: computation error: weight counts revived" in capsys.readouterr().err
 
     def test_unary_preset_needs_weight_cap(self, tmp_path):
         f = tmp_path / "unary.txt"

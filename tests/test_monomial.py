@@ -17,6 +17,9 @@ from oplab import (
     parse_monomial,
     submonomials,
 )
+from oplab.algebra import MonomialAlgebraPresentation
+from oplab.cli import sweep_family
+from oplab.constructions import operadize
 from oplab.monomial import (
     GROWTH_BOUNDED,
     GROWTH_LINEAR,
@@ -24,6 +27,7 @@ from oplab.monomial import (
     CompletenessError,
     PresentationError,
     PresentationSyntaxError,
+    compile_grammar,
     format_presentation,
     parse_presentation,
 )
@@ -137,6 +141,54 @@ class TestDimensions:
             p = MonomialOperadPresentation(al, rels)
             assert dim_by_arity(p, 8, engine="brute", weight_cap=6).values == \
                 dim_by_arity(p, 8, engine="dp", weight_cap=6).values
+
+    def test_engines_agree_on_every_sweep_presentation(self):
+        for key, p in sweep_family(3) + sweep_family(2):
+            assert dim_by_arity(p, 12, engine="dp").values == \
+                dim_by_arity(p, 12, engine="brute").values, key
+            assert dim_by_weight(p, 10, engine="dp").values == \
+                dim_by_weight(p, 10, engine="brute").values, key
+
+    def test_engines_agree_when_the_weight_cap_truncates(self):
+        # no unary generator, cap below max_arity - 1: counts by weight and arity
+        rng = random.Random(5)
+        al = Alphabet.of(b=2, c=3)
+        pool = [t for t in all_monomials(al, 2) if t.weight == 2]
+        free = dim_by_arity(MonomialOperadPresentation(al, ()), 10).values
+        for _ in range(10):
+            p = MonomialOperadPresentation(al, rng.sample(pool, k=rng.randint(0, 4)))
+            dp = dim_by_arity(p, 10, engine="dp", weight_cap=4)
+            assert not dp.exact
+            assert dp.values == dim_by_arity(p, 10, engine="brute", weight_cap=4).values
+            assert dp.values[10] < free[10]
+
+    def test_fibonacci_at_arity_1000(self, fibonacci):
+        dims = dim_by_arity(fibonacci, 1000)
+        assert dims[1] == dims[2] == 1
+        assert all(dims[n] == dims[n - 1] + dims[n - 2] for n in range(3, 1001))
+
+    def test_engines_agree_on_tall_relations(self):
+        rng = random.Random(11)
+        pool = [t for t in all_monomials(BINARY, 5) if t.weight >= 3]
+        presentations = [MonomialOperadPresentation(BINARY, rng.sample(pool, k=rng.randint(1, 3)))
+                         for _ in range(15)]
+        presentations.append(binary_presentation("a(a(a(a(a(*,*),*),*),*),*)"))
+        for p in presentations:
+            assert dim_by_arity(p, 10).values == dim_by_arity(p, 10, engine="brute").values
+            assert dim_by_weight(p, 9).values == dim_by_weight(p, 9, engine="brute").values
+        # one 4-ary generator, relations of height 3 and 5
+        chains = operadize(MonomialAlgebraPresentation("wxyz", [tuple("wxyz")]))
+        assert chains.max_relation_height == 5
+        assert dim_by_arity(chains, 15).values == dim_by_arity(chains, 15, engine="brute").values
+
+    def test_grammar_of_a_tall_relation_is_small(self):
+        # a crown records only the relation subtrees matching at a root: here
+        # the length of the left branch, 1 to 4 (depth-4 tree tops would
+        # number in the hundreds of thousands)
+        comb = binary_presentation("a(a(a(a(a(*,*),*),*),*),*)")
+        grammar = compile_grammar(comb)
+        assert [len(k) for k in grammar.crowns] == [1, 2, 3, 4]
+        assert len(grammar.rules) == 4 * 5
 
     def test_unary_requires_weight_cap(self):
         p = MonomialOperadPresentation(UNARY_BINARY, ())
