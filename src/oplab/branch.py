@@ -121,10 +121,6 @@ def from_branch_word(w: BranchWord, alphabet: Alphabet) -> TreeMonomial:
     return t
 
 
-def is_single_branched(t: TreeMonomial) -> bool:
-    return t.weight == t.height
-
-
 def is_local_period(w: BranchWord, p: int) -> bool:
     """Shift-repetition inside the word: letters repeat with shift p.
 

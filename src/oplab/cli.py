@@ -33,7 +33,6 @@ from .branch import closed_set_counts, example_at_most_one_index2
 from .constructions import min_envelope_dims, operadize, symmetric_envelope_dims
 from .dims import DimSeries
 from .monomial import MonomialOperadPresentation, PresentationSyntaxError
-from .order import TreeOrder
 from .trees import Alphabet, parse_monomial
 from .trees import format_monomial
 
@@ -45,6 +44,13 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise UsageError(message)
+
+
+def _size(text: str) -> int:
+    """argparse type for sizes and bounds: a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -197,20 +203,35 @@ def _load_presentation_file(path: str) -> MonomialOperadPresentation:
 
 
 def _load_csv_coeffs(text: str) -> list[Fraction]:
-    coeffs: dict[int, Fraction] = {}
-    for row in csv.reader(io.StringIO(text)):
-        if not row:
+    """Coefficients from ``n,value`` rows with n = 0, 1, 2, ... in order.
+
+    Blank lines and one leading non-numeric header row are skipped, and
+    columns after the value (``oplab series`` output) are ignored; any
+    other row is a usage error that names its line.
+    """
+    coeffs: list[Fraction] = []
+    header_seen = False
+    reader = csv.reader(io.StringIO(text))
+    for row in reader:
+        if not any(cell.strip() for cell in row):
             continue
+        line = reader.line_num
         try:
             n = int(row[0])
-            value = Fraction(row[1])
-        except (ValueError, IndexError, ZeroDivisionError):
-            continue  # header or comment row
-        coeffs[n] = value
+        except ValueError:
+            if header_seen or coeffs:
+                raise UsageError(f"line {line}: expected an index, got {row[0]!r}") from None
+            header_seen = True
+            continue
+        if n != len(coeffs):
+            raise UsageError(f"line {line}: expected index {len(coeffs)}, got {n}")
+        try:
+            coeffs.append(Fraction(row[1]))
+        except (IndexError, ValueError, ZeroDivisionError):
+            raise UsageError(f"line {line}: no coefficient in {','.join(row)!r}") from None
     if not coeffs:
         raise UsageError("no numeric rows found in CSV input")
-    top = max(coeffs)
-    return [coeffs.get(i, Fraction(0)) for i in range(top + 1)]
+    return coeffs
 
 
 def _source_of(args) -> Optional[str]:
@@ -316,19 +337,10 @@ def _get_presentation(args) -> MonomialOperadPresentation:
         p = preset_presentation(args.preset)
     else:
         raise UsageError("pass --presentation <file> or --preset <name>")
-    if getattr(args, "order", None) or getattr(args, "rank", None):
-        kind = args.order or "deglex"
-        rank = args.rank.split(",") if args.rank else None
-        try:
-            TreeOrder.for_alphabet(p.alphabet, kind, rank)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
     return p
 
 
 def cmd_dims(args, out) -> int:
-    if args.max_arity < 0:
-        raise UsageError("--max-arity must be nonnegative")
     p = _get_presentation(args)
     dims = mono.dim_by_arity(p, args.max_arity, engine=args.engine,
                              weight_cap=args.weight_cap)
@@ -570,13 +582,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("dims", help="normal-form counts by arity")
     p.add_argument("--presentation")
     p.add_argument("--preset")
-    p.add_argument("--max-arity", type=int, required=True)
+    p.add_argument("--max-arity", type=_size, required=True)
     p.add_argument("--engine", choices=mono.ENGINES, default="dp")
-    p.add_argument("--weight-cap", type=int, default=None,
+    p.add_argument("--weight-cap", type=_size, default=None,
                    help="required when the alphabet has unary generators")
-    p.add_argument("--order", choices=["deglex", "degrevlex"], default=None,
-                   help="term order for normal-form streaming; counts are order-independent")
-    p.add_argument("--rank", default=None, help="comma-separated generator rank")
     add_emit(p)
     p.set_defaults(fn=cmd_dims)
 
@@ -593,36 +602,34 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("series", help="coefficient series from a preset, file, or CSV")
     add_source(p)
-    p.add_argument("--max", type=int, default=None)
+    p.add_argument("--max", type=_size, default=None)
     add_emit(p)
     p.set_defaults(fn=cmd_series)
 
     p = sub.add_parser("gk", help="growth-exponent estimate (floating, labelled)")
     add_source(p)
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--N", type=_size, default=None)
     add_emit(p, ("csv", "json"))
     p.set_defaults(fn=cmd_gk)
 
     p = sub.add_parser("fit", help="exact rational-function fit with holdout")
     add_source(p)
-    p.add_argument("--max", type=int, default=None)
-    p.add_argument("--max-den", type=int, default=None)
-    p.add_argument("--max-num", type=int, default=None)
+    p.add_argument("--max", type=_size, default=None)
+    p.add_argument("--max-den", type=_size, default=None)
+    p.add_argument("--max-num", type=_size, default=None)
     p.set_defaults(fn=cmd_fit)
 
     p = sub.add_parser("guess", help="polynomial-coefficient recurrence guess with holdout")
     add_source(p)
-    p.add_argument("--max", type=int, default=None)
-    p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max", type=_size, default=None)
+    p.add_argument("--max-order", type=_size, required=True)
+    p.add_argument("--max-degree", type=_size, required=True)
     p.set_defaults(fn=cmd_guess)
 
     p = sub.add_parser("gapcheck", help="linear-growth dichotomy check on weight counts")
     p.add_argument("--presentation")
     p.add_argument("--preset")
-    p.add_argument("--max-weight", type=int, required=True)
-    p.add_argument("--order", choices=["deglex", "degrevlex"], default=None)
-    p.add_argument("--rank", default=None)
+    p.add_argument("--max-weight", type=_size, required=True)
     add_emit(p, ("csv", "json"))
     p.set_defaults(fn=cmd_gapcheck)
 
@@ -639,7 +646,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("envelope", help="min or symmetric envelope dims of a preset")
     p.add_argument("--kind", choices=("min", "sym"), required=True)
     p.add_argument("--preset", required=True)
-    p.add_argument("--max-index", type=int, required=True)
+    p.add_argument("--max-index", type=_size, required=True)
     add_emit(p)
     p.set_defaults(fn=cmd_envelope)
 

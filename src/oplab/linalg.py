@@ -1,19 +1,54 @@
-"""Exact linear algebra over the rationals and word-sized prime fields.
+"""Exact linear algebra over the rationals and a prime field.
 
 Small dense systems only: recurrence guessing needs kernels of matrices
-with a few dozen columns.  Rank over a prime field certifies emptiness of
-the rational kernel exactly (a primitive integer null vector survives
-reduction mod p), so the expensive rational elimination runs only when a
-modular kernel shows up.
+with a few dozen columns.  One Gauss-Jordan routine, ``_rref``, serves
+every caller, over GF(p) or over Q.  Full column rank modulo a prime
+certifies exactly that the rational kernel is trivial (a primitive integer
+null vector survives reduction mod p), so the expensive rational
+elimination runs only when the modular rank drops.  The certificate prime
+is below 2**30, so every residue fits one CPython digit; an unlucky prime
+only costs a rational elimination that finds no null vector.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-# fixed large primes for modular rank certificates
-RANK_PRIMES = (2305843009213693951, 4611686018427387847)
+RANK_PRIME = 1073741789  # 2**30 - 35
+
+
+def _rref(mat: list[list], ncols: int, p: Optional[int] = None) -> list[int]:
+    """Reduce ``mat`` in place to reduced row echelon form on its first
+    ``ncols`` columns and return the pivot columns.
+
+    Over GF(p) when ``p`` is given (entries already reduced mod p),
+    over Q otherwise (Fraction entries).
+    """
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(mat):
+            break
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        lead = mat[rank][col]
+        if p is None:
+            prow = [x / lead for x in mat[rank]]
+        else:
+            inv = pow(lead, -1, p)
+            prow = [inv * x % p for x in mat[rank]]
+        mat[rank] = prow
+        for r, row in enumerate(mat):
+            f = row[col]
+            if f and r != rank:
+                mat[r] = ([x - f * y for x, y in zip(row, prow)] if p is None
+                          else [(x - f * y) % p for x, y in zip(row, prow)])
+        pivots.append(col)
+    return pivots
 
 
 def scale_rows_to_int(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
@@ -21,52 +56,22 @@ def scale_rows_to_int(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int
     out = []
     for row in rows:
         fracs = [Fraction(x) for x in row]
-        lcm = 1
-        for f in fracs:
-            d = f.denominator
-            g = _gcd(lcm, d)
-            lcm = lcm // g * d
+        lcm = math.lcm(*(f.denominator for f in fracs))
         out.append([int(f * lcm) for f in fracs])
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
     """Row-echelon rank of an integer matrix over GF(p)."""
     mat = [[x % p for x in row] for row in rows]
-    ncols = len(mat[0]) if mat else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        prow = [(inv * x) % p for x in mat[rank]]
-        mat[rank] = prow
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], prow)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    return len(_rref(mat, len(mat[0]) if mat else 0, p))
 
 
 def kernel_is_trivial(rows: Sequence[Sequence[int]]) -> bool:
     """Exact certificate that an integer matrix has no rational null vector."""
     if not rows:
         return False
-    ncols = len(rows[0])
-    if ncols == 0:
-        return True
-    return any(rank_mod(rows, p) == ncols for p in RANK_PRIMES)
+    return rank_mod(rows, RANK_PRIME) == len(rows[0])
 
 
 def nullspace(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
@@ -75,26 +80,9 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
     if not mat:
         return []
     ncols = len(mat[0])
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(mat):
-            break
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    pivots = _rref(mat, ncols)
     basis = []
-    for free in free_cols:
+    for free in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
         for r, col in enumerate(pivots):
@@ -111,26 +99,9 @@ def solve(rows: Sequence[Sequence[Fraction | int]],
     if not mat:
         return []
     ncols = len(mat[0]) - 1
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(mat):
-            break
-    for r in range(rank, len(mat)):
-        if mat[r][ncols] != 0:
-            return None
+    pivots = _rref(mat, ncols)
+    if any(row[ncols] for row in mat[len(pivots):]):
+        return None
     sol = [Fraction(0)] * ncols
     for r, col in enumerate(pivots):
         sol[col] = mat[r][ncols]
@@ -139,19 +110,10 @@ def solve(rows: Sequence[Sequence[Fraction | int]],
 
 def clear_denominators(vec: Sequence[Fraction]) -> list[int]:
     """Scale a rational vector to a primitive integer vector (first nonzero > 0)."""
-    fracs = [Fraction(x) for x in vec]
-    lcm = 1
-    for f in fracs:
-        d = f.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for x in ints:
-        g = _gcd(g, abs(x))
+    ints = scale_rows_to_int([vec])[0]
+    g = math.gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
+    if next((x for x in ints if x), 0) < 0:
         ints = [-x for x in ints]
     return ints

@@ -303,8 +303,10 @@ def guess_holonomic(s: SeriesWindow, max_order: int, max_degree: int,
     """Search for a polynomial-coefficient linear recurrence, smallest order
     first, then smallest degree.
 
-    The kernel is solved exactly; full column rank modulo fixed large primes
-    certifies emptiness without rational arithmetic.  A candidate must also
+    The window is scaled to integers once (a constant multiple keeps every
+    recurrence), so each row is built over the integers.  The kernel is
+    solved exactly; full column rank modulo one prime below 2**30 certifies
+    emptiness without rational arithmetic.  A candidate must also
     annihilate the final ``holdout`` coefficients, which no fit ever used.
     """
     coeffs = s.coefficients
@@ -315,25 +317,17 @@ def guess_holonomic(s: SeriesWindow, max_order: int, max_degree: int,
             f"need N >= {needed} for bounds (order {max_order}, degree {max_degree}, "
             f"holdout {holdout}); got N = {n_max}")
     usable = n_max - holdout
+    scaled = scale_rows_to_int([coeffs])[0]
     for order in range(1, max_order + 1):
         for degree in range(max_degree + 1):
             n0 = order + min_shift
-            rows = []
-            for n in range(n0, usable + 1):
-                row = []
-                for i in range(order + 1):
-                    c = coeffs[n - i]
-                    npow = Fraction(1)
-                    for _ in range(degree + 1):
-                        row.append(c * npow)
-                        npow *= n
-                rows.append(row)
+            rows = [[scaled[n - i] * n ** k for i in range(order + 1) for k in range(degree + 1)]
+                    for n in range(n0, usable + 1)]
             if not rows or len(rows) < len(rows[0]):
                 continue
-            int_rows = scale_rows_to_int(rows)
-            if kernel_is_trivial(int_rows):
+            if kernel_is_trivial(rows):
                 continue
-            for vec in nullspace(int_rows):
+            for vec in nullspace(rows):
                 ints = clear_denominators(vec)
                 polys = tuple(
                     tuple(ints[i * (degree + 1):(i + 1) * (degree + 1)])

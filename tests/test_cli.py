@@ -51,13 +51,11 @@ class TestDims:
         assert code == 0
         assert text.splitlines()[5].startswith("4,4,")
 
-    def test_order_flags_validated(self):
+    def test_order_flag_rejected(self, capsys):
         code, _ = invoke("dims", "--preset", "ex53-2", "--max-arity", "5",
-                         "--order", "degrevlex", "--rank", "a")
-        assert code == 0
-        code, _ = invoke("dims", "--preset", "ex53-2", "--max-arity", "5",
-                         "--rank", "a,z")
+                         "--order", "degrevlex")
         assert code == 1
+        assert "unrecognized arguments: --order" in capsys.readouterr().err
 
     def test_every_operad_preset_agrees_with_brute_recount(self):
         for spec in ("ex53-1", "ex53-2", "ex53-3", "free-operad:2", "free-operad:3"):
@@ -255,6 +253,26 @@ class TestUsageErrors:
         assert code == 1
         assert "usage error" in capsys.readouterr().err
 
+    # --max-arity is covered by test_negative_max_arity_is_usage_error
+    @pytest.mark.parametrize("argv", [
+        ("dims", "--preset", "ex53-2", "--max-arity", "5", "--weight-cap", "-1"),
+        ("series", "--preset", "fibonacci", "--max", "-3"),
+        ("gk", "--preset", "floorpow:1.5", "--N", "-5"),
+        ("fit", "--preset", "fibonacci", "--max", "60", "--max-den", "-2"),
+        ("fit", "--preset", "fibonacci", "--max", "60", "--max-num", "-2"),
+        ("guess", "--preset", "fibonacci", "--max", "60", "--max-order", "-1",
+         "--max-degree", "2"),
+        ("guess", "--preset", "fibonacci", "--max", "60", "--max-order", "2",
+         "--max-degree", "-1"),
+        ("gapcheck", "--preset", "ex53-3", "--max-weight", "-1"),
+        ("envelope", "--kind", "min", "--preset", "ex64-partition", "--max-index", "-2"),
+    ], ids=["weight-cap", "max", "N", "max-den", "max-num", "max-order", "max-degree",
+            "max-weight", "max-index"])
+    def test_negative_size_is_usage_error(self, argv, capsys):
+        code, _ = invoke(*argv)
+        assert code == 1
+        assert "expected a nonnegative integer" in capsys.readouterr().err
+
     def test_failed_invariant_is_computation_error(self, monkeypatch, capsys):
         from oplab import monomial
         from oplab.dims import DimSeries
@@ -303,6 +321,27 @@ class TestCsvInput:
         f.write_text(text)
         code, out = invoke("fit", "--source", str(f))
         assert code == 0 and "denominator=[1, -1, -1]" in out
+
+    def test_header_and_blank_lines_accepted(self, tmp_path):
+        f = tmp_path / "fib.csv"
+        f.write_text("n,coeff\n0,0\n\n1,1\n2,1/1\n")
+        code, out = invoke("series", "--source", str(f))
+        assert code == 0
+        assert [l.split(",")[1] for l in out.splitlines()[1:]] == ["0", "1", "1"]
+
+    @pytest.mark.parametrize("body, message", [
+        ("n,coeff\n0,1\n1,oops\n", "line 3: no coefficient"),
+        ("0,1\n1,1\n3,2\n", "line 3: expected index 2, got 3"),
+        ("0,1\n1,1\n1,1\n", "line 3: expected index 2, got 1"),
+        ("n,coeff\n0,1\nn,coeff\n", "line 3: expected an index"),
+        ("0\n", "line 1: no coefficient"),
+    ], ids=["bad-value", "gap", "duplicate", "second-header", "missing-value"])
+    def test_malformed_csv_reports_line(self, tmp_path, capsys, body, message):
+        f = tmp_path / "bad.csv"
+        f.write_text(body)
+        code, _ = invoke("series", "--source", str(f))
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     def test_gnuplot_block(self):
         code, text = invoke("series", "--preset", "ex53-1", "--max", "6",

@@ -179,6 +179,11 @@ class TestGuessHolonomic:
             assert cand is not None
             assert cand.annihilates(vals, cand.order, len(vals) - 1)
 
+    def test_holdout_rejection_keeps_searching(self):
+        # c_n = c_{n-1} holds on the fit window only; every later bound is still tried
+        vals = [Fraction(1, 3)] * 50 + [Fraction(2)] * 20
+        assert guess_holonomic(SeriesWindow.from_values(vals), 3, 2) is None
+
     def test_window_too_short(self):
         with pytest.raises(WindowTooShortError):
             guess_holonomic(SeriesWindow.from_values(fib_values(30)), 4, 4)
