@@ -1,12 +1,12 @@
 """Computer algebra for finitely presented nonsymmetric monomial operads.
 
-Core pieces: tree monomials and grafting (:mod:`oplab.trees`), term orders
-(:mod:`oplab.order`), monomial-operad presentations with two enumeration
-engines (:mod:`oplab.monomial`), single-branched words and periodicity
-(:mod:`oplab.branch`), graded monomial algebras (:mod:`oplab.algebra`),
-algebra-to-operad constructions (:mod:`oplab.constructions`), and
-generating-series analysis (:mod:`oplab.series`).  The ``oplab`` console
-script exposes all pipelines.
+Core pieces: tree monomials and grafting (:mod:`oplab.trees`), the sort key
+of relations and normal forms (:mod:`oplab.order`), monomial-operad
+presentations with two enumeration engines (:mod:`oplab.monomial`),
+single-branched words and periodicity (:mod:`oplab.branch`), graded
+monomial algebras (:mod:`oplab.algebra`), algebra-to-operad constructions
+(:mod:`oplab.constructions`), and generating-series analysis
+(:mod:`oplab.series`).  The ``oplab`` console script exposes all pipelines.
 """
 
 from .algebra import (
@@ -49,7 +49,7 @@ from .monomial import (
     gap_dichotomy_check,
     is_normal_form,
 )
-from .order import TreeOrder, TreePolynomial, WordOrder, compare, leading_monomial
+from .order import TreeOrder
 from .series import (
     SeriesWindow,
     exponential_transform,

@@ -204,8 +204,7 @@ def warfield_dims(r, max_degree: int) -> DimSeries:
     return DimSeries(tuple(values[:max_degree + 1]), "degree")
 
 
-def warfield_monomial_model(r, max_degree: int,
-                            variables: tuple[str, str] = ("x1", "x2")) -> MonomialAlgebraPresentation:
+def warfield_monomial_model(r, max_degree: int) -> MonomialAlgebraPresentation:
     """The explicit two-variable monomial algebra behind :func:`warfield_dims`.
 
     Forbidden words, truncated to the given degree: every x1^i x2 x1^j x2 x1^l
@@ -218,7 +217,7 @@ def warfield_monomial_model(r, max_degree: int,
     if not Fraction(2) < r < Fraction(3):
         raise AlgebraError(f"growth exponent must lie strictly between 2 and 3, got {r}")
     q = (r - 1) / 2
-    x1, x2 = variables
+    x1, x2 = "x1", "x2"
 
     def gap(n: int) -> int:
         return n - floor_power(n, q)
@@ -240,7 +239,7 @@ def warfield_monomial_model(r, max_degree: int,
             g = gap(a_run + b_run + 2)
             if a_run >= g and b_run >= g:
                 words.append((x2,) + (x1,) * a_run + (x2,) + (x1,) * b_run + (x2,))
-    return MonomialAlgebraPresentation(variables, words, name=f"staircase:{r}")
+    return MonomialAlgebraPresentation((x1, x2), words, name=f"staircase:{r}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +282,18 @@ def example62_dims(max_degree: int) -> DimSeries:
     return DimSeries(tuple(values), "degree")
 
 
-def example62_monomial_model(max_degree: int,
-                             variables: tuple[str, str] = ("x1", "x2")) -> MonomialAlgebraPresentation:
+def example62_monomial_model(max_degree: int) -> MonomialAlgebraPresentation:
     """Explicit forbidden words, truncated to ``max_degree``: x1 x2 x1 plus
     every x2 x1^i x2 whose degree i+2 lies on a gap interval.  Words of
     degree 3 in x2 are already multiples of these."""
     if max_degree < 2:
         raise AlgebraError("the model needs max_degree >= 2")
-    x1, x2 = variables
+    x1, x2 = "x1", "x2"
     words: list[Word] = [(x1, x2, x1)]
     for lo, hi in sparse_gap_intervals(max_degree):
         for n in range(max(2, lo), min(hi, max_degree) + 1):
             words.append((x2,) + (x1,) * (n - 2) + (x2,))
-    return MonomialAlgebraPresentation(variables, words, name="gapped-slow-growth")
+    return MonomialAlgebraPresentation((x1, x2), words, name="gapped-slow-growth")
 
 
 # ---------------------------------------------------------------------------

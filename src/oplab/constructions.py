@@ -66,8 +66,7 @@ def symmetric_envelope_dims(a_dims: DimSeries, source: str = "algebra") -> Opera
                             "symmetric_envelope", source)
 
 
-def operadize(a: MonomialAlgebraPresentation,
-              generator_name: str = "a") -> MonomialOperadPresentation:
+def operadize(a: MonomialAlgebraPresentation) -> MonomialOperadPresentation:
     """Encode a monomial algebra on d >= 2 variables as a single-generator
     single-branched monomial operad.
 
@@ -78,8 +77,8 @@ def operadize(a: MonomialAlgebraPresentation,
     d = len(a.variables)
     if d < 2:
         raise ConstructionError("operadization needs at least two variables")
-    alphabet = Alphabet((Generator(generator_name, d),))
-    gen = TreeMonomial.node(alphabet, generator_name)
+    alphabet = Alphabet((Generator("a", d),))
+    gen = TreeMonomial.node(alphabet, "a")
     relations = []
     for j in range(2, d + 1):
         for i in range(1, j):

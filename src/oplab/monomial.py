@@ -87,7 +87,7 @@ class MonomialOperadPresentation:
             if r.alphabet != alphabet:
                 raise AlphabetMismatchError("relation uses a different alphabet")
             rels.append(r)
-        order = TreeOrder.for_alphabet(alphabet)
+        order = TreeOrder(alphabet)
         rels = sorted(set(rels), key=lambda t: (t.weight, order.key(t)))
         kept: list[TreeMonomial] = []
         for r in rels:
@@ -446,8 +446,7 @@ def _affine_fit(points: list[tuple[int, int]]) -> tuple[Fraction, Fraction]:
     return a, b
 
 
-def gap_dichotomy_check(p: MonomialOperadPresentation, max_weight: int,
-                        engine: str = "dp") -> GapDichotomyReport:
+def gap_dichotomy_check(p: MonomialOperadPresentation, max_weight: int) -> GapDichotomyReport:
     """Check the eventual-linear-growth criterion on weight-indexed counts.
 
     If some d >= 3 has weight-d count <= d-3, the partial sums must be
@@ -458,7 +457,7 @@ def gap_dichotomy_check(p: MonomialOperadPresentation, max_weight: int,
     """
     if max_weight < 6:
         raise PresentationError("gap dichotomy needs max_weight >= 6")
-    wc = dim_by_weight(p, max_weight, engine=engine)
+    wc = dim_by_weight(p, max_weight)
     sums = wc.partial_sums()
     criterion_d = next(
         (d for d in range(3, max_weight + 1) if wc[d] <= d - 3), None)

@@ -1,179 +1,27 @@
-"""Monomial orders on label words and their path extension to tree monomials.
+"""The sort key that fixes the order of relations, normal forms and crowns.
 
-The path extension compares tree monomials by leaf count first (more leaves
-wins) and then by the first differing path word under a base word order.
-Only degree-graded base orders are accepted: plain lexicographic comparison
-is not a well-order on the free monoid and is rejected at construction.
+Monomial relations are already a Gröbner basis, so no leading-monomial
+machinery is needed: the order only has to be total and deterministic.
+Tree monomials compare by leaf count first (more leaves is larger), then by
+their path words, each word by length and then letter by letter in the
+alphabet's declaration order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Optional
-
-from .trees import Alphabet, AlphabetMismatchError, TreeMonomial, to_path_sequence
-
-LT, EQ, GT = -1, 0, 1
-
-WORD_ORDER_KINDS = ("deglex", "degrevlex")
+from .trees import Alphabet, TreeMonomial, to_path_sequence
 
 
-class OrderError(ValueError):
-    """Base class for term-order errors."""
-
-
-class ZeroPolynomialError(OrderError):
-    """The zero polynomial has no leading monomial."""
-
-
-@dataclass(frozen=True)
-class WordOrder:
-    """A degree-graded monomial order on words over an alphabet.
-
-    ``rank`` lists generator names from smallest to largest.  deglex breaks
-    degree ties left to right; degrevlex breaks them at the last differing
-    position, where the smaller letter wins.
-    """
-
-    kind: str
-    rank: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in WORD_ORDER_KINDS:
-            raise OrderError(
-                f"unsupported word order {self.kind!r}; "
-                f"plain lex is not a well-order on the free monoid"
-            )
-        object.__setattr__(self, "rank", tuple(self.rank))
-        if len(set(self.rank)) != len(self.rank):
-            raise OrderError("generator rank must not repeat names")
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.rank)})
-
-    @classmethod
-    def for_alphabet(cls, alphabet: Alphabet, kind: str = "deglex",
-                     rank: Optional[Iterable[str]] = None) -> "WordOrder":
-        names = tuple(rank) if rank is not None else tuple(g.name for g in alphabet.generators)
-        declared = {g.name for g in alphabet.generators}
-        if set(names) != declared:
-            raise OrderError(f"rank {names!r} must list exactly the alphabet generators")
-        return cls(kind, names)
-
-    def word_key(self, word: tuple[str, ...]):
-        """A sort key: key(u) < key(v) iff u < v under this order."""
-        idx = self._index
-        try:
-            if self.kind == "deglex":
-                return (len(word), tuple(idx[x] for x in word))
-            return (len(word), tuple(-idx[x] for x in reversed(word)))
-        except KeyError as exc:
-            raise OrderError(f"word uses unranked generator {exc.args[0]!r}") from None
-
-    def compare_words(self, u: tuple[str, ...], v: tuple[str, ...]) -> int:
-        ku, kv = self.word_key(u), self.word_key(v)
-        return LT if ku < kv else GT if ku > kv else EQ
-
-
-@dataclass(frozen=True)
 class TreeOrder:
-    """The path extension of a word order to tree monomials."""
+    """The path-sequence order on the tree monomials over one alphabet."""
 
-    base: WordOrder
+    __slots__ = ("_rank",)
 
-    @classmethod
-    def for_alphabet(cls, alphabet: Alphabet, kind: str = "deglex",
-                     rank: Optional[Iterable[str]] = None) -> "TreeOrder":
-        return cls(WordOrder.for_alphabet(alphabet, kind, rank))
+    def __init__(self, alphabet: Alphabet) -> None:
+        self._rank = alphabet._rank
 
     def key(self, t: TreeMonomial):
+        """A sort key: key(t1) < key(t2) iff t1 is smaller than t2."""
+        rank = self._rank
         words = to_path_sequence(t).words
-        return (len(words), tuple(self.base.word_key(w) for w in words))
-
-
-def compare(order: TreeOrder, t1: TreeMonomial, t2: TreeMonomial) -> int:
-    """Return LT/EQ/GT; EQ exactly when the monomials are structurally equal."""
-    if t1.alphabet != t2.alphabet:
-        raise AlphabetMismatchError("cannot compare monomials over different alphabets")
-    k1, k2 = order.key(t1), order.key(t2)
-    return LT if k1 < k2 else GT if k1 > k2 else EQ
-
-
-class TreePolynomial:
-    """A finite rational linear combination of tree monomials of equal arity.
-
-    The empty combination is the zero polynomial.  Supports just enough
-    arithmetic for leading-monomial work on monomial ideals.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[TreeMonomial, Fraction | int] | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[TreeMonomial, Fraction] = {}
-        for monomial, coeff in items:
-            c = Fraction(coeff)
-            if c == 0:
-                continue
-            acc[monomial] = acc.get(monomial, Fraction(0)) + c
-        acc = {m: c for m, c in acc.items() if c != 0}
-        arities = {m.arity for m in acc}
-        if len(arities) > 1:
-            raise OrderError(f"tree polynomial mixes arities {sorted(arities)}")
-        self._terms = acc
-
-    @classmethod
-    def monomial(cls, t: TreeMonomial, coeff: Fraction | int = 1) -> "TreePolynomial":
-        return cls([(t, coeff)])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
-    def arity(self) -> Optional[int]:
-        for m in self._terms:
-            return m.arity
-        return None
-
-    def support(self) -> set[TreeMonomial]:
-        return set(self._terms)
-
-    def coefficient(self, t: TreeMonomial) -> Fraction:
-        return self._terms.get(t, Fraction(0))
-
-    def items(self):
-        return self._terms.items()
-
-    def __add__(self, other: "TreePolynomial") -> "TreePolynomial":
-        merged = dict(self._terms)
-        for m, c in other._terms.items():
-            merged[m] = merged.get(m, Fraction(0)) + c
-        return TreePolynomial(merged)
-
-    def __sub__(self, other: "TreePolynomial") -> "TreePolynomial":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar: Fraction | int) -> "TreePolynomial":
-        s = Fraction(scalar)
-        return TreePolynomial({m: s * c for m, c in self._terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TreePolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "0"
-        return " + ".join(f"{c}*{m!r}" for m, c in sorted(
-            self._terms.items(), key=lambda mc: repr(mc[0])))
-
-
-def leading_monomial(order: TreeOrder, f: TreePolynomial) -> TreeMonomial:
-    """The maximal monomial in the support of a nonzero tree polynomial."""
-    if f.is_zero:
-        raise ZeroPolynomialError("the zero polynomial has no leading monomial")
-    return max(f.support(), key=order.key)
+        return (len(words), tuple((len(w), tuple(rank[x] for x in w)) for w in words))

@@ -19,7 +19,7 @@ from .dims import DimSeries, as_dim_values
 from .linalg import clear_denominators, kernel_is_trivial, nullspace, scale_rows_to_int, solve
 
 DEFAULT_HOLDOUT = 20
-DEFAULT_TAIL_FRACTION = Fraction(1, 3)
+TAIL_FRACTION = 1 / 3  # gk_estimate fits its slope on the last third of the window
 
 
 class SeriesError(ValueError):
@@ -123,8 +123,7 @@ def log_of_int(x: int) -> float:
     return math.log(top) + (bl - 53) * math.log(2)
 
 
-def gk_estimate(dims: DimSeries | Sequence[int],
-                tail_fraction: Fraction = DEFAULT_TAIL_FRACTION) -> GkReport:
+def gk_estimate(dims: DimSeries | Sequence[int]) -> GkReport:
     """Estimate the growth exponent limsup log_n(sum of dims up to n)."""
     values = as_dim_values(dims)
     if len(values) < 8:
@@ -137,7 +136,7 @@ def gk_estimate(dims: DimSeries | Sequence[int],
         acc += v
         sums.append(acc)
     n_max = len(values) - 1
-    start = max(2, n_max - int(n_max * float(tail_fraction)))
+    start = max(2, n_max - int(n_max * TAIL_FRACTION))
     window = [(n, sums[n]) for n in range(start, n_max + 1) if sums[n] > 0]
     if len(window) < 2:
         raise DegenerateSeriesError("partial sums vanish on the tail window")
@@ -192,6 +191,23 @@ class RationalFit:
     holdout_verified: bool
 
 
+def fit_bounds(n_max: int, max_den_degree: Optional[int] = None,
+               max_num_degree: Optional[int] = None,
+               holdout: int = DEFAULT_HOLDOUT) -> tuple[int, int]:
+    """The (denominator, numerator) degree bounds :func:`fit_rational` searches
+    on a window of truncation ``n_max``.
+
+    An unset denominator bound is the largest d <= 8 with 2d + 4 <= n_max -
+    holdout (0 when there is none); an unset numerator bound is the
+    denominator bound plus 3.
+    """
+    if max_den_degree is None:
+        max_den_degree = min(8, max(0, (n_max - holdout - 4) // 2))
+    if max_num_degree is None:
+        max_num_degree = max_den_degree + 3
+    return max_den_degree, max_num_degree
+
+
 def fit_rational(s: SeriesWindow, max_den_degree: Optional[int] = None,
                  max_num_degree: Optional[int] = None,
                  holdout: int = DEFAULT_HOLDOUT) -> Optional[RationalFit]:
@@ -205,13 +221,10 @@ def fit_rational(s: SeriesWindow, max_den_degree: Optional[int] = None,
     coeffs = s.coefficients
     n_max = len(coeffs) - 1
     usable = n_max - holdout
-    if max_den_degree is None:
-        max_den_degree = max(0, min(8, (usable - 4) // 2)) if usable >= 4 else 0
+    max_den_degree, max_num_degree = fit_bounds(n_max, max_den_degree, max_num_degree, holdout)
     if n_max < 2 * max_den_degree + 4:
         raise WindowTooShortError(
             f"need N >= {2 * max_den_degree + 4} for denominator degree {max_den_degree}")
-    if max_num_degree is None:
-        max_num_degree = max_den_degree + 3
     for d in range(max_den_degree + 1):
         for nu in range(max_num_degree + 1):
             if nu + 1 > usable:
@@ -298,8 +311,7 @@ class RecurrenceCandidate:
 
 
 def guess_holonomic(s: SeriesWindow, max_order: int, max_degree: int,
-                    holdout: int = DEFAULT_HOLDOUT,
-                    min_shift: int = 0) -> Optional[RecurrenceCandidate]:
+                    holdout: int = DEFAULT_HOLDOUT) -> Optional[RecurrenceCandidate]:
     """Search for a polynomial-coefficient linear recurrence, smallest order
     first, then smallest degree.
 
@@ -320,9 +332,8 @@ def guess_holonomic(s: SeriesWindow, max_order: int, max_degree: int,
     scaled = scale_rows_to_int([coeffs])[0]
     for order in range(1, max_order + 1):
         for degree in range(max_degree + 1):
-            n0 = order + min_shift
             rows = [[scaled[n - i] * n ** k for i in range(order + 1) for k in range(degree + 1)]
-                    for n in range(n0, usable + 1)]
+                    for n in range(order, usable + 1)]
             if not rows or len(rows) < len(rows[0]):
                 continue
             if kernel_is_trivial(rows):
@@ -332,9 +343,9 @@ def guess_holonomic(s: SeriesWindow, max_order: int, max_degree: int,
                 polys = tuple(
                     tuple(ints[i * (degree + 1):(i + 1) * (degree + 1)])
                     for i in range(order + 1))
-                cand = RecurrenceCandidate(order, degree, polys, (n0, usable), False)
+                cand = RecurrenceCandidate(order, degree, polys, (order, usable), False)
                 if cand.annihilates(coeffs, usable + 1, n_max):
-                    return RecurrenceCandidate(order, degree, polys, (n0, usable), True)
+                    return RecurrenceCandidate(order, degree, polys, (order, usable), True)
     return None
 
 

@@ -66,7 +66,7 @@ class Generator:
 class Alphabet:
     """A finite ordered collection of generators with unique names.
 
-    Declaration order doubles as the default generator rank for term orders.
+    Declaration order is the generator rank of the term order (:mod:`oplab.order`).
     """
 
     generators: tuple[Generator, ...]
@@ -95,9 +95,6 @@ class Alphabet:
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
-
-    def rank(self, name: str) -> int:
-        return self._rank[name]
 
     @property
     def has_unary(self) -> bool:
@@ -257,16 +254,6 @@ class PathSequence:
 
     def __iter__(self) -> Iterator[tuple[str, ...]]:
         return iter(self.words)
-
-    def display(self) -> str:
-        """Render like ``(ab, ab)``; multi-character names are dot-separated."""
-        parts = []
-        for w in self.words:
-            if all(len(x) == 1 for x in w):
-                parts.append("".join(w))
-            else:
-                parts.append(".".join(w))
-        return "(" + ", ".join(parts) + ")"
 
 
 def compose(t1: TreeMonomial, i: int, t2: TreeMonomial) -> TreeMonomial:

@@ -107,6 +107,15 @@ class TestSeriesPipes:
         assert code == 0
         assert "denominator=[1, -1, -1]" in text
 
+    @pytest.mark.parametrize("argv, bounds", [
+        (("--preset", "ex64-partition", "--max", "60"), "(den<=8, num<=11, N=60)"),
+        (("--preset", "fibonacci", "--max", "60", "--max-den", "0"), "(den<=0, num<=3, N=60)"),
+    ])
+    def test_fit_not_found_prints_searched_bounds(self, argv, bounds):
+        code, text = invoke("fit", *argv)
+        assert code == 0
+        assert text.startswith(f"no rational fit at bounds {bounds} for ")
+
     def test_binomial_guess(self, monkeypatch):
         _, series_csv = invoke("series", "--preset", "polyring:3", "--max", "60")
         code, text = invoke("guess", "--max-order", "3", "--max-degree", "3",

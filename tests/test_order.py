@@ -1,14 +1,14 @@
-"""Path-extension term orders and leading monomials."""
+"""The path-sequence sort key of tree monomials."""
 
 import random
 
 import pytest
 
-from helpers import BINARY, FIG3, all_monomials, random_monomial
-from oplab import TreeOrder, TreePolynomial, WordOrder, compare, compose, leading_monomial, parse_monomial
-from oplab.order import EQ, GT, LT, OrderError, ZeroPolynomialError
+from helpers import FIG3, all_monomials
+from oplab import Alphabet, TreeOrder, compose, enumerate_irr, format_monomial, parse_monomial
+from oplab.cli import preset_presentation
 
-TWO_BINARY = __import__("oplab").Alphabet.of(a=2, b=2)
+TWO_BINARY = Alphabet.of(a=2, b=2)
 
 
 @pytest.fixture
@@ -20,127 +20,73 @@ def fig3():
     }
 
 
-class TestWordOrder:
-    def test_rejects_plain_lex(self):
-        with pytest.raises(OrderError):
-            WordOrder("lex", ("a", "b"))
-
-    def test_rank_must_cover_alphabet(self):
-        with pytest.raises(OrderError):
-            WordOrder.for_alphabet(FIG3, "deglex", rank=("a", "b"))
-        with pytest.raises(OrderError):
-            WordOrder.for_alphabet(FIG3, "deglex", rank=("a", "b", "b"))
-
-    def test_deglex(self):
-        w = WordOrder.for_alphabet(FIG3)
-        assert w.compare_words(("b",), ("b", "c")) == LT  # shorter is smaller
-        assert w.compare_words(("b", "c"), ("c", "b")) == LT
-        assert w.compare_words(("a",), ("a",)) == EQ
-
-    def test_degrevlex(self):
-        w = WordOrder.for_alphabet(FIG3, "degrevlex")
-        # equal length: last differing position decides, smaller letter wins
-        assert w.compare_words(("b", "a"), ("a", "b")) == GT
-        assert w.compare_words(("a",), ("b", "a")) == LT
-
-    def test_degrevlex_is_concatenation_compatible(self):
-        w = WordOrder.for_alphabet(FIG3, "degrevlex")
-        rng = random.Random(5)
-        names = [g.name for g in FIG3.generators]
-        for _ in range(300):
-            u = tuple(rng.choices(names, k=rng.randint(1, 4)))
-            v = tuple(rng.choices(names, k=len(u)))
-            if u == v:
-                continue
-            s = tuple(rng.choices(names, k=rng.randint(1, 3)))
-            c = w.compare_words(u, v)
-            assert w.compare_words(u + s, v + s) == c
-            assert w.compare_words(s + u, s + v) == c
-
-
 class TestTreeOrder:
+    def test_exact_keys(self, fig3):
+        # paths (ab, ab) with ranks a=0, b=1
+        assert TreeOrder(FIG3).key(fig3["t1"]) == (2, ((2, (0, 1)), (2, (0, 1))))
+        # ranks follow declaration order, not names: c=0, b=1; paths (b, bc, bc)
+        cb = Alphabet.of(c=2, b=2)
+        assert TreeOrder(cb).key(parse_monomial("b(*,c(*,*))", cb)) == \
+            (3, ((1, (1,)), (2, (1, 0)), (2, (1, 0))))
+
+    def test_enumeration_order(self):
+        free = preset_presentation("free-operad:2")
+        assert [format_monomial(t) for t in enumerate_irr(free, 3)] == [
+            "1", "a(*,*)",
+            "a(*,a(*,*))", "a(a(*,*),*)",
+            "a(*,a(*,a(*,*)))", "a(*,a(a(*,*),*))", "a(a(*,*),a(*,*))",
+            "a(a(*,a(*,*)),*)", "a(a(a(*,*),*),*)",
+        ]
+
     def test_more_leaves_wins(self, fig3):
-        order = TreeOrder.for_alphabet(FIG3)
-        assert compare(order, fig3["t1"], fig3["t2"]) == LT  # 2 leaves < 3 leaves
+        key = TreeOrder(FIG3).key
+        assert key(fig3["t1"]) < key(fig3["t2"])  # 2 leaves < 3 leaves
 
     def test_first_differing_word(self, fig3):
-        order = TreeOrder.for_alphabet(FIG3)
-        # first words b vs bc: deglex favours the longer word
-        assert compare(order, fig3["t2"], fig3["t3"]) == LT
+        key = TreeOrder(FIG3).key
+        # first words b vs bc: the longer word is larger
+        assert key(fig3["t2"]) < key(fig3["t3"])
 
     def test_reflexive(self, fig3):
-        order = TreeOrder.for_alphabet(FIG3)
-        assert compare(order, fig3["t2"], fig3["t2"]) == EQ
+        key = TreeOrder(FIG3).key
+        assert key(parse_monomial("b(*,c(*,*))", FIG3)) == key(fig3["t2"])
 
     def test_totality_exhaustive(self):
-        # distinct monomials get distinct keys: EQ only on equality
-        order = TreeOrder.for_alphabet(TWO_BINARY)
+        # distinct monomials get distinct keys
+        key = TreeOrder(TWO_BINARY).key
         monomials = all_monomials(TWO_BINARY, 5)
-        keys = [order.key(t) for t in monomials]
-        assert len(set(keys)) == len(monomials)
+        assert len({key(t) for t in monomials}) == len(monomials)
 
     def test_antisymmetry_sample(self):
-        order = TreeOrder.for_alphabet(TWO_BINARY)
+        key = TreeOrder(TWO_BINARY).key
         rng = random.Random(11)
         monomials = all_monomials(TWO_BINARY, 4)
         for _ in range(500):
             t1, t2 = rng.choice(monomials), rng.choice(monomials)
-            assert compare(order, t1, t2) == -compare(order, t2, t1)
+            assert (key(t1) < key(t2)) == (key(t2) > key(t1))
+            assert (key(t1) == key(t2)) == (t1 == t2)
 
     def test_truncated_classes_have_minimum(self):
-        order = TreeOrder.for_alphabet(TWO_BINARY)
+        key = TreeOrder(TWO_BINARY).key
         by_arity = {}
         for t in all_monomials(TWO_BINARY, 4):
             by_arity.setdefault(t.arity, []).append(t)
         for ts in by_arity.values():
-            m = min(ts, key=order.key)
-            assert all(compare(order, m, t) in (LT, EQ) for t in ts)
+            m = min(ts, key=key)
+            assert all(key(m) < key(t) for t in ts if t != m)
 
     def test_composition_monotonic(self):
-        order = TreeOrder.for_alphabet(TWO_BINARY)
+        key = TreeOrder(TWO_BINARY).key
         rng = random.Random(23)
-        monomials = [t for t in all_monomials(TWO_BINARY, 4)]
+        monomials = all_monomials(TWO_BINARY, 4)
         by_arity = {}
         for t in monomials:
             by_arity.setdefault(t.arity, []).append(t)
-        checked = 0
-        while checked < 300:
-            ts = rng.choice([v for v in by_arity.values() if len(v) >= 2])
-            t0, t0p = rng.sample(ts, 2)
-            if compare(order, t0, t0p) != GT:
-                t0, t0p = t0p, t0
+        classes = [v for v in by_arity.values() if len(v) >= 2]
+        for _ in range(300):
+            t0, t0p = sorted(rng.sample(rng.choice(classes), 2), key=key, reverse=True)
             u = rng.choice(monomials)
             i = rng.randint(1, t0.arity)
-            assert compare(order, compose(t0, i, u), compose(t0p, i, u)) == GT
+            assert key(compose(t0, i, u)) > key(compose(t0p, i, u))
             j = rng.randint(1, u.arity)
-            assert compare(order, compose(u, j, t0), compose(u, j, t0p)) == GT
-            checked += 1
-
-
-class TestTreePolynomial:
-    def test_leading_monomial(self, fig3):
-        order = TreeOrder.for_alphabet(FIG3)
-        f = TreePolynomial.monomial(fig3["t2"]) + TreePolynomial.monomial(fig3["t3"])
-        assert leading_monomial(order, f) == fig3["t3"]
-        assert leading_monomial(order, 5 * TreePolynomial.monomial(fig3["t1"])) == fig3["t1"]
-
-    def test_zero_polynomial(self, fig3):
-        order = TreeOrder.for_alphabet(FIG3)
-        f = TreePolynomial.monomial(fig3["t1"])
-        with pytest.raises(ZeroPolynomialError):
-            leading_monomial(order, f - f)
-
-    def test_mixed_arity_rejected(self, fig3):
-        with pytest.raises(OrderError):
-            TreePolynomial([(fig3["t1"], 1), (fig3["t2"], 1)])
-
-    def test_arithmetic_cancels(self, fig3):
-        f = 3 * TreePolynomial.monomial(fig3["t2"])
-        g = TreePolynomial.monomial(fig3["t2"], -3)
-        assert (f + g).is_zero
-
-    def test_alphabet_mismatch_in_compare(self, fig3):
-        order = TreeOrder.for_alphabet(FIG3)
-        other = parse_monomial("a(*,*)", BINARY)
-        with pytest.raises(ValueError):
-            compare(order, fig3["t1"], other)
+            assert key(compose(u, j, t0)) > key(compose(u, j, t0p))
