@@ -35,18 +35,20 @@ def _rref(mat: list[list], ncols: int, p: Optional[int] = None) -> list[int]:
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][col]
+        prow = mat[rank]
+        lead = prow[col]
+        # columns left of col are zero in the pivot row, so no row changes there
         if p is None:
-            prow = [x / lead for x in mat[rank]]
+            prow[col:] = [x / lead for x in prow[col:]]
         else:
             inv = pow(lead, -1, p)
-            prow = [inv * x % p for x in mat[rank]]
-        mat[rank] = prow
+            prow[col:] = [inv * x % p for x in prow[col:]]
+        tail = prow[col:]
         for r, row in enumerate(mat):
             f = row[col]
             if f and r != rank:
-                mat[r] = ([x - f * y for x, y in zip(row, prow)] if p is None
-                          else [(x - f * y) % p for x, y in zip(row, prow)])
+                row[col:] = ([x - f * y for x, y in zip(row[col:], tail)] if p is None
+                             else [(x - f * y) % p for x, y in zip(row[col:], tail)])
         pivots.append(col)
     return pivots
 

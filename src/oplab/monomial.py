@@ -10,20 +10,26 @@ weight-indexed counts.
 Two engines compute dimensions.  ``brute`` explicitly builds every normal
 form by composing smaller normal forms (sound because every submonomial of
 a normal form is normal, so only a root-anchored divisor can appear when a
-fresh root is added).  ``dp`` compiles the presentation once into a crown
-grammar, rules ``crown <- g(k_1..k_m)`` whose crowns are the sets of
-relation subtrees matching at a tree's root (all a root-anchored relation
-match can see of a child), then counts over the rules with one graded
-convolution ``F_c[d] = sum over rules of sum_{d_1+..+d_m = d-deg g} prod
-F_{k_i}[d_i]`` (deg g = 1 by weight, arity(g)-1 by arity): an explicit
-algebraic system for the series.
+fresh root is added).  It keeps each weight level in buckets keyed by
+(root mask, arity), where the mask has one bit per distinct non-leaf
+relation child matching at the tree's root, found with ``matches_at_root``
+(its only root test), so the root check runs once per tuple of child
+buckets instead of once per candidate tree.  ``dp`` compiles the
+presentation once into a crown grammar, rules ``crown <- g(k_1..k_m)``
+whose crowns are the sets of relation subtrees matching at a tree's root
+(all a root-anchored relation match can see of a child), then counts over
+the rules with one graded convolution ``F_c[d] = sum over rules of
+sum_{d_1+..+d_m = d-deg g} prod F_{k_i}[d_i]`` (deg g = 1 by weight,
+arity(g)-1 by arity): an explicit algebraic system for the series.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -127,110 +133,130 @@ def is_normal_form(p: MonomialOperadPresentation, t: TreeMonomial) -> bool:
     return not any(divides(r, t) for r in p.relations)
 
 
-def _root_rejects(rels_g, children: tuple) -> bool:
-    """Does some relation (rooted at the candidate's generator) match the
-    candidate root against this child tuple?"""
-    for r in rels_g:
-        for pc, tc in zip(r.children, children):
-            if pc is not None and (tc is None or not matches_at_root(pc, tc)):
-                break
-        else:
-            return True
-    return False
+def _root_buckets(nslots: int, rels: list, weight: int, buckets: list[dict],
+                  max_arity: Optional[int]) -> list[tuple]:
+    """Bucket tuples, one bucket per child slot and of total weight
+    ``weight``, over which no relation in ``rels`` matches at the root,
+    each with the arity its trees share.
+
+    A relation is (one required mask per slot, slots up to its last
+    non-leaf child); a child fits a slot when its mask holds the required
+    bits, so the relations alive after a slot are those every earlier child
+    fits, and one whose remaining slots are all leaves rejects every
+    completion.
+    """
+    out: list[tuple] = []
+    acc: list[list] = []
+
+    def rec(slot: int, remaining: int, arity: int, alive: list) -> None:
+        rest = nslots - slot - 1
+        for w1 in range(remaining + 1) if rest else (remaining,):
+            for (mask, a), trees in buckets[w1].items():
+                if max_arity is not None and arity + a + rest > max_arity:
+                    continue
+                still = [(need, end) for need, end in alive if need[slot] & mask == need[slot]]
+                if any(end <= slot + 1 for _, end in still):
+                    continue
+                acc.append(trees)
+                if rest:
+                    rec(slot + 1, remaining - w1, arity + a, still)
+                else:
+                    out.append((tuple(acc), arity + a))
+                acc.pop()
+
+    rec(0, weight, 0, rels)
+    return out
 
 
-_LEAF_ONLY = (LEAF,)
-
-
-def _build_level(p: MonomialOperadPresentation, rels_by_root, w: int,
-                 levels: list[list[TreeMonomial]],
-                 max_arity: Optional[int]) -> list[TreeMonomial]:
-    """All weight-w normal forms from the already-built lighter levels.
+def _build_level(alphabet: Alphabet, roots: list, w: int, buckets: list[dict],
+                 max_arity: Optional[int], need_buckets: bool) -> tuple[list, dict]:
+    """All weight-w normal forms from the lighter levels' buckets, and (when
+    ``need_buckets``, i.e. a heavier level will use them as children) the
+    same trees keyed by (root mask, arity).
 
     Children are normal forms, so only a root-anchored relation match needs
-    checking; every candidate is distinct because (root label, child tuple)
-    determines the tree.
+    checking; every tree is distinct because (root label, child tuple)
+    determines it.
     """
-    alphabet = p.alphabet
     level: list[TreeMonomial] = []
-    append = level.append
-    for g in alphabet.generators:
-        rels_g = rels_by_root.get(g.name, ())
-        if g.arity == 2:
-            # hottest case, written out to keep the enumeration tight
-            for w1 in range(w):
-                lefts = levels[w1] if w1 else _LEAF_ONLY
-                rights = levels[w - 1 - w1] if w - 1 - w1 else _LEAF_ONLY
-                for left in lefts:
-                    la = 1 if left is None else left.arity
-                    if max_arity is not None and la + 1 > max_arity:
-                        continue
-                    for right in rights:
-                        ra = 1 if right is None else right.arity
-                        if max_arity is not None and la + ra > max_arity:
-                            continue
-                        children = (left, right)
-                        if rels_g and _root_rejects(rels_g, children):
-                            continue
-                        append(_fast_node(alphabet, g, children))
-        else:
-            for children in _child_combos(g.arity, w - 1, levels, max_arity):
-                if rels_g and _root_rejects(rels_g, children):
-                    continue
-                append(_fast_node(alphabet, g, children))
-    return level
-
-
-def _relations_by_root(p: MonomialOperadPresentation) -> dict:
-    by_root: dict[str, list[TreeMonomial]] = {}
-    for r in p.relations:
-        by_root.setdefault(r.generator.name, []).append(r)
-    return by_root
+    by_key: dict = {}
+    for g, tests, rels in roots:
+        for lists, arity in _root_buckets(g.arity, rels, w - 1, buckets, max_arity):
+            trees = [_fast_node(alphabet, g, children) for children in product(*lists)]
+            level += trees
+            if not need_buckets:
+                continue
+            for t in trees:
+                mask = 0
+                for pattern, bit in tests:
+                    if matches_at_root(pattern, t):
+                        mask |= bit
+                by_key.setdefault((mask, arity), []).append(t)
+    return level, by_key
 
 
 def _irr_levels(p: MonomialOperadPresentation, max_weight: int, max_arity: Optional[int] = None,
                 key=None) -> Iterator[list[TreeMonomial]]:
     """Normal forms level by level (one level per weight), each sorted by
-    ``key`` when given."""
-    rels_by_root = _relations_by_root(p)
-    levels: list[list[TreeMonomial]] = [[TreeMonomial.trivial(p.alphabet)]]
-    yield levels[0]
+    ``key`` when given.
+
+    Each distinct non-leaf child of a relation gets one bit, and a built
+    normal form's root mask holds the bits of those it matches at the root
+    (a leaf's mask is 0).  Levels are kept in buckets keyed by (mask,
+    arity), so a relation rooted at g is one required bit per slot and the
+    root check runs once per bucket tuple, not once per candidate tree.
+    The cyclic garbage collector is paused while a level is built: the
+    trees hold no cycles, and each collection would walk every tree built
+    so far.
+    """
+    bits: dict = {}
+    for r in p.relations:
+        for c in r.children:
+            if c is not LEAF:
+                bits.setdefault(c, 1 << len(bits))
+    roots = []
+    for g in p.alphabet.generators:
+        needs = [tuple(0 if c is LEAF else bits[c] for c in r.children)
+                 for r in p.relations if r.generator == g]
+        rels = [(need, max((i + 1 for i, b in enumerate(need) if b), default=0))
+                for need in needs]
+        roots.append((g, [(c, b) for c, b in bits.items() if c.generator == g], rels))
+    buckets = [{(0, 1): [LEAF]}]
+    yield [TreeMonomial.trivial(p.alphabet)]
     for w in range(1, max_weight + 1):
-        level = _build_level(p, rels_by_root, w, levels, max_arity)
-        if key is not None:
-            level.sort(key=key)
-        levels.append(level)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            level, by_key = _build_level(p.alphabet, roots, w, buckets, max_arity,
+                                         w < max_weight)
+            if key is not None:
+                level.sort(key=key)
+        finally:
+            if enabled:
+                gc.enable()
+        buckets.append(by_key)
         yield level
 
 
-def _child_combos(nslots: int, weight: int, levels: list[list[TreeMonomial]],
-                  max_arity: Optional[int]) -> Iterator[tuple]:
-    """All slot tuples (LEAF or a previously built normal form) of total weight."""
+_LEAF_ONLY = (LEAF,)
 
-    def rec(slot: int, remaining: int, arity_used: int, acc: list) -> Iterator[tuple]:
+
+def _child_combos(nslots: int, weight: int, levels: list) -> Iterator[tuple]:
+    """All slot tuples of total weight: a slot holds LEAF (weight 0) or an
+    entry of ``levels[w1]`` (weight w1 >= 1)."""
+
+    def rec(slot: int, remaining: int, acc: list) -> Iterator[tuple]:
         rest = nslots - slot - 1
-        if slot == nslots:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        if max_arity is not None and arity_used + 1 + rest > max_arity:
-            return
-        if rest > 0 or remaining == 0:
-            acc.append(LEAF)
-            yield from rec(slot + 1, remaining, arity_used + 1, acc)
-            acc.pop()
-        for w1 in range(1, remaining + 1):
-            if rest == 0 and w1 != remaining:
-                continue
-            for m in levels[w1]:
-                n1 = 0 if max_arity is None else m.arity  # arities matter only under a bound
-                if max_arity is not None and arity_used + n1 + rest > max_arity:
-                    continue
+        for w1 in range(remaining + 1) if rest else (remaining,):
+            for m in levels[w1] if w1 else _LEAF_ONLY:
                 acc.append(m)
-                yield from rec(slot + 1, remaining - w1, arity_used + n1, acc)
+                if rest:
+                    yield from rec(slot + 1, remaining - w1, acc)
+                else:
+                    yield tuple(acc)
                 acc.pop()
 
-    yield from rec(0, weight, 0, [])
+    yield from rec(0, weight, [])
 
 
 def enumerate_irr(p: MonomialOperadPresentation, max_weight: int) -> Iterator[TreeMonomial]:
@@ -289,7 +315,7 @@ def compile_grammar(p: MonomialOperadPresentation, max_degree: Optional[int] = N
         d += 1
         level = []
         for g, s, rel_needs, tests in gens:
-            for kids in (_child_combos(g.arity, d - s, by_degree, None) if s <= d else ()):
+            for kids in (_child_combos(g.arity, d - s, by_degree) if s <= d else ()):
                 sets = [() if k is LEAF else k[1] for k in kids]
                 if any(all(c in sets[i] for i, c in need) for need in rel_needs):
                     continue

@@ -192,36 +192,35 @@ class RationalFit:
 
 
 def fit_bounds(n_max: int, max_den_degree: Optional[int] = None,
-               max_num_degree: Optional[int] = None,
-               holdout: int = DEFAULT_HOLDOUT) -> tuple[int, int]:
+               max_num_degree: Optional[int] = None) -> tuple[int, int]:
     """The (denominator, numerator) degree bounds :func:`fit_rational` searches
     on a window of truncation ``n_max``.
 
     An unset denominator bound is the largest d <= 8 with 2d + 4 <= n_max -
-    holdout (0 when there is none); an unset numerator bound is the
+    DEFAULT_HOLDOUT (0 when there is none); an unset numerator bound is the
     denominator bound plus 3.
     """
     if max_den_degree is None:
-        max_den_degree = min(8, max(0, (n_max - holdout - 4) // 2))
+        max_den_degree = min(8, max(0, (n_max - DEFAULT_HOLDOUT - 4) // 2))
     if max_num_degree is None:
         max_num_degree = max_den_degree + 3
     return max_den_degree, max_num_degree
 
 
 def fit_rational(s: SeriesWindow, max_den_degree: Optional[int] = None,
-                 max_num_degree: Optional[int] = None,
-                 holdout: int = DEFAULT_HOLDOUT) -> Optional[RationalFit]:
+                 max_num_degree: Optional[int] = None) -> Optional[RationalFit]:
     """Minimal rational function whose expansion reproduces the window.
 
     Scans denominator degrees upward (then numerator degrees), solving the
     constant-coefficient recurrence exactly, and accepts a candidate only
     if the product den * series has zero coefficients over the whole window
-    including the holdout suffix.  Returns None when nothing fits.
+    including the final ``DEFAULT_HOLDOUT`` coefficients, which no solve
+    used.  Returns None when nothing fits.
     """
     coeffs = s.coefficients
     n_max = len(coeffs) - 1
-    usable = n_max - holdout
-    max_den_degree, max_num_degree = fit_bounds(n_max, max_den_degree, max_num_degree, holdout)
+    usable = n_max - DEFAULT_HOLDOUT
+    max_den_degree, max_num_degree = fit_bounds(n_max, max_den_degree, max_num_degree)
     if n_max < 2 * max_den_degree + 4:
         raise WindowTooShortError(
             f"need N >= {2 * max_den_degree + 4} for denominator degree {max_den_degree}")
@@ -310,8 +309,8 @@ class RecurrenceCandidate:
         return all(self.residual(coeffs, n) == 0 for n in range(start, stop + 1))
 
 
-def guess_holonomic(s: SeriesWindow, max_order: int, max_degree: int,
-                    holdout: int = DEFAULT_HOLDOUT) -> Optional[RecurrenceCandidate]:
+def guess_holonomic(s: SeriesWindow, max_order: int,
+                    max_degree: int) -> Optional[RecurrenceCandidate]:
     """Search for a polynomial-coefficient linear recurrence, smallest order
     first, then smallest degree.
 
@@ -319,16 +318,17 @@ def guess_holonomic(s: SeriesWindow, max_order: int, max_degree: int,
     recurrence), so each row is built over the integers.  The kernel is
     solved exactly; full column rank modulo one prime below 2**30 certifies
     emptiness without rational arithmetic.  A candidate must also
-    annihilate the final ``holdout`` coefficients, which no fit ever used.
+    annihilate the final ``DEFAULT_HOLDOUT`` coefficients, which no fit
+    ever used.
     """
     coeffs = s.coefficients
     n_max = len(coeffs) - 1
-    needed = (max_order + 1) * (max_degree + 1) + max_order + holdout
+    needed = (max_order + 1) * (max_degree + 1) + max_order + DEFAULT_HOLDOUT
     if n_max < needed:
         raise WindowTooShortError(
             f"need N >= {needed} for bounds (order {max_order}, degree {max_degree}, "
-            f"holdout {holdout}); got N = {n_max}")
-    usable = n_max - holdout
+            f"holdout {DEFAULT_HOLDOUT}); got N = {n_max}")
+    usable = n_max - DEFAULT_HOLDOUT
     scaled = scale_rows_to_int([coeffs])[0]
     for order in range(1, max_order + 1):
         for degree in range(max_degree + 1):

@@ -7,8 +7,9 @@ Grafting one tree onto a leaf of another is the partial composition, and
 the tuple of root-to-leaf label words (the path sequence) determines a
 tree monomial uniquely.
 
-All values here are immutable after construction and every operation is a
-pure function, so everything is safe to share across threads.
+All values here are immutable after construction (a tree monomial only
+caches its hash on first use) and every operation is a pure function, so
+everything is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -161,7 +162,6 @@ class TreeMonomial:
         self.arity = arity
         self.weight = weight
         self.height = height
-        self._hash = hash((generator, children))
 
     @classmethod
     def trivial(cls, alphabet: Alphabet) -> "TreeMonomial":
@@ -199,11 +199,25 @@ class TreeMonomial:
             return True
         if not isinstance(other, TreeMonomial):
             return NotImplemented
-        if self._hash != other._hash:
+        if hash(self) != hash(other):
             return False
         return self.generator == other.generator and self.children == other.children
 
     def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:  # computed on first use: most enumerated trees are never hashed
+            pass
+        # subtrees first, from an explicit stack: a tall tree must not hit the recursion limit
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            todo = [c for c in node.children if c is not LEAF and not hasattr(c, "_hash")]
+            if todo:
+                stack += todo
+            else:
+                stack.pop()
+                node._hash = hash((node.generator, node.children))
         return self._hash
 
     def __repr__(self) -> str:
@@ -215,7 +229,9 @@ def _fast_node(alphabet: Alphabet, generator: Generator,
     """Unvalidated node constructor for the enumeration engines.
 
     Callers guarantee a child tuple of the right length whose entries are
-    LEAF or nontrivial monomials over the same alphabet.
+    LEAF or nontrivial monomials over the same alphabet.  Like every tree,
+    the node computes its hash on first use, so trees that are only
+    counted are never hashed.
     """
     t = object.__new__(TreeMonomial)
     arity, weight, height = 0, 1, 1
@@ -233,7 +249,6 @@ def _fast_node(alphabet: Alphabet, generator: Generator,
     t.arity = arity
     t.weight = weight
     t.height = height
-    t._hash = hash((generator, children))
     return t
 
 

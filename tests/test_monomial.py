@@ -1,6 +1,8 @@
 """Monomial operad presentations: normal forms, engines, growth dichotomy."""
 
+import gc
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,6 +14,7 @@ from oplab import (
     dim_by_weight,
     divides,
     enumerate_irr,
+    format_monomial,
     gap_dichotomy_check,
     is_normal_form,
     parse_monomial,
@@ -222,6 +225,84 @@ class TestDimensions:
         p = binary_presentation(SHUFFLE)
         dims = dim_by_arity(p, 6)
         assert dims[0] == 0 and dims[1] == 1
+
+
+class TestBruteBuckets:
+    """The brute oracle's root-match buckets against dp and a naive filter."""
+
+    @staticmethod
+    def naive_by_arity(p, max_arity, max_weight):
+        """Counts by arity from filtering every monomial with divides."""
+        counts = Counter(t.arity for t in all_monomials(p.alphabet, max_weight)
+                         if t.arity <= max_arity and is_normal_form(p, t))
+        return tuple(counts[n] for n in range(max_arity + 1))
+
+    def test_brute_matches_dp_on_seeded_mixed_alphabets(self):
+        rng = random.Random(23)
+        ab = Alphabet.of(a=2, b=3)
+        pool = [t for t in all_monomials(ab, 3) if t.weight >= 2]
+        for _ in range(12):
+            p = MonomialOperadPresentation(ab, rng.sample(pool, k=rng.randint(1, 5)))
+            assert dim_by_arity(p, 9, engine="brute").values == dim_by_arity(p, 9).values
+            assert dim_by_weight(p, 5, engine="brute").values == dim_by_weight(p, 5).values
+        ubc = Alphabet.of(u=1, b=2, c=3)
+        pool = [t for t in all_monomials(ubc, 3) if t.weight >= 2]
+        for _ in range(12):
+            p = MonomialOperadPresentation(ubc, rng.sample(pool, k=rng.randint(1, 5)))
+            assert dim_by_arity(p, 8, engine="brute", weight_cap=5).values == \
+                dim_by_arity(p, 8, weight_cap=5).values
+            assert dim_by_weight(p, 5, engine="brute").values == dim_by_weight(p, 5).values
+
+    def test_relations_with_one_non_leaf_slot(self):
+        ab = Alphabet.of(a=2, b=3)
+        for literals in (["b(*,a(*,*),*)", "a(*,b(*,*,*))"],
+                         ["b(*,*,b(*,*,*))", "a(a(*,*),*)"],
+                         ["b(a(*,*),*,*)", "b(*,b(*,*,*),*)", "a(*,a(*,*))"]):
+            p = MonomialOperadPresentation(ab, [parse_monomial(x, ab) for x in literals])
+            brute = dim_by_arity(p, 9, engine="brute").values
+            assert brute == dim_by_arity(p, 9).values, literals
+            assert brute[:6] == self.naive_by_arity(p, 5, 4), literals
+
+    def test_bare_generator_relation(self):
+        ab = Alphabet.of(a=2, b=3)
+        p = MonomialOperadPresentation(ab, [parse_monomial("b(*,*,*)", ab)])
+        assert p.relations == (parse_monomial("b(*,*,*)", ab),)
+        assert all("b" not in format_monomial(t) for t in enumerate_irr(p, 5))
+        free_a = dim_by_arity(MonomialOperadPresentation(Alphabet.of(a=2), ()), 12).values
+        assert dim_by_arity(p, 12, engine="brute").values == free_a
+        assert dim_by_arity(p, 12).values == free_a
+        # with a unary generator beside it
+        ub = Alphabet.of(u=1, b=3)
+        p = MonomialOperadPresentation(ub, [parse_monomial("b(*,*,*)", ub)])
+        assert dim_by_weight(p, 6, engine="brute").values == (1,) * 7
+        assert dim_by_arity(p, 4, engine="brute", weight_cap=6).values == (0, 7, 0, 0, 0)
+
+    def test_arity_bound_cuts_inside_a_level(self):
+        # weight-3 normal forms over {a:2, b:3} have arities 4 to 7
+        ab = Alphabet.of(a=2, b=3)
+        p = MonomialOperadPresentation(ab, [parse_monomial("a(a(*,*),*)", ab),
+                                            parse_monomial("b(*,*,a(*,*))", ab)])
+        arities = {t.arity for t in enumerate_irr(p, 3) if t.weight == 3}
+        assert min(arities) < 5 < max(arities)
+        for n in (5, 6):
+            brute = dim_by_arity(p, n, engine="brute").values
+            assert brute == dim_by_arity(p, n).values == self.naive_by_arity(p, n, n - 1)
+
+    def test_collector_state_is_restored(self):
+        p = binary_presentation(SHUFFLE, CHAIN11)
+        assert gc.isenabled()
+        dim_by_arity(p, 12, engine="brute")
+        assert gc.isenabled()
+        stream = enumerate_irr(p, 8)
+        first = [next(stream) for _ in range(6)]
+        assert gc.isenabled() and first[0].is_trivial
+        stream.close()
+        gc.disable()
+        try:
+            dim_by_weight(p, 8, engine="brute")
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestGapDichotomy:

@@ -27,6 +27,7 @@ from oplab.trees import (
     LiteralSyntaxError,
     MalformedPathError,
     TreeError,
+    _fast_node,
 )
 
 
@@ -82,6 +83,30 @@ class TestConstruction:
         again = parse_monomial("b(c(*,*),b(*,*))", FIG3)
         assert again == fig3["t4"] and hash(again) == hash(fig3["t4"])
         assert fig3["t2"] != fig3["t3"]
+
+    def test_fast_node_twin(self):
+        # the enumeration engines' unvalidated constructor, whose hash is lazy
+        inner = _fast_node(FIG3, FIG3["c"], (LEAF, LEAF))
+        fast = _fast_node(FIG3, FIG3["b"], (inner, _fast_node(FIG3, FIG3["a"], (LEAF,))))
+        twin = parse_monomial("b(c(*,*),a(*))", FIG3)
+        assert (fast.arity, fast.weight, fast.height) == (twin.arity, twin.weight, twin.height)
+        assert fast == twin and twin == fast
+        assert hash(fast) == hash(twin)
+        assert fast in {twin} and twin in {fast}
+        assert {twin: 1}[fast] == 1
+        assert fast != parse_monomial("b(c(*,*),*)", FIG3)
+        assert format_monomial(fast) == "b(c(*,*),a(*))"
+
+    def test_tall_tree_hash(self):
+        # a lazy hash must not recurse once per level
+        chains = []
+        for height in (3000, 3000, 2999):
+            t = LEAF
+            for _ in range(height):
+                t = _fast_node(FIG3, FIG3["a"], (t,))
+            chains.append(t)
+        assert hash(chains[0]) == hash(chains[1]) != hash(chains[2])
+        assert chains[0].height == 3000
 
 
 class TestLiterals:
