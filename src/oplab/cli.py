@@ -5,7 +5,9 @@ operadize, envelope, preset-list.  Output is CSV by default (JSON carries
 full metadata, gnuplot emits a plottable block); every numeric value is an
 exact integer or rational unless explicitly labelled as a floating
 estimate.  Exit codes: 0 success, 1 usage error, 2 computation error
-(including a failed internal invariant).
+(including a failed internal invariant).  Usage errors include a preset
+parameter that is missing, malformed or out of range, and a missing or
+doubled source (a file flag together with --preset).
 
 Sweep rows are ordered by presentation key before emission, so results are
 byte-identical across runs.
@@ -22,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -59,11 +61,30 @@ def _size(text: str) -> int:
 
 @dataclass(frozen=True)
 class Preset:
+    """``build(*params)`` gives a presentation, ``build(n, *params)`` dims up
+    to index n.  ``param`` (None: no parameter) parses the text after ``name:``
+    into build's last argument, raising ValueError or ZeroDivisionError if bad."""
+
     name: str
     kind: str  # "presentation" | "dims"
     description: str
     build: Callable
-    parametrized: bool = False
+    param: Optional[Callable[[str], object]] = None
+
+
+def _param(kind: type, valid: Callable, requirement: str) -> Callable[[str], object]:
+    """A ``Preset.param`` parser: ``kind(text)``, checked by ``valid``."""
+    def parse(text: str):
+        value = kind(text)
+        if not valid(value):
+            raise ValueError(f"must {requirement}")
+        return value
+    return parse
+
+
+_AT_LEAST_1 = _param(int, lambda d: d >= 1, "be at least 1")
+_POSITIVE = _param(Fraction, lambda a: a > 0, "be positive")
+_STAIRCASE = _param(Fraction, lambda r: 2 < r < 3, "lie strictly between 2 and 3")
 
 
 def _binary_operad(relation_literals: Sequence[str], name: str) -> MonomialOperadPresentation:
@@ -79,109 +100,93 @@ _CHAIN22 = "a(*,a(*,a(*,*)))"       # a o_2 a o_2 a
 
 
 def _free_operad(arity: int) -> MonomialOperadPresentation:
-    if arity < 1:
-        raise UsageError("free-operad arity must be >= 1")
     return MonomialOperadPresentation(Alphabet.of(a=arity), (), name=f"free-operad:{arity}")
 
 
-def _parse_param(name: str, text: str, kind: str):
-    try:
-        if kind == "int":
-            return int(text)
-        return alg.as_fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"preset {name!r}: cannot parse parameter {text!r}") from None
+CATALOG = {p.name.partition(":")[0]: p for p in (
+    Preset("ex53-1", "presentation",
+           "single binary generator, shuffle relation only; dims 2^(n-2)",
+           lambda: _binary_operad([_SHUFFLE], "ex53-1")),
+    Preset("ex53-2", "presentation",
+           "fibonacci operad: shuffle relation plus the 1,1-chain",
+           lambda: _binary_operad([_SHUFFLE, _CHAIN11], "ex53-2")),
+    Preset("fibonacci", "presentation",
+           "alias of ex53-2",
+           lambda: _binary_operad([_SHUFFLE, _CHAIN11], "fibonacci")),
+    Preset("ex53-3", "presentation",
+           "single binary generator; dims eventually constant 2",
+           lambda: _binary_operad([_SHUFFLE, _CHAIN21, _CHAIN22], "ex53-3")),
+    Preset("ex62", "dims",
+           "gapped slow-growth algebra dims 1,2,3+delta (degree-indexed)",
+           lambda n: alg.example62_dims(max(2, n))),
+    Preset("example62", "dims",
+           "alias of ex62",
+           lambda n: alg.example62_dims(max(2, n))),
+    Preset("ex64-partition", "dims",
+           "partition numbers p(n) (degree-indexed)",
+           alg.partition_dims),
+    Preset("partition", "dims",
+           "alias of ex64-partition",
+           alg.partition_dims),
+    Preset("ex46-avoidance", "dims",
+           "single-branched words with at most one index-2 letter; exactly h words at height h",
+           lambda n: closed_set_counts(example_at_most_one_index2(), n)),
+    Preset("ex34:<alpha>", "dims",
+           "operad dims with partial sums floor(n^alpha) (arity-indexed)",
+           lambda n, a: alg.floor_power_dims(a, n), _POSITIVE),
+    Preset("floorpow:<alpha>", "dims",
+           "alias of ex34:<alpha>",
+           lambda n, a: alg.floor_power_dims(a, n), _POSITIVE),
+    Preset("ex35:<r>", "dims",
+           "staircase algebra dims with growth exponent r in (2,3) (degree-indexed)",
+           lambda n, r: alg.warfield_dims(r, n), _STAIRCASE),
+    Preset("warfield:<r>", "dims",
+           "alias of ex35:<r>",
+           lambda n, r: alg.warfield_dims(r, n), _STAIRCASE),
+    Preset("polyring:<d>", "dims",
+           "polynomial ring dims C(n+d-1, d-1) (degree-indexed)",
+           lambda n, d: alg.polynomial_ring_dims(d, n), _AT_LEAST_1),
+    Preset("free:<d>", "dims",
+           "free algebra dims d^n (degree-indexed)",
+           lambda n, d: alg.free_algebra_dims(d, n), _AT_LEAST_1),
+    Preset("free-operad:<arity>", "presentation",
+           "free operad on one generator of the given arity",
+           _free_operad, _AT_LEAST_1),
+)}
 
 
-def _catalog() -> dict[str, Preset]:
-    entries = [
-        Preset("ex53-1", "presentation",
-               "single binary generator, shuffle relation only; dims 2^(n-2)",
-               lambda: _binary_operad([_SHUFFLE], "ex53-1")),
-        Preset("ex53-2", "presentation",
-               "fibonacci operad: shuffle relation plus the 1,1-chain",
-               lambda: _binary_operad([_SHUFFLE, _CHAIN11], "ex53-2")),
-        Preset("fibonacci", "presentation",
-               "alias of ex53-2",
-               lambda: _binary_operad([_SHUFFLE, _CHAIN11], "fibonacci")),
-        Preset("ex53-3", "presentation",
-               "single binary generator; dims eventually constant 2",
-               lambda: _binary_operad([_SHUFFLE, _CHAIN21, _CHAIN22], "ex53-3")),
-        Preset("ex62", "dims",
-               "gapped slow-growth algebra dims 1,2,3+delta (degree-indexed)",
-               lambda n: alg.example62_dims(max(2, n))),
-        Preset("example62", "dims",
-               "alias of ex62",
-               lambda n: alg.example62_dims(max(2, n))),
-        Preset("ex64-partition", "dims",
-               "partition numbers p(n) (degree-indexed)",
-               alg.partition_dims),
-        Preset("partition", "dims",
-               "alias of ex64-partition",
-               alg.partition_dims),
-        Preset("ex46-avoidance", "dims",
-               "single-branched words with at most one index-2 letter; exactly h words at height h",
-               lambda n: closed_set_counts(example_at_most_one_index2(), n)),
-    ]
-    out = {p.name: p for p in entries}
-    out["ex34"] = Preset("ex34:<alpha>", "dims",
-                         "operad dims with partial sums floor(n^alpha) (arity-indexed)",
-                         lambda n, a: alg.floor_power_dims(a, n), True)
-    out["floorpow"] = Preset("floorpow:<alpha>", "dims",
-                             "alias of ex34:<alpha>",
-                             lambda n, a: alg.floor_power_dims(a, n), True)
-    out["ex35"] = Preset("ex35:<r>", "dims",
-                         "staircase algebra dims with growth exponent r in (2,3) (degree-indexed)",
-                         lambda n, r: alg.warfield_dims(r, n), True)
-    out["warfield"] = Preset("warfield:<r>", "dims",
-                             "alias of ex35:<r>",
-                             lambda n, r: alg.warfield_dims(r, n), True)
-    out["polyring"] = Preset("polyring:<d>", "dims",
-                             "polynomial ring dims C(n+d-1, d-1) (degree-indexed)",
-                             lambda n, d: alg.polynomial_ring_dims(d, n), True)
-    out["free"] = Preset("free:<d>", "dims",
-                         "free algebra dims d^n (degree-indexed)",
-                         lambda n, d: alg.free_algebra_dims(d, n), True)
-    out["free-operad"] = Preset("free-operad:<arity>", "presentation",
-                                "free operad on one generator of the given arity",
-                                _free_operad, True)
-    return out
-
-
-CATALOG = _catalog()
-
-
-def resolve_preset(spec: str):
-    """Split ``name`` or ``name:param`` and return (Preset, param or None)."""
-    base, _, param = spec.partition(":")
+def resolve_preset(spec: str) -> tuple[Preset, tuple]:
+    """Split ``name`` or ``name:param`` and return the preset and the
+    arguments its build takes after n: () or (parsed param,)."""
+    base, colon, text = spec.partition(":")
     preset = CATALOG.get(base)
     if preset is None:
         raise UsageError(f"unknown preset {spec!r}; run 'oplab preset-list'")
-    if preset.parametrized:
-        if not param:
-            raise UsageError(f"preset {base!r} needs a parameter, e.g. {preset.name!r}")
-        kind = "int" if preset.name.endswith(("<d>", "<arity>")) else "fraction"
-        return preset, _parse_param(base, param, kind)
-    if param:
-        raise UsageError(f"preset {base!r} takes no parameter")
-    return preset, None
+    if preset.param is None:
+        if colon:
+            raise UsageError(f"preset {base!r} takes no parameter")
+        return preset, ()
+    if not text:
+        raise UsageError(f"preset {base!r} needs a parameter, e.g. {preset.name!r}")
+    try:
+        return preset, (preset.param(text),)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"preset {base!r}: bad parameter {text!r}: {exc}") from None
 
 
-def preset_dims(spec: str, n: int, engine: str = "dp") -> tuple[DimSeries, str]:
-    """Dimension sequence of a preset up to index n, with a source label."""
-    preset, param = resolve_preset(spec)
+def preset_dims(spec: str, n: int, engine: str = "dp") -> DimSeries:
+    """Dimension sequence of a preset from index 0 to at least n."""
+    preset, params = resolve_preset(spec)
     if preset.kind == "presentation":
-        p = preset.build(param) if preset.parametrized else preset.build()
-        return mono.dim_by_arity(p, n, engine=engine), spec
-    dims = preset.build(n, param) if preset.parametrized else preset.build(n)
-    return dims, spec
+        return mono.dim_by_arity(preset.build(*params), n, engine=engine)
+    return preset.build(n, *params)
 
 
 def preset_presentation(spec: str) -> MonomialOperadPresentation:
-    preset, param = resolve_preset(spec)
+    preset, params = resolve_preset(spec)
     if preset.kind != "presentation":
         raise UsageError(f"preset {spec!r} is a dimension preset, not an operad presentation")
-    return preset.build(param) if preset.parametrized else preset.build()
+    return preset.build(*params)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +200,12 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _load_presentation_file(path: str) -> MonomialOperadPresentation:
+def _load_file(path: str, parse: Callable):
+    """A presentation or algebra file read by ``parse``; a malformed file is a
+    usage error that names the file and the line."""
     try:
-        return mono.parse_presentation(_read_text(path), name=Path(path).stem)
-    except PresentationSyntaxError as exc:
+        return parse(_read_text(path), name=Path(path).stem)
+    except (PresentationSyntaxError, alg.AlgebraSyntaxError) as exc:
         raise UsageError(f"{path}: {exc}") from None
 
 
@@ -234,130 +241,101 @@ def _load_csv_coeffs(text: str) -> list[Fraction]:
     return coeffs
 
 
-def _source_of(args) -> Optional[str]:
-    if getattr(args, "source", None) and getattr(args, "preset", None):
-        raise UsageError("pass either --source or --preset, not both")
-    return getattr(args, "source", None) or getattr(args, "preset", None)
+def _one_source(args, flag: str) -> Optional[str]:
+    """The value of ``--<flag>`` or of ``--preset``; passing both is a usage error."""
+    value = getattr(args, flag)
+    if value and args.preset:
+        raise UsageError(f"pass either --{flag} or --preset, not both")
+    return value or args.preset
 
 
-def _resolve_series_source(source: Optional[str], n: Optional[int],
-                           engine: str) -> tuple[list[Fraction], str, dict]:
-    """A coefficient list from a preset, a presentation/algebra file, or CSV."""
-    meta: dict = {}
+def _get_presentation(args) -> tuple[MonomialOperadPresentation, str]:
+    """The presentation named by --presentation or --preset, and that name."""
+    label = _one_source(args, "presentation")
+    if args.presentation:
+        return _load_file(label, mono.parse_presentation), label
+    if not label:
+        raise UsageError("pass --presentation <file> or --preset <name>")
+    return preset_presentation(label), label
+
+
+def _series_source(args, n: Optional[int]) -> tuple[list[Fraction], str, dict]:
+    """Coefficients, label and JSON metadata of --source or --preset.  A
+    preset, presentation or algebra file needs the max index n and gives the
+    coefficients 0..n; CSV (a file, or stdin by default) gives all its rows."""
+    source = _one_source(args, "source")
     if source is None or source == "-":
-        text = sys.stdin.read()
-        return _load_csv_coeffs(text), "stdin", meta
-    path = Path(source)
-    if path.exists():
+        return _load_csv_coeffs(sys.stdin.read()), "stdin", {}
+    is_file = Path(source).exists()
+    if is_file:
         text = _read_text(source)
         head = next((ln.split("#", 1)[0].strip() for ln in text.splitlines()
                      if ln.split("#", 1)[0].strip()), "")
         if source.endswith(".csv") or (head and head[0].isdigit()) or "," in head:
-            return _load_csv_coeffs(text), source, meta
-        if head.startswith("var"):
-            try:
-                a = alg.parse_algebra(text, name=path.stem)
-            except alg.AlgebraSyntaxError as exc:
-                raise UsageError(f"{source}: {exc}") from None
-            if n is None:
-                raise UsageError("a max index is required for file sources")
-            dims = alg.hilbert_dims(a, n)
-            meta["index_kind"] = dims.index_kind
-            return [Fraction(v) for v in dims.values], source, meta
-        p = _load_presentation_file(source)
-        if n is None:
-            raise UsageError("a max index is required for file sources")
-        dims = mono.dim_by_arity(p, n, engine=engine)
-        meta["index_kind"] = dims.index_kind
-        meta["exact"] = dims.exact
-        meta["sha256"] = _presentation_hash(p)
-        return [Fraction(v) for v in dims.values], source, meta
+            return _load_csv_coeffs(text), source, {}
     if n is None:
-        raise UsageError("a max index is required for preset sources")
-    dims, label = preset_dims(source, n, engine=engine)
+        raise UsageError(f"a max index is required for {'file' if is_file else 'preset'} sources")
+    if not is_file:
+        dims = preset_dims(source, n, engine=args.engine)
+        meta = {"exact": dims.exact}
+    elif head.startswith("var"):
+        dims = alg.hilbert_dims(_load_file(source, alg.parse_algebra), n)
+        meta = {}
+    else:
+        p = _load_file(source, mono.parse_presentation)
+        dims = mono.dim_by_arity(p, n, engine=args.engine)
+        meta = {"exact": dims.exact, "sha256": _presentation_hash(p)}
     meta["index_kind"] = dims.index_kind
-    meta["exact"] = dims.exact
-    return [Fraction(v) for v in dims.values], label, meta
+    return [Fraction(v) for v in dims.values[:n + 1]], source, meta
 
 
 def _presentation_hash(p: MonomialOperadPresentation) -> str:
     return hashlib.sha256(mono.format_presentation(p).encode()).hexdigest()
 
 
-def _fmt_fraction(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _log_col(n: int, s: Fraction) -> str:
+def _log_col(n: int, s: Fraction | int) -> str:
     if n < 2 or s <= 0:
         return ""
-    s = Fraction(s)
     value = (ser.log_of_int(s.numerator) - ser.log_of_int(s.denominator)) / math.log(n)
     return f"{value:.6f}"
 
 
-def _emit_table(out, values: Sequence[Fraction], index_label: str, value_label: str) -> None:
+def _write_values(out, emit: str, values: Sequence, report: dict,
+                  title: Optional[str] = None, columns: Sequence[str] = ("index", "dim")) -> None:
+    """Write exact values as CSV under ``columns`` with partial sums and their
+    log_n, as a gnuplot block headed by ``title`` (default: the report's
+    command and source), or as JSON: ``report`` plus truncation and values."""
+    if emit == "json":
+        payload = dict(report, truncation=len(values) - 1, values=list(map(str, values)))
+        out.write(json.dumps(payload, sort_keys=True) + "\n")
+        return
+    rows = list(enumerate(zip(values, accumulate(values))))
+    if emit == "gnuplot":
+        out.write(f"# {title or report['command'] + ' ' + report['source']}\n$data << EOD\n")
+        out.writelines(f"{n} {v} {s}\n" for n, (v, s) in rows)
+        out.write("EOD\n")
+        return
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([index_label, value_label, "partial_sum", f"log_n_{'partial_sum'}"])
-    acc = Fraction(0)
-    for n, v in enumerate(values):
-        acc += Fraction(v)
-        writer.writerow([n, _fmt_fraction(v), _fmt_fraction(acc), _log_col(n, acc)])
-
-
-def _emit_gnuplot(out, values: Sequence[Fraction], label: str) -> None:
-    out.write(f"# {label}\n$data << EOD\n")
-    acc = Fraction(0)
-    for n, v in enumerate(values):
-        acc += Fraction(v)
-        out.write(f"{n} {_fmt_fraction(v)} {_fmt_fraction(acc)}\n")
-    out.write("EOD\n")
-
-
-def _json_report(command: str, label: str, values: Sequence[Fraction], meta: dict) -> str:
-    payload = {
-        "command": command,
-        "source": label,
-        "truncation": len(values) - 1,
-        "values": [_fmt_fraction(v) for v in values],
-    }
-    payload.update(meta)
-    return json.dumps(payload, sort_keys=True)
+    writer.writerow([*columns, "partial_sum", "log_n_partial_sum"])
+    writer.writerows([n, v, s, _log_col(n, s)] for n, (v, s) in rows)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _get_presentation(args) -> MonomialOperadPresentation:
-    if getattr(args, "presentation", None):
-        p = _load_presentation_file(args.presentation)
-    elif getattr(args, "preset", None):
-        p = preset_presentation(args.preset)
-    else:
-        raise UsageError("pass --presentation <file> or --preset <name>")
-    return p
-
-
 def cmd_dims(args, out) -> int:
-    p = _get_presentation(args)
+    p, label = _get_presentation(args)
     dims = mono.dim_by_arity(p, args.max_arity, engine=args.engine,
                              weight_cap=args.weight_cap)
-    meta = {"engine": args.engine, "exact": dims.exact, "index_kind": dims.index_kind,
-            "sha256": _presentation_hash(p)}
-    label = args.presentation or args.preset
-    if args.emit == "json":
-        out.write(_json_report("dims", label, dims.values, meta) + "\n")
-    elif args.emit == "gnuplot":
-        _emit_gnuplot(out, dims.values, f"dims {label}")
-    else:
-        _emit_table(out, dims.values, "index", "dim")
+    _write_values(out, args.emit, dims.values, {
+        "command": "dims", "source": label, "engine": args.engine, "exact": dims.exact,
+        "index_kind": dims.index_kind, "sha256": _presentation_hash(p)})
     return 0
 
 
 def cmd_grammar(args, out) -> int:
-    crowns, rules = mono.compile_grammar(_get_presentation(args))
+    crowns, rules = mono.compile_grammar(_get_presentation(args)[0])
     terms: list[list[str]] = [[] for _ in crowns]
     for c, g, children in rules:
         kids = ("*" if k == mono.LEAF_ID else f"K{k + 1}" for k in children)
@@ -372,18 +350,14 @@ def cmd_grammar(args, out) -> int:
 
 
 def cmd_series(args, out) -> int:
-    coeffs, label, meta = _resolve_series_source(_source_of(args), args.max, args.engine)
-    if args.emit == "json":
-        out.write(_json_report("series", label, coeffs, meta) + "\n")
-    elif args.emit == "gnuplot":
-        _emit_gnuplot(out, coeffs, f"series {label}")
-    else:
-        _emit_table(out, coeffs, "n", "coeff")
+    coeffs, label, meta = _series_source(args, args.max)
+    _write_values(out, args.emit, coeffs, {"command": "series", "source": label, **meta},
+                  columns=("n", "coeff"))
     return 0
 
 
 def cmd_gk(args, out) -> int:
-    coeffs, label, _meta = _resolve_series_source(_source_of(args), args.N, args.engine)
+    coeffs, label, _meta = _series_source(args, args.N)
     if any(c.denominator != 1 for c in coeffs):
         raise UsageError("growth estimation needs integer dimension data")
     report = ser.gk_estimate([int(c) for c in coeffs])
@@ -409,7 +383,7 @@ def cmd_gk(args, out) -> int:
 
 
 def cmd_fit(args, out) -> int:
-    coeffs, label, _meta = _resolve_series_source(_source_of(args), args.max, args.engine)
+    coeffs, label, _meta = _series_source(args, args.max)
     window = ser.SeriesWindow(tuple(coeffs))
     max_den, max_num = ser.fit_bounds(window.truncation, args.max_den, args.max_num)
     fit = ser.fit_rational(window, max_den, max_num)
@@ -417,40 +391,37 @@ def cmd_fit(args, out) -> int:
         out.write(f"no rational fit at bounds (den<={max_den}, num<={max_num}, "
                   f"N={window.truncation}) for {label}\n")
         return 0
-    num = "[" + ", ".join(_fmt_fraction(c) for c in fit.numerator) + "]"
-    den = "[" + ", ".join(_fmt_fraction(c) for c in fit.denominator) + "]"
+    num = "[" + ", ".join(map(str, fit.numerator)) + "]"
+    den = "[" + ", ".join(map(str, fit.denominator)) + "]"
     out.write(f"rational fit for {label}: numerator={num} denominator={den} "
               f"(holdout verified)\n")
     return 0
 
 
 def cmd_guess(args, out) -> int:
-    coeffs, label, _meta = _resolve_series_source(_source_of(args), args.max, args.engine)
+    coeffs, label, _meta = _series_source(args, args.max)
     window = ser.SeriesWindow(tuple(coeffs))
     cand = ser.guess_holonomic(window, args.max_order, args.max_degree)
     if cand is None:
         out.write(f"no recurrence found at bounds (R={args.max_order}, D={args.max_degree}, "
                   f"N={window.truncation}) for {label}\n")
         return 0
-    polys = " ".join(
-        f"p{i}={list(poly)}" for i, poly in enumerate(cand.polynomials))
+    polys = " ".join(f"p{i}={list(poly)}" for i, poly in enumerate(cand.polynomials))
     out.write(f"recurrence for {label}: order={cand.order} degree={cand.degree} {polys} "
               f"window={cand.fit_window[0]}..{cand.fit_window[1]} (holdout verified)\n")
     return 0
 
 
 def cmd_gapcheck(args, out) -> int:
-    p = _get_presentation(args)
+    p, label = _get_presentation(args)
     report = mono.gap_dichotomy_check(p, args.max_weight)
-    label = args.presentation or args.preset
     if args.emit == "json":
         payload = {
             "command": "gapcheck", "source": label, "horizon": args.max_weight,
             "criterion_d": report.criterion_d, "growth_class": report.growth_class,
             "weight_counts": list(report.weight_counts.values),
             "partial_sums": list(report.partial_sums.values),
-            "affine_fit": None if report.affine_fit is None else
-                [_fmt_fraction(report.affine_fit[0]), _fmt_fraction(report.affine_fit[1])],
+            "affine_fit": report.affine_fit and list(map(str, report.affine_fit)),
             "first_violation": report.first_violation,
             "sha256": _presentation_hash(p),
         }
@@ -460,19 +431,16 @@ def cmd_gapcheck(args, out) -> int:
     out.write(f"# growth_class={report.growth_class}\n")
     if report.affine_fit is not None:
         a, b = report.affine_fit
-        out.write(f"# affine_fit=a:{_fmt_fraction(a)},b:{_fmt_fraction(b)}\n")
+        out.write(f"# affine_fit=a:{a},b:{b}\n")
         out.write(f"# first_violation="
                   f"{report.first_violation if report.first_violation is not None else 'none'}\n")
-    _emit_table(out, report.weight_counts.values, "index", "dim")
+    _write_values(out, "csv", report.weight_counts.values,
+                  {"command": "gapcheck", "source": label})
     return 0
 
 
 def cmd_operadize(args, out) -> int:
-    try:
-        a = alg.parse_algebra(_read_text(args.algebra), name=Path(args.algebra).stem)
-    except alg.AlgebraSyntaxError as exc:
-        raise UsageError(f"{args.algebra}: {exc}") from None
-    p = operadize(a)
+    p = operadize(_load_file(args.algebra, alg.parse_algebra))
     text = mono.format_presentation(p)
     if args.emit == "-":
         out.write(text)
@@ -484,19 +452,12 @@ def cmd_operadize(args, out) -> int:
 
 
 def cmd_envelope(args, out) -> int:
-    dims, label = preset_dims(args.preset, args.max_index)
-    if args.kind == "min":
-        profile = min_envelope_dims(dims, source=label)
-    else:
-        profile = symmetric_envelope_dims(dims, source=label)
-    values = profile.dims.values[:args.max_index + 1]
-    meta = {"kind": profile.kind, "index_kind": "arity", "exact": profile.dims.exact}
-    if args.emit == "json":
-        out.write(_json_report("envelope", label, values, meta) + "\n")
-    elif args.emit == "gnuplot":
-        _emit_gnuplot(out, values, f"envelope {args.kind} {label}")
-    else:
-        _emit_table(out, values, "index", "dim")
+    envelope = min_envelope_dims if args.kind == "min" else symmetric_envelope_dims
+    profile = envelope(preset_dims(args.preset, args.max_index), source=args.preset)
+    _write_values(out, args.emit, profile.dims.values[:args.max_index + 1], {
+        "command": "envelope", "source": args.preset, "kind": profile.kind,
+        "index_kind": "arity", "exact": profile.dims.exact},
+        title=f"envelope {args.kind} {args.preset}")
     return 0
 
 
@@ -546,8 +507,7 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_preset_list(args, out) -> int:
-    for name in sorted(CATALOG):
-        preset = CATALOG[name]
+    for _, preset in sorted(CATALOG.items()):
         out.write(f"{preset.name}\t{preset.kind}\t{preset.description}\n")
     return 0
 

@@ -199,9 +199,16 @@ class TreeMonomial:
             return True
         if not isinstance(other, TreeMonomial):
             return NotImplemented
-        if hash(self) != hash(other):
-            return False
-        return self.generator == other.generator and self.children == other.children
+        # pairs of subtrees from an explicit stack: a tall tree must not hit the recursion limit
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a is LEAF or b is LEAF or hash(a) != hash(b) or a.generator != b.generator:
+                return False
+            stack += zip(a.children, b.children)
+        return True
 
     def __hash__(self) -> int:
         try:
@@ -304,16 +311,16 @@ def to_path_sequence(t: TreeMonomial) -> PathSequence:
     if t.is_trivial:
         return PathSequence(((),))
     words: list[tuple[str, ...]] = []
-
-    def walk(node: TreeMonomial, prefix: tuple[str, ...]) -> None:
-        p = prefix + (node.generator.name,)
-        for c in node.children:
-            if c is LEAF:
-                words.append(p)
-            else:
-                walk(c, p)
-
-    walk(t, ())
+    path: list[str] = []  # the labels from the root down to the current vertex
+    stack: list = [(t, 0)]  # (subtree or LEAF, its depth), the next one on top
+    while stack:
+        node, depth = stack.pop()
+        del path[depth:]
+        if node is LEAF:
+            words.append(tuple(path))
+        else:
+            path.append(node.generator.name)
+            stack += [(c, depth + 1) for c in reversed(node.children)]
     return PathSequence(tuple(words))
 
 
@@ -438,8 +445,22 @@ def format_monomial(t: TreeMonomial) -> str:
     """Render in the literal grammar: ``1``, or ``gen(child,...)`` with ``*`` leaves."""
     if t.is_trivial:
         return "1"
-    parts = [format_monomial(c) if c is not LEAF else "*" for c in t.children]
-    return f"{t.generator.name}({','.join(parts)})"
+    parts: list[str] = []
+    stack: list = [t]  # subtrees, LEAF and literal text still to write, the next one on top
+    while stack:
+        item = stack.pop()
+        if item is LEAF:
+            parts.append("*")
+        elif isinstance(item, str):
+            parts.append(item)
+        else:
+            parts.append(f"{item.generator.name}(")
+            stack.append(")")
+            for k in range(len(item.children) - 1, -1, -1):
+                stack.append(item.children[k])
+                if k:
+                    stack.append(",")
+    return "".join(parts)
 
 
 def parse_monomial(text: str, alphabet: Alphabet) -> TreeMonomial:

@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +45,17 @@ class TestDims:
         assert payload["engine"] == "dp"
         assert payload["exact"] is True
         assert len(payload["sha256"]) == 64
+
+    def test_json_line_is_pinned(self):
+        # the sha256 covers the presentation's name, which an alias keeps
+        code, text = invoke("dims", "--preset", "fibonacci", "--max-arity", "8",
+                            "--emit", "json")
+        assert code == 0
+        assert text == (
+            '{"command": "dims", "engine": "dp", "exact": true, "index_kind": "arity", '
+            '"sha256": "e6dba8baf65b7d1fc96038a0dfee385cb93e0c82f6dda9f46127cb06d5064648", '
+            '"source": "fibonacci", "truncation": 8, '
+            '"values": ["0", "1", "1", "2", "3", "5", "8", "13", "21"]}\n')
 
     def test_presentation_file(self, tmp_path):
         f = tmp_path / "p.txt"
@@ -129,6 +142,26 @@ class TestSeriesPipes:
         code, text = invoke("series", "--source", str(f), "--max", "8")
         assert code == 0
         assert text.splitlines()[9].startswith("8,55,")
+
+    @pytest.mark.parametrize("body, keys", [
+        ("var x1\nvar x2\nforbid x1 x1\n", {"index_kind"}),
+        ("generator a 2\nrelation a(a(*,*),a(*,*))\n", {"index_kind", "exact", "sha256"}),
+    ], ids=["algebra", "presentation"])
+    def test_json_keys_of_file_sources(self, tmp_path, body, keys):
+        f = tmp_path / "source.txt"
+        f.write_text(body)
+        code, text = invoke("series", "--source", str(f), "--max", "3", "--emit", "json")
+        assert code == 0
+        payload = json.loads(text)
+        assert set(payload) == {"command", "source", "truncation", "values"} | keys
+        assert payload["truncation"] == 3 and len(payload["values"]) == 4
+
+    @pytest.mark.parametrize("spec", ["ex62", "example62"])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_series_honours_max(self, spec, n):
+        code, text = invoke("series", "--preset", spec, "--max", str(n))
+        assert code == 0
+        assert [l.split(",")[0] for l in text.splitlines()[1:]] == [str(i) for i in range(n + 1)]
 
     def test_gk_preset(self):
         code, text = invoke("gk", "--preset", "floorpow:1.5", "--N", "3000")
@@ -231,6 +264,12 @@ class TestEnvelope:
         dims = [int(l.split(",")[1]) for l in text.strip().splitlines()[1:]]
         assert dims == [0, 1, 2, 6, 12, 25, 42]
 
+    def test_gnuplot_header(self):
+        code, text = invoke("envelope", "--kind", "sym", "--preset", "ex64-partition",
+                            "--max-index", "3", "--emit", "gnuplot")
+        assert code == 0
+        assert text == "# envelope sym ex64-partition\n$data << EOD\n0 0 0\n1 1 1\n2 2 3\n3 6 9\nEOD\n"
+
 
 class TestUsageErrors:
     def test_unknown_preset(self):
@@ -245,6 +284,27 @@ class TestUsageErrors:
         code, _ = invoke("series", "--source", "fibonacci", "--preset", "fibonacci",
                          "--max", "10")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("dims", "--max-arity", "5"),
+        ("grammar",),
+        ("gapcheck", "--max-weight", "12"),
+    ], ids=["dims", "grammar", "gapcheck"])
+    def test_both_presentation_and_preset(self, tmp_path, capsys, argv):
+        f = tmp_path / "p.txt"
+        f.write_text("generator a 2\nrelation a(a(*,*),a(*,*))\n")
+        code, text = invoke(*argv, "--presentation", str(f), "--preset", "ex53-2")
+        assert (code, text) == (1, "")
+        assert "pass either --presentation or --preset, not both" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        "polyring:0", "free:0", "free:-2", "floorpow:-1", "ex34:0", "ex35:5", "warfield:2",
+        "free-operad:0", "polyring:x", "floorpow:1/0", "ex53-1:", "ex53-1:3", "partition:",
+    ])
+    def test_bad_preset_parameter_is_usage_error(self, capsys, spec):
+        code, text = invoke("series", "--preset", spec, "--max", "5")
+        assert (code, text) == (1, "")
+        assert "usage error" in capsys.readouterr().err
 
     def test_parametrized_preset_requires_param(self):
         code, _ = invoke("series", "--preset", "warfield", "--max", "10")
@@ -311,6 +371,30 @@ class TestPresetList:
                      "polyring:<d>", "free:<d>"):
             assert name in text, name
 
+    def test_exact_text(self):
+        code, text = invoke("preset-list")
+        assert code == 0
+        assert text == (
+            "ex34:<alpha>\tdims\toperad dims with partial sums floor(n^alpha) (arity-indexed)\n"
+            "ex35:<r>\tdims\tstaircase algebra dims with growth exponent r in (2,3) "
+            "(degree-indexed)\n"
+            "ex46-avoidance\tdims\tsingle-branched words with at most one index-2 letter; "
+            "exactly h words at height h\n"
+            "ex53-1\tpresentation\tsingle binary generator, shuffle relation only; "
+            "dims 2^(n-2)\n"
+            "ex53-2\tpresentation\tfibonacci operad: shuffle relation plus the 1,1-chain\n"
+            "ex53-3\tpresentation\tsingle binary generator; dims eventually constant 2\n"
+            "ex62\tdims\tgapped slow-growth algebra dims 1,2,3+delta (degree-indexed)\n"
+            "ex64-partition\tdims\tpartition numbers p(n) (degree-indexed)\n"
+            "example62\tdims\talias of ex62\n"
+            "fibonacci\tpresentation\talias of ex53-2\n"
+            "floorpow:<alpha>\tdims\talias of ex34:<alpha>\n"
+            "free:<d>\tdims\tfree algebra dims d^n (degree-indexed)\n"
+            "free-operad:<arity>\tpresentation\tfree operad on one generator of the given arity\n"
+            "partition\tdims\talias of ex64-partition\n"
+            "polyring:<d>\tdims\tpolynomial ring dims C(n+d-1, d-1) (degree-indexed)\n"
+            "warfield:<r>\tdims\talias of ex35:<r>\n")
+
     def test_catalog_keys_resolve(self):
         from oplab.cli import preset_dims
         for name in CATALOG:
@@ -319,7 +403,7 @@ class TestPresetList:
                     "ex35": "ex35:2.5", "warfield": "warfield:2.5",
                     "polyring": "polyring:2", "free": "free:2",
                     "free-operad": "free-operad:2"}.get(name, name)
-            dims, _ = preset_dims(spec, 8)
+            dims = preset_dims(spec, 8)
             assert len(dims.values) >= 5
 
 
@@ -358,3 +442,22 @@ class TestCsvInput:
         assert code == 0
         assert text.startswith("# series ex53-1\n$data << EOD\n")
         assert text.rstrip().endswith("EOD")
+
+
+class TestReadme:
+    def test_command_lines_run(self, monkeypatch):
+        # every README command line that reads no file of the user's; pipes feed stdin
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        ran = 0
+        for line in block.splitlines():
+            stages = [shlex.split(stage, comments=True) for stage in line.split("|")]
+            if any(tok.endswith((".txt", ".csv")) for argv in stages for tok in argv):
+                continue
+            piped = None
+            for argv in stages:
+                assert argv[0] == "oplab", line
+                code, piped = invoke(*argv[1:], stdin=piped, monkeypatch=monkeypatch)
+                assert code == 0 and piped, line
+            ran += 1
+        assert ran >= 9

@@ -98,6 +98,13 @@ class TestNormalForms:
         b = [repr(t) for t in enumerate_irr(fibonacci, 5)]
         assert a == b
 
+    def test_tall_unary_chain(self):
+        # one normal form per weight, u(u(...(*))); sorting a level keys it by its path words
+        p = MonomialOperadPresentation(Alphabet.of(u=1), ())
+        tall = list(enumerate_irr(p, 1500))[-1]
+        assert tall.height == 1500
+        assert format_monomial(tall) == "u(" * 1500 + "*" + ")" * 1500
+
     def test_irr_closed_under_submonomials(self, fibonacci):
         for t in enumerate_irr(fibonacci, 5):
             if t.is_trivial:

@@ -31,6 +31,14 @@ from oplab.trees import (
 )
 
 
+def _unary_chain(height):
+    """a(a(...a(*)...)) of the given height, built by the engines' constructor."""
+    t = LEAF
+    for _ in range(height):
+        t = _fast_node(FIG3, FIG3["a"], (t,))
+    return t
+
+
 @pytest.fixture
 def fig3():
     return {
@@ -99,14 +107,17 @@ class TestConstruction:
 
     def test_tall_tree_hash(self):
         # a lazy hash must not recurse once per level
-        chains = []
-        for height in (3000, 3000, 2999):
-            t = LEAF
-            for _ in range(height):
-                t = _fast_node(FIG3, FIG3["a"], (t,))
-            chains.append(t)
+        chains = [_unary_chain(height) for height in (3000, 3000, 2999)]
         assert hash(chains[0]) == hash(chains[1]) != hash(chains[2])
         assert chains[0].height == 3000
+
+    def test_tall_tree_walks(self):
+        # printing, path words and equality must not recurse once per level either
+        tall, twin, shorter = (_unary_chain(height) for height in (3000, 3000, 2999))
+        assert format_monomial(tall) == "a(" * 3000 + "*" + ")" * 3000
+        assert to_path_sequence(tall).words == (("a",) * 3000,)
+        assert tall == twin and not tall != twin
+        assert tall != shorter and not tall == shorter
 
 
 class TestLiterals:
