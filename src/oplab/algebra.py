@@ -197,9 +197,10 @@ def warfield_dims(r, max_degree: int) -> DimSeries:
     if max_degree < 0:
         raise AlgebraError("max_degree must be nonnegative")
     q = (r - 1) / 2
+    a, b = q.numerator, q.denominator
     values = [1, 2]
     for n in range(2, max_degree + 1):
-        fl = floor_power(n, q)
+        fl = floor_root(n ** a, b)
         values.append(1 + n + (fl - 1) * fl // 2)
     return DimSeries(tuple(values[:max_degree + 1]), "degree")
 
@@ -217,10 +218,11 @@ def warfield_monomial_model(r, max_degree: int) -> MonomialAlgebraPresentation:
     if not Fraction(2) < r < Fraction(3):
         raise AlgebraError(f"growth exponent must lie strictly between 2 and 3, got {r}")
     q = (r - 1) / 2
+    a, b = q.numerator, q.denominator
     x1, x2 = "x1", "x2"
 
     def gap(n: int) -> int:
-        return n - floor_power(n, q)
+        return n - floor_root(n ** a, b)
 
     words: list[Word] = []
     for j in range(0, max(0, max_degree - 1)):
@@ -321,12 +323,13 @@ def floor_power_dims(alpha, max_index: int) -> DimSeries:
         raise AlgebraError("alpha must be positive")
     if max_index < 0:
         raise AlgebraError("max_index must be nonnegative")
+    a, b = alpha.numerator, alpha.denominator
     values = [0]
     if max_index >= 1:
         values.append(1)
     prev = 1
     for n in range(2, max_index + 1):
-        cur = floor_power(n, alpha)
+        cur = floor_root(n ** a, b)
         values.append(cur - prev)
         prev = cur
     return DimSeries(tuple(values), "arity")

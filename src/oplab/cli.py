@@ -259,20 +259,22 @@ def _get_presentation(args) -> tuple[MonomialOperadPresentation, str]:
     return preset_presentation(label), label
 
 
-def _series_source(args, n: Optional[int]) -> tuple[list[Fraction], str, dict]:
+def _series_source(args, n: Optional[int]) -> tuple[list[Fraction | int], str, dict]:
     """Coefficients, label and JSON metadata of --source or --preset.  A
     preset, presentation or algebra file needs the max index n and gives the
-    coefficients 0..n; CSV (a file, or stdin by default) gives all its rows."""
+    exact integer dimensions 0..n; CSV (a file, or stdin by default) gives its
+    rows 0..n as Fractions, or all of them when n is None."""
     source = _one_source(args, "source")
+    stop = None if n is None else n + 1
     if source is None or source == "-":
-        return _load_csv_coeffs(sys.stdin.read()), "stdin", {}
+        return _load_csv_coeffs(sys.stdin.read())[:stop], "stdin", {}
     is_file = Path(source).exists()
     if is_file:
         text = _read_text(source)
         head = next((ln.split("#", 1)[0].strip() for ln in text.splitlines()
                      if ln.split("#", 1)[0].strip()), "")
         if source.endswith(".csv") or (head and head[0].isdigit()) or "," in head:
-            return _load_csv_coeffs(text), source, {}
+            return _load_csv_coeffs(text)[:stop], source, {}
     if n is None:
         raise UsageError(f"a max index is required for {'file' if is_file else 'preset'} sources")
     if not is_file:
@@ -286,7 +288,7 @@ def _series_source(args, n: Optional[int]) -> tuple[list[Fraction], str, dict]:
         dims = mono.dim_by_arity(p, n, engine=args.engine)
         meta = {"exact": dims.exact, "sha256": _presentation_hash(p)}
     meta["index_kind"] = dims.index_kind
-    return [Fraction(v) for v in dims.values[:n + 1]], source, meta
+    return list(dims.values[:n + 1]), source, meta
 
 
 def _presentation_hash(p: MonomialOperadPresentation) -> str:
@@ -360,7 +362,7 @@ def cmd_gk(args, out) -> int:
     coeffs, label, _meta = _series_source(args, args.N)
     if any(c.denominator != 1 for c in coeffs):
         raise UsageError("growth estimation needs integer dimension data")
-    report = ser.gk_estimate([int(c) for c in coeffs])
+    report = ser.gk_estimate(coeffs)
     if args.emit == "json":
         payload = {
             "command": "gk", "source": label, "n_max": report.n_max,

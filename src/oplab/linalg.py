@@ -5,9 +5,13 @@ with a few dozen columns.  One Gauss-Jordan routine, ``_rref``, serves
 every caller, over GF(p) or over Q.  Full column rank modulo a prime
 certifies exactly that the rational kernel is trivial (a primitive integer
 null vector survives reduction mod p), so the expensive rational
-elimination runs only when the modular rank drops.  The certificate prime
-is below 2**30, so every residue fits one CPython digit; an unlucky prime
-only costs a rational elimination that finds no null vector.
+elimination runs only when the modular rank drops.  The certificate first
+reduces a square block, the first ncols + BLOCK_SLACK rows: any set of rows
+with full column rank mod p already has no common null vector, so the
+whole matrix has none either, and the remaining rows are read only when
+the block is rank-deficient.  The certificate prime is below 2**30, so
+every residue fits one CPython digit; an unlucky prime only costs a
+rational elimination that finds no null vector.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 RANK_PRIME = 1073741789  # 2**30 - 35
+BLOCK_SLACK = 8  # rows past ncols in the block kernel_is_trivial reduces first
 
 
 def _rref(mat: list[list], ncols: int, p: Optional[int] = None) -> list[int]:
@@ -70,10 +75,21 @@ def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
 
 
 def kernel_is_trivial(rows: Sequence[Sequence[int]]) -> bool:
-    """Exact certificate that an integer matrix has no rational null vector."""
+    """Exact certificate that an integer matrix has no rational null vector.
+
+    True exactly when the rank mod ``RANK_PRIME`` is full.  The first
+    ncols + ``BLOCK_SLACK`` rows are reduced first: a null vector of the
+    matrix is a null vector of every subset of its rows, so full column
+    rank of the block already decides True, and only a rank-deficient
+    block costs a reduction of every row.
+    """
     if not rows:
         return False
-    return rank_mod(rows, RANK_PRIME) == len(rows[0])
+    ncols = len(rows[0])
+    block = rows[:ncols + BLOCK_SLACK]
+    if rank_mod(block, RANK_PRIME) == ncols:
+        return True
+    return len(block) < len(rows) and rank_mod(rows, RANK_PRIME) == ncols
 
 
 def nullspace(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:

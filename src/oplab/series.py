@@ -316,8 +316,9 @@ def guess_holonomic(s: SeriesWindow, max_order: int,
 
     The window is scaled to integers once (a constant multiple keeps every
     recurrence), so each row is built over the integers.  The kernel is
-    solved exactly; full column rank modulo one prime below 2**30 certifies
-    emptiness without rational arithmetic.  A candidate must also
+    solved exactly; :func:`~oplab.linalg.kernel_is_trivial` certifies
+    emptiness modulo one prime below 2**30, usually from a square block of
+    the rows, without rational arithmetic.  A candidate must also
     annihilate the final ``DEFAULT_HOLDOUT`` coefficients, which no fit
     ever used.
     """

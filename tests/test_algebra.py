@@ -175,6 +175,20 @@ class TestFloorPower:
         dims = floor_power_dims(1, 8)
         assert dims.values == (0, 1, 1, 1, 1, 1, 1, 1, 1)
 
+    @pytest.mark.parametrize("alpha", [Fraction(1, 2), 1, Fraction(3, 2), Fraction(5, 3),
+                                       Fraction(7, 3), 1.5])
+    def test_dims_telescope_to_floor_power(self, alpha):
+        # k = 3 roots (5/3, 7/3) take floor_root's Newton path
+        sums = floor_power_dims(alpha, 2000).partial_sums()
+        assert list(sums) == [floor_power(n, alpha) for n in range(2001)]
+
+    @pytest.mark.parametrize("r", [Fraction(5, 2), Fraction(8, 3)])
+    def test_warfield_dims_match_per_index_formula(self, r):
+        q = (r - 1) / 2
+        expected = [1, 2] + [1 + n + (fl - 1) * fl // 2
+                             for n in range(2, 2001) for fl in [floor_power(n, q)]]
+        assert list(warfield_dims(r, 2000).values) == expected
+
 
 class TestAdjoin:
     def test_unit_series_becomes_polynomial_ring(self):

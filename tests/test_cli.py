@@ -4,6 +4,7 @@ import io
 import json
 import os
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -435,6 +436,72 @@ class TestCsvInput:
         code, _ = invoke("series", "--source", str(f))
         assert code == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_max_truncates_csv(self, tmp_path, monkeypatch, via):
+        _, long_csv = invoke("series", "--preset", "partition", "--max", "80")
+
+        def from_csv(*argv):
+            if via == "stdin":
+                return invoke(*argv, stdin=long_csv, monkeypatch=monkeypatch)
+            f = tmp_path / "p.csv"
+            f.write_text(long_csv)
+            return invoke(*argv, "--source", str(f))
+
+        assert from_csv("series", "--max", "5") == invoke("series", "--preset", "partition",
+                                                          "--max", "5")
+        code, text = from_csv("gk", "--N", "30")
+        assert code == 0
+        assert text.splitlines()[1:] == invoke("gk", "--preset", "partition",
+                                               "--N", "30")[1].splitlines()[1:]
+        code, text = from_csv("guess", "--max-order", "1", "--max-degree", "1", "--max", "40")
+        assert code == 0
+        assert text.startswith("no recurrence found at bounds (R=1, D=1, N=40) for ")
+
+    def test_short_csv_is_kept_whole(self, tmp_path):
+        f = tmp_path / "fib.csv"
+        f.write_text("0,0\n1,1\n2,1\n")
+        code, out = invoke("series", "--source", str(f), "--max", "10")
+        assert code == 0
+        assert [l.split(",")[0] for l in out.splitlines()[1:]] == ["0", "1", "2"]
+
+    @pytest.mark.parametrize("emit", ["csv", "json", "gnuplot"])
+    def test_int_and_fraction_values_write_the_same_bytes(self, emit):
+        from oplab.cli import _write_values
+        values = [0, 1, 2, 3, 7, 10 ** 30]
+        outs = []
+        for column in (values, [Fraction(v) for v in values]):
+            out = io.StringIO()
+            _write_values(out, emit, column, {"command": "series", "source": "s"})
+            outs.append(out.getvalue())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("spec, argv", [
+        ("floorpow:3/2", ("series", "--max", "40")),
+        ("floorpow:3/2", ("series", "--max", "40", "--emit", "gnuplot")),
+        ("floorpow:3/2", ("gk", "--N", "40")),
+        ("ex64-partition", ("fit", "--max", "60")),
+        ("ex64-partition", ("guess", "--max", "60", "--max-order", "2", "--max-degree", "2")),
+        ("fibonacci", ("fit", "--max", "60")),
+        ("fibonacci", ("guess", "--max", "60", "--max-order", "2", "--max-degree", "1")),
+    ])
+    def test_preset_and_its_csv_print_the_same(self, tmp_path, spec, argv):
+        # a preset's integers and the same values read back as Fractions
+        _, text = invoke("series", "--preset", spec, "--max", argv[2])
+        f = tmp_path / "values.csv"
+        f.write_text(text)
+        code, from_preset = invoke(*argv, "--preset", spec)
+        assert code == 0
+        assert from_preset.replace(spec, str(f)) == invoke(*argv, "--source", str(f))[1]
+
+    def test_preset_and_its_csv_give_the_same_json_values(self, tmp_path):
+        _, text = invoke("series", "--preset", "floorpow:3/2", "--max", "40")
+        f = tmp_path / "values.csv"
+        f.write_text(text)
+        payloads = [json.loads(invoke("series", *src, "--max", "40", "--emit", "json")[1])
+                    for src in (("--preset", "floorpow:3/2"), ("--source", str(f)))]
+        assert payloads[0]["values"] == payloads[1]["values"]
+        assert payloads[0]["truncation"] == payloads[1]["truncation"] == 40
 
     def test_gnuplot_block(self):
         code, text = invoke("series", "--preset", "ex53-1", "--max", "6",

@@ -3,8 +3,8 @@
 import random
 from fractions import Fraction
 
-from oplab.linalg import (RANK_PRIME, clear_denominators, kernel_is_trivial, nullspace,
-                          rank_mod, solve)
+from oplab.linalg import (BLOCK_SLACK, RANK_PRIME, clear_denominators, kernel_is_trivial,
+                          nullspace, rank_mod, solve)
 
 
 def test_rank_mod_hand_checked():
@@ -24,6 +24,27 @@ def test_unlucky_prime_falls_back_to_exact_kernel():
 def test_kernel_certificate():
     assert kernel_is_trivial([[1, 0], [0, 1], [1, 1]])
     assert not kernel_is_trivial([[1, 2], [2, 4]])
+
+
+def test_certificate_reads_past_a_deficient_block():
+    # the first ncols + BLOCK_SLACK rows repeat one row, so only later rows
+    # reach full column rank: trusting the block alone would answer False
+    block = [[1, 2, 3]] * (3 + BLOCK_SLACK)
+    assert rank_mod(block, RANK_PRIME) == 1
+    assert kernel_is_trivial(block + [[0, 1, 0], [0, 0, 1]])
+    assert not kernel_is_trivial(block + [[2, 4, 6], [0, 1, 1], [0, 2, 2]])
+    assert not kernel_is_trivial(block)
+
+
+def test_certificate_equals_full_modular_rank():
+    rng = random.Random(1)
+    for _ in range(200):
+        cols = rng.randint(1, 5)
+        m = [[rng.choice([0, rng.randint(-9, 9)]) for _ in range(cols)]
+             for _ in range(rng.randint(1, cols + BLOCK_SLACK + 6))]
+        if rng.random() < 0.5:  # repeat the leading row through part of the block
+            m = [m[0]] * rng.randint(1, cols + BLOCK_SLACK + 2) + m
+        assert kernel_is_trivial(m) == (rank_mod(m, RANK_PRIME) == cols)
 
 
 def test_nullspace_of_rank_deficient_matrix():
