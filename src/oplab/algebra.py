@@ -13,7 +13,6 @@ k-th roots; no floating point touches any dimension value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Optional, Sequence

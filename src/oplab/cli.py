@@ -13,30 +13,25 @@ Sweep rows are ordered by presentation key before emission, so results are
 byte-identical across runs.
 """
 
+# Each subcommand imports the oplab modules it uses inside its own function
+# and reads their functions when it runs, so a run pays start-up only for its
+# own modules.
+
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
-import json
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
-from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from . import algebra as alg
-from . import monomial as mono
-from . import series as ser
-from .branch import closed_set_counts, example_at_most_one_index2
-from .constructions import min_envelope_dims, operadize, symmetric_envelope_dims
-from .dims import DimSeries
-from .monomial import MonomialOperadPresentation, PresentationSyntaxError
-from .trees import Alphabet, parse_monomial
-from .trees import format_monomial
+from .dims import ENGINES, DimSeries, log_of_int
+
+if TYPE_CHECKING:
+    from .monomial import MonomialOperadPresentation
 
 
 class UsageError(Exception):
@@ -88,6 +83,9 @@ _STAIRCASE = _param(Fraction, lambda r: 2 < r < 3, "lie strictly between 2 and 3
 
 
 def _binary_operad(relation_literals: Sequence[str], name: str) -> MonomialOperadPresentation:
+    from .monomial import MonomialOperadPresentation
+    from .trees import Alphabet, parse_monomial
+
     alphabet = Alphabet.of(a=2)
     rels = [parse_monomial(lit, alphabet) for lit in relation_literals]
     return MonomialOperadPresentation(alphabet, rels, name=name)
@@ -100,7 +98,31 @@ _CHAIN22 = "a(*,a(*,a(*,*)))"       # a o_2 a o_2 a
 
 
 def _free_operad(arity: int) -> MonomialOperadPresentation:
+    from .monomial import MonomialOperadPresentation
+    from .trees import Alphabet
+
     return MonomialOperadPresentation(Alphabet.of(a=arity), (), name=f"free-operad:{arity}")
+
+
+def _algebra_family(family: str) -> Callable:
+    """A dims preset build ``(n, *params)`` that calls ``oplab.algebra.<family>(*params, n)``."""
+    def build(n, *params):
+        from . import algebra
+
+        return getattr(algebra, family)(*params, n)
+    return build
+
+
+def _example62(n: int) -> DimSeries:
+    from .algebra import example62_dims
+
+    return example62_dims(max(2, n))
+
+
+def _avoidance(n: int) -> DimSeries:
+    from .branch import closed_set_counts, example_at_most_one_index2
+
+    return closed_set_counts(example_at_most_one_index2(), n)
 
 
 CATALOG = {p.name.partition(":")[0]: p for p in (
@@ -118,37 +140,37 @@ CATALOG = {p.name.partition(":")[0]: p for p in (
            lambda: _binary_operad([_SHUFFLE, _CHAIN21, _CHAIN22], "ex53-3")),
     Preset("ex62", "dims",
            "gapped slow-growth algebra dims 1,2,3+delta (degree-indexed)",
-           lambda n: alg.example62_dims(max(2, n))),
+           _example62),
     Preset("example62", "dims",
            "alias of ex62",
-           lambda n: alg.example62_dims(max(2, n))),
+           _example62),
     Preset("ex64-partition", "dims",
            "partition numbers p(n) (degree-indexed)",
-           alg.partition_dims),
+           _algebra_family("partition_dims")),
     Preset("partition", "dims",
            "alias of ex64-partition",
-           alg.partition_dims),
+           _algebra_family("partition_dims")),
     Preset("ex46-avoidance", "dims",
            "single-branched words with at most one index-2 letter; exactly h words at height h",
-           lambda n: closed_set_counts(example_at_most_one_index2(), n)),
+           _avoidance),
     Preset("ex34:<alpha>", "dims",
            "operad dims with partial sums floor(n^alpha) (arity-indexed)",
-           lambda n, a: alg.floor_power_dims(a, n), _POSITIVE),
+           _algebra_family("floor_power_dims"), _POSITIVE),
     Preset("floorpow:<alpha>", "dims",
            "alias of ex34:<alpha>",
-           lambda n, a: alg.floor_power_dims(a, n), _POSITIVE),
+           _algebra_family("floor_power_dims"), _POSITIVE),
     Preset("ex35:<r>", "dims",
            "staircase algebra dims with growth exponent r in (2,3) (degree-indexed)",
-           lambda n, r: alg.warfield_dims(r, n), _STAIRCASE),
+           _algebra_family("warfield_dims"), _STAIRCASE),
     Preset("warfield:<r>", "dims",
            "alias of ex35:<r>",
-           lambda n, r: alg.warfield_dims(r, n), _STAIRCASE),
+           _algebra_family("warfield_dims"), _STAIRCASE),
     Preset("polyring:<d>", "dims",
            "polynomial ring dims C(n+d-1, d-1) (degree-indexed)",
-           lambda n, d: alg.polynomial_ring_dims(d, n), _AT_LEAST_1),
+           _algebra_family("polynomial_ring_dims"), _AT_LEAST_1),
     Preset("free:<d>", "dims",
            "free algebra dims d^n (degree-indexed)",
-           lambda n, d: alg.free_algebra_dims(d, n), _AT_LEAST_1),
+           _algebra_family("free_algebra_dims"), _AT_LEAST_1),
     Preset("free-operad:<arity>", "presentation",
            "free operad on one generator of the given arity",
            _free_operad, _AT_LEAST_1),
@@ -178,7 +200,9 @@ def preset_dims(spec: str, n: int, engine: str = "dp") -> DimSeries:
     """Dimension sequence of a preset from index 0 to at least n."""
     preset, params = resolve_preset(spec)
     if preset.kind == "presentation":
-        return mono.dim_by_arity(preset.build(*params), n, engine=engine)
+        from . import monomial
+
+        return monomial.dim_by_arity(preset.build(*params), n, engine=engine)
     return preset.build(n, *params)
 
 
@@ -194,18 +218,26 @@ def preset_presentation(spec: str) -> MonomialOperadPresentation:
 # ---------------------------------------------------------------------------
 
 def _read_text(path: str) -> str:
+    from pathlib import Path
+
     try:
         return Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _load_file(path: str, parse: Callable):
-    """A presentation or algebra file read by ``parse``; a malformed file is a
-    usage error that names the file and the line."""
+def _load_file(path: str, kind: str):
+    """The presentation (``kind`` "presentation") or algebra ("algebra") in a
+    file; a malformed file is a usage error that names the file and the line."""
+    from pathlib import Path
+
+    if kind == "algebra":
+        from .algebra import AlgebraSyntaxError as syntax_error, parse_algebra as parse
+    else:
+        from .monomial import PresentationSyntaxError as syntax_error, parse_presentation as parse
     try:
         return parse(_read_text(path), name=Path(path).stem)
-    except (PresentationSyntaxError, alg.AlgebraSyntaxError) as exc:
+    except syntax_error as exc:
         raise UsageError(f"{path}: {exc}") from None
 
 
@@ -253,7 +285,7 @@ def _get_presentation(args) -> tuple[MonomialOperadPresentation, str]:
     """The presentation named by --presentation or --preset, and that name."""
     label = _one_source(args, "presentation")
     if args.presentation:
-        return _load_file(label, mono.parse_presentation), label
+        return _load_file(label, "presentation"), label
     if not label:
         raise UsageError("pass --presentation <file> or --preset <name>")
     return preset_presentation(label), label
@@ -264,6 +296,8 @@ def _series_source(args, n: Optional[int]) -> tuple[list[Fraction | int], str, d
     preset, presentation or algebra file needs the max index n and gives the
     exact integer dimensions 0..n; CSV (a file, or stdin by default) gives its
     rows 0..n as Fractions, or all of them when n is None."""
+    from pathlib import Path
+
     source = _one_source(args, "source")
     stop = None if n is None else n + 1
     if source is None or source == "-":
@@ -281,25 +315,39 @@ def _series_source(args, n: Optional[int]) -> tuple[list[Fraction | int], str, d
         dims = preset_dims(source, n, engine=args.engine)
         meta = {"exact": dims.exact}
     elif head.startswith("var"):
-        dims = alg.hilbert_dims(_load_file(source, alg.parse_algebra), n)
+        from . import algebra
+
+        dims = algebra.hilbert_dims(_load_file(source, "algebra"), n)
         meta = {}
     else:
-        p = _load_file(source, mono.parse_presentation)
-        dims = mono.dim_by_arity(p, n, engine=args.engine)
+        from . import monomial
+
+        p = _load_file(source, "presentation")
+        dims = monomial.dim_by_arity(p, n, engine=args.engine)
         meta = {"exact": dims.exact, "sha256": _presentation_hash(p)}
     meta["index_kind"] = dims.index_kind
     return list(dims.values[:n + 1]), source, meta
 
 
 def _presentation_hash(p: MonomialOperadPresentation) -> str:
-    return hashlib.sha256(mono.format_presentation(p).encode()).hexdigest()
+    import hashlib
+
+    from .monomial import format_presentation
+
+    return hashlib.sha256(format_presentation(p).encode()).hexdigest()
 
 
 def _log_col(n: int, s: Fraction | int) -> str:
     if n < 2 or s <= 0:
         return ""
-    value = (ser.log_of_int(s.numerator) - ser.log_of_int(s.denominator)) / math.log(n)
+    value = (log_of_int(s.numerator) - log_of_int(s.denominator)) / log_of_int(n)
     return f"{value:.6f}"
+
+
+def _write_json(out, payload: dict) -> None:
+    import json
+
+    out.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _write_values(out, emit: str, values: Sequence, report: dict,
@@ -308,8 +356,7 @@ def _write_values(out, emit: str, values: Sequence, report: dict,
     log_n, as a gnuplot block headed by ``title`` (default: the report's
     command and source), or as JSON: ``report`` plus truncation and values."""
     if emit == "json":
-        payload = dict(report, truncation=len(values) - 1, values=list(map(str, values)))
-        out.write(json.dumps(payload, sort_keys=True) + "\n")
+        _write_json(out, dict(report, truncation=len(values) - 1, values=list(map(str, values))))
         return
     rows = list(enumerate(zip(values, accumulate(values))))
     if emit == "gnuplot":
@@ -327,20 +374,27 @@ def _write_values(out, emit: str, values: Sequence, report: dict,
 # ---------------------------------------------------------------------------
 
 def cmd_dims(args, out) -> int:
+    from . import monomial
+
     p, label = _get_presentation(args)
-    dims = mono.dim_by_arity(p, args.max_arity, engine=args.engine,
-                             weight_cap=args.weight_cap)
-    _write_values(out, args.emit, dims.values, {
-        "command": "dims", "source": label, "engine": args.engine, "exact": dims.exact,
-        "index_kind": dims.index_kind, "sha256": _presentation_hash(p)})
+    dims = monomial.dim_by_arity(p, args.max_arity, engine=args.engine,
+                                 weight_cap=args.weight_cap)
+    report = {"command": "dims", "source": label, "engine": args.engine, "exact": dims.exact,
+              "index_kind": dims.index_kind}
+    if args.emit == "json":
+        report["sha256"] = _presentation_hash(p)
+    _write_values(out, args.emit, dims.values, report)
     return 0
 
 
 def cmd_grammar(args, out) -> int:
-    crowns, rules = mono.compile_grammar(_get_presentation(args)[0])
+    from .monomial import LEAF_ID, compile_grammar
+    from .trees import format_monomial
+
+    crowns, rules = compile_grammar(_get_presentation(args)[0])
     terms: list[list[str]] = [[] for _ in crowns]
     for c, g, children in rules:
-        kids = ("*" if k == mono.LEAF_ID else f"K{k + 1}" for k in children)
+        kids = ("*" if k == LEAF_ID else f"K{k + 1}" for k in children)
         terms[c].append(f"{g.name}({','.join(kids)})")
     out.write(f"# crowns={len(crowns)} rules={len(rules)}\n"
               "# rule g(k1,..,km) = z^deg(g) * k1 * ... * km with * = 1 (a leaf); "
@@ -359,12 +413,14 @@ def cmd_series(args, out) -> int:
 
 
 def cmd_gk(args, out) -> int:
+    from . import series
+
     coeffs, label, _meta = _series_source(args, args.N)
     if any(c.denominator != 1 for c in coeffs):
         raise UsageError("growth estimation needs integer dimension data")
-    report = ser.gk_estimate(coeffs)
+    report = series.gk_estimate(coeffs)
     if args.emit == "json":
-        payload = {
+        _write_json(out, {
             "command": "gk", "source": label, "n_max": report.n_max,
             "pointwise": round(report.pointwise, 6),
             "slope": round(report.slope, 6),
@@ -372,8 +428,7 @@ def cmd_gk(args, out) -> int:
             "exp_flag": report.exp_flag,
             "window": list(report.window),
             "note": "floating estimates of limsup log_n(partial sums)",
-        }
-        out.write(json.dumps(payload, sort_keys=True) + "\n")
+        })
     else:
         out.write(f"# growth estimate for {label} (floating estimates)\n")
         out.write(f"pointwise,{report.pointwise:.6f}\n")
@@ -385,10 +440,12 @@ def cmd_gk(args, out) -> int:
 
 
 def cmd_fit(args, out) -> int:
+    from . import series
+
     coeffs, label, _meta = _series_source(args, args.max)
-    window = ser.SeriesWindow(tuple(coeffs))
-    max_den, max_num = ser.fit_bounds(window.truncation, args.max_den, args.max_num)
-    fit = ser.fit_rational(window, max_den, max_num)
+    window = series.SeriesWindow(tuple(coeffs))
+    max_den, max_num = series.fit_bounds(window.truncation, args.max_den, args.max_num)
+    fit = series.fit_rational(window, max_den, max_num)
     if fit is None:
         out.write(f"no rational fit at bounds (den<={max_den}, num<={max_num}, "
                   f"N={window.truncation}) for {label}\n")
@@ -401,9 +458,11 @@ def cmd_fit(args, out) -> int:
 
 
 def cmd_guess(args, out) -> int:
+    from . import series
+
     coeffs, label, _meta = _series_source(args, args.max)
-    window = ser.SeriesWindow(tuple(coeffs))
-    cand = ser.guess_holonomic(window, args.max_order, args.max_degree)
+    window = series.SeriesWindow(tuple(coeffs))
+    cand = series.guess_holonomic(window, args.max_order, args.max_degree)
     if cand is None:
         out.write(f"no recurrence found at bounds (R={args.max_order}, D={args.max_degree}, "
                   f"N={window.truncation}) for {label}\n")
@@ -415,10 +474,12 @@ def cmd_guess(args, out) -> int:
 
 
 def cmd_gapcheck(args, out) -> int:
+    from . import monomial
+
     p, label = _get_presentation(args)
-    report = mono.gap_dichotomy_check(p, args.max_weight)
+    report = monomial.gap_dichotomy_check(p, args.max_weight)
     if args.emit == "json":
-        payload = {
+        _write_json(out, {
             "command": "gapcheck", "source": label, "horizon": args.max_weight,
             "criterion_d": report.criterion_d, "growth_class": report.growth_class,
             "weight_counts": list(report.weight_counts.values),
@@ -426,8 +487,7 @@ def cmd_gapcheck(args, out) -> int:
             "affine_fit": report.affine_fit and list(map(str, report.affine_fit)),
             "first_violation": report.first_violation,
             "sha256": _presentation_hash(p),
-        }
-        out.write(json.dumps(payload, sort_keys=True) + "\n")
+        })
         return 0
     out.write(f"# criterion_d={report.criterion_d if report.criterion_d is not None else 'none'}\n")
     out.write(f"# growth_class={report.growth_class}\n")
@@ -442,8 +502,13 @@ def cmd_gapcheck(args, out) -> int:
 
 
 def cmd_operadize(args, out) -> int:
-    p = operadize(_load_file(args.algebra, alg.parse_algebra))
-    text = mono.format_presentation(p)
+    from pathlib import Path
+
+    from .constructions import operadize
+    from .monomial import format_presentation
+
+    p = operadize(_load_file(args.algebra, "algebra"))
+    text = format_presentation(p)
     if args.emit == "-":
         out.write(text)
     else:
@@ -454,6 +519,8 @@ def cmd_operadize(args, out) -> int:
 
 
 def cmd_envelope(args, out) -> int:
+    from .constructions import min_envelope_dims, symmetric_envelope_dims
+
     envelope = min_envelope_dims if args.kind == "min" else symmetric_envelope_dims
     profile = envelope(preset_dims(args.preset, args.max_index), source=args.preset)
     _write_values(out, args.emit, profile.dims.values[:args.max_index + 1], {
@@ -468,10 +535,13 @@ def sweep_family(relation_weight: int) -> list[tuple[str, MonomialOperadPresenta
     weight-<=relation_weight monomials as relations (the pool is enumerated,
     not hard-coded), as (key, presentation) pairs sorted by key, the
     ';'-joined relations.  The sweep prints its rows in this order."""
+    from .monomial import MonomialOperadPresentation, enumerate_irr
+    from .trees import format_monomial
+
     if relation_weight not in (2, 3):
         raise UsageError("sweep supports relation weights 2 and 3")
     free = _free_operad(2)
-    pool = [t for t in mono.enumerate_irr(free, relation_weight)
+    pool = [t for t in enumerate_irr(free, relation_weight)
             if 2 <= t.weight <= relation_weight]
     out = []
     for size in range(len(pool) + 1):
@@ -488,10 +558,12 @@ def cmd_sweep(args, out) -> int:
         raise UsageError("sweep horizon is capped at 40 weights")
     if args.horizon < 8:
         raise UsageError("sweep horizon must be at least 8")
+    from . import monomial, series
+
     rows = []
     for key, p in sweep_family(args.relation_weight):
-        report = mono.gap_dichotomy_check(p, args.horizon)
-        est = ser.gk_estimate(mono.dim_by_arity(p, args.horizon + 1, engine="dp"))
+        report = monomial.gap_dichotomy_check(p, args.horizon)
+        est = series.gk_estimate(monomial.dim_by_arity(p, args.horizon + 1, engine="dp"))
         rows.append((key, report.criterion_d, report.growth_class, est.slope))
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["relations", "criterion_d", "growth_class", "tail_exponent"])
@@ -529,7 +601,7 @@ def build_parser() -> _Parser:
     p.add_argument("--presentation")
     p.add_argument("--preset")
     p.add_argument("--max-arity", type=_size, required=True)
-    p.add_argument("--engine", choices=mono.ENGINES, default="dp")
+    p.add_argument("--engine", choices=ENGINES, default="dp")
     p.add_argument("--weight-cap", type=_size, default=None,
                    help="required when the alphabet has unary generators")
     add_emit(p)
@@ -544,7 +616,7 @@ def build_parser() -> _Parser:
         p.add_argument("--source", default=None,
                        help="preset, presentation/algebra file, or CSV (default stdin)")
         p.add_argument("--preset", default=None, help="alias for --source <preset>")
-        p.add_argument("--engine", choices=mono.ENGINES, default="dp")
+        p.add_argument("--engine", choices=ENGINES, default="dp")
 
     p = sub.add_parser("series", help="coefficient series from a preset, file, or CSV")
     add_source(p)

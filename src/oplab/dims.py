@@ -1,11 +1,15 @@
-"""Exact integer dimension sequences with indexing metadata."""
+"""Exact integer dimension sequences with indexing metadata, and the two
+helpers every ``oplab`` subcommand reaches: the counting engine names and a
+natural log of an exact integer."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 INDEX_KINDS = ("arity", "weight", "degree")
+ENGINES = ("brute", "dp")
 
 
 @dataclass(frozen=True)
@@ -23,10 +27,13 @@ class DimSeries:
     exact: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        values = tuple(self.values)
+        object.__setattr__(self, "values", values)
         if self.index_kind not in INDEX_KINDS:
             raise ValueError(f"unknown index kind {self.index_kind!r}")
-        if any(v < 0 for v in self.values):
+        if not set(map(type, values)) <= {int}:
+            raise ValueError("dimensions must be ints")
+        if values and min(values) < 0:
             raise ValueError("dimensions must be nonnegative")
 
     @property
@@ -58,3 +65,12 @@ def as_dim_values(dims: "DimSeries | Sequence[int]") -> tuple[int, ...]:
     if isinstance(dims, DimSeries):
         return dims.values
     return tuple(int(v) for v in dims)
+
+
+def log_of_int(x: int) -> float:
+    """Natural log of a positive integer, safe beyond float range."""
+    bl = x.bit_length()
+    if bl <= 900:
+        return math.log(x)
+    top = x >> (bl - 53)
+    return math.log(top) + (bl - 53) * math.log(2)

@@ -33,7 +33,7 @@ from itertools import product
 from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .dims import DimSeries
+from .dims import ENGINES, DimSeries
 from .order import TreeOrder
 from .trees import (
     LEAF,
@@ -47,8 +47,6 @@ from .trees import (
     matches_at_root,
     parse_monomial,
 )
-
-ENGINES = ("brute", "dp")
 
 GROWTH_BOUNDED = "bounded"
 GROWTH_LINEAR = "linear"

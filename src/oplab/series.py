@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .dims import DimSeries, as_dim_values
+from .dims import DimSeries, as_dim_values, log_of_int
 from .linalg import clear_denominators, kernel_is_trivial, nullspace, scale_rows_to_int, solve
 
 DEFAULT_HOLDOUT = 20
@@ -112,15 +112,6 @@ class GkReport:
     exp_flag: bool
     window: tuple[int, int]
     n_max: int
-
-
-def log_of_int(x: int) -> float:
-    """Natural log of a positive integer, safe beyond float range."""
-    bl = x.bit_length()
-    if bl <= 900:
-        return math.log(x)
-    top = x >> (bl - 53)
-    return math.log(top) + (bl - 53) * math.log(2)
 
 
 def gk_estimate(dims: DimSeries | Sequence[int]) -> GkReport:

@@ -4,6 +4,8 @@ import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -528,3 +530,71 @@ class TestReadme:
                 assert code == 0 and piped, line
             ran += 1
         assert ran >= 9
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# every name the package exported when its __init__ imported each submodule eagerly
+PUBLIC_NAMES = """
+    MonomialAlgebraPresentation adjoin_polynomial_variables example62_dims
+    example62_monomial_model floor_power_dims free_algebra_dims hilbert_dims
+    partition_dims polynomial_ring_dims warfield_dims warfield_monomial_model
+    AvoidanceSystem BranchWord closed_set_counts extend from_branch_word
+    is_local_period is_period minimal_period to_branch_word
+    OperadDimProfile min_envelope_dims operadization_dims operadize
+    symmetric_envelope_dims DimSeries MonomialOperadPresentation dim_by_arity
+    dim_by_weight enumerate_irr gap_dichotomy_check is_normal_form TreeOrder
+    SeriesWindow exponential_transform fit_rational gk_estimate guess_holonomic
+    zero_run_report LEAF Alphabet Generator PathSequence TreeMonomial compose
+    divides format_monomial from_path_sequence parse_monomial submonomials
+    to_path_sequence __version__
+""".split()
+
+
+def modules_loaded_by(code: str) -> set[str]:
+    """Modules a fresh interpreter loads while it runs ``code``."""
+    probe = ("import sys\n_before = set(sys.modules)\n" + code +
+             "\nprint(*sorted(set(sys.modules) - _before))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    return set(proc.stdout.split())
+
+
+class TestImportGraph:
+    def test_import_oplab_loads_no_submodule(self):
+        loaded = modules_loaded_by("import oplab")
+        assert "oplab" in loaded
+        assert not {m for m in loaded if m.startswith("oplab.")}
+
+    @pytest.mark.parametrize("argv, needed, unused", [
+        ("dims --preset ex53-1 --max-arity 10", {"oplab.monomial"},
+         {"oplab.series", "oplab.linalg", "oplab.algebra", "oplab.branch",
+          "oplab.constructions", "hashlib", "json"}),
+        ("gk --preset floorpow:3/2 --N 50", {"oplab.series", "oplab.algebra"},
+         {"oplab.monomial", "oplab.trees", "oplab.order", "oplab.constructions"}),
+    ])
+    def test_subcommand_imports_only_its_modules(self, argv, needed, unused):
+        loaded = modules_loaded_by(
+            "import io, oplab.cli\n"
+            f"assert oplab.cli.run({argv.split()!r}, out=io.StringIO()) == 0")
+        assert needed <= loaded
+        assert not loaded & unused
+
+    def test_every_public_name_resolves(self):
+        import oplab
+        from oplab.dims import DimSeries
+
+        for name in PUBLIC_NAMES:
+            assert hasattr(oplab, name), name
+            assert name in dir(oplab), name
+        assert oplab.DimSeries is DimSeries
+        assert set(PUBLIC_NAMES) - {"__version__"} <= set(oplab.__all__)
+
+    def test_unknown_name_raises_attribute_error(self):
+        import oplab
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            oplab.no_such_name
+        assert not hasattr(oplab, "cli_helpers")

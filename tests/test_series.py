@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oplab import (
+    DimSeries,
     MonomialAlgebraPresentation,
     SeriesWindow,
     exponential_transform,
@@ -36,6 +37,24 @@ def fib_values(n):
     while len(vals) <= n:
         vals.append(vals[-1] + vals[-2])
     return vals[:n + 1]
+
+
+class TestDimSeries:
+    def test_values_are_kept_as_a_tuple(self):
+        assert DimSeries([1, 2, 3], "arity").values == (1, 2, 3)
+
+    @pytest.mark.parametrize("values, kind", [
+        ((1, -1), "arity"), ((1, Fraction(2)), "arity"), ((1, 2.0), "arity"),
+        ((1, True), "arity"), ((1, 2), "height"),
+    ])
+    def test_rejects_bad_values_and_kinds(self, values, kind):
+        with pytest.raises(ValueError):
+            DimSeries(values, kind)
+
+    def test_gk_estimate_takes_integral_fractions(self):
+        # CSV input reaches gk_estimate as integral Fractions
+        dims = partition_dims(300)
+        assert gk_estimate([Fraction(v) for v in dims]) == gk_estimate(dims)
 
 
 class TestGkEstimate:
