@@ -14,6 +14,7 @@ k-th roots; no floating point touches any dimension value.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
@@ -357,13 +358,10 @@ def adjoin_polynomial_variables(dims: DimSeries, n: int) -> DimSeries:
     """Multiply a degree-indexed series by 1/(1-z)**n: n rounds of prefix sums."""
     if n < 1:
         raise AlgebraError("adjoin at least one variable")
-    values = list(dims.values)
+    values = dims.values
     for _ in range(n):
-        acc = 0
-        for i, v in enumerate(values):
-            acc += v
-            values[i] = acc
-    return DimSeries(tuple(values), "degree", exact=dims.exact)
+        values = tuple(accumulate(values))
+    return DimSeries(values, "degree", exact=dims.exact)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .dims import ENGINES, DimSeries, log_of_int
+from .dims import ENGINES, DimSeries, as_dim_values, log_of_int
 
 if TYPE_CHECKING:
     from .monomial import MonomialOperadPresentation
@@ -196,13 +196,13 @@ def resolve_preset(spec: str) -> tuple[Preset, tuple]:
         raise UsageError(f"preset {base!r}: bad parameter {text!r}: {exc}") from None
 
 
-def preset_dims(spec: str, n: int, engine: str = "dp") -> DimSeries:
+def preset_dims(spec: str, n: int) -> DimSeries:
     """Dimension sequence of a preset from index 0 to at least n."""
     preset, params = resolve_preset(spec)
     if preset.kind == "presentation":
         from . import monomial
 
-        return monomial.dim_by_arity(preset.build(*params), n, engine=engine)
+        return monomial.dim_by_arity(preset.build(*params), n)
     return preset.build(n, *params)
 
 
@@ -226,9 +226,9 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _load_file(path: str, kind: str):
+def _load_file(path: str, kind: str, text: Optional[str] = None):
     """The presentation (``kind`` "presentation") or algebra ("algebra") in a
-    file; a malformed file is a usage error that names the file and the line."""
+    file or its ``text``; a malformed file is a usage error naming the file and line."""
     from pathlib import Path
 
     if kind == "algebra":
@@ -236,7 +236,7 @@ def _load_file(path: str, kind: str):
     else:
         from .monomial import PresentationSyntaxError as syntax_error, parse_presentation as parse
     try:
-        return parse(_read_text(path), name=Path(path).stem)
+        return parse(_read_text(path) if text is None else text, name=Path(path).stem)
     except syntax_error as exc:
         raise UsageError(f"{path}: {exc}") from None
 
@@ -295,7 +295,8 @@ def _series_source(args, n: Optional[int]) -> tuple[list[Fraction | int], str, d
     """Coefficients, label and JSON metadata of --source or --preset.  A
     preset, presentation or algebra file needs the max index n and gives the
     exact integer dimensions 0..n; CSV (a file, or stdin by default) gives its
-    rows 0..n as Fractions, or all of them when n is None."""
+    rows 0..n as Fractions, or all of them when n is None.  The file's head
+    (first line not blank, a comment or ``name``) tells CSV from the others."""
     from pathlib import Path
 
     source = _one_source(args, "source")
@@ -305,25 +306,25 @@ def _series_source(args, n: Optional[int]) -> tuple[list[Fraction | int], str, d
     is_file = Path(source).exists()
     if is_file:
         text = _read_text(source)
-        head = next((ln.split("#", 1)[0].strip() for ln in text.splitlines()
-                     if ln.split("#", 1)[0].strip()), "")
-        if source.endswith(".csv") or (head and head[0].isdigit()) or "," in head:
+        head = next((ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+                     if ln and ln.split()[0] != "name"), "")
+        if source.endswith(".csv") or head[:1].isdigit() or "," in head:
             return _load_csv_coeffs(text)[:stop], source, {}
     if n is None:
         raise UsageError(f"a max index is required for {'file' if is_file else 'preset'} sources")
     if not is_file:
-        dims = preset_dims(source, n, engine=args.engine)
+        dims = preset_dims(source, n)
         meta = {"exact": dims.exact}
-    elif head.startswith("var"):
+    elif head.split()[:1] in (["var"], ["forbid"]):
         from . import algebra
 
-        dims = algebra.hilbert_dims(_load_file(source, "algebra"), n)
+        dims = algebra.hilbert_dims(_load_file(source, "algebra", text), n)
         meta = {}
     else:
         from . import monomial
 
-        p = _load_file(source, "presentation")
-        dims = monomial.dim_by_arity(p, n, engine=args.engine)
+        p = _load_file(source, "presentation", text)
+        dims = monomial.dim_by_arity(p, n)
         meta = {"exact": dims.exact, "sha256": _presentation_hash(p)}
     meta["index_kind"] = dims.index_kind
     return list(dims.values[:n + 1]), source, meta
@@ -416,8 +417,10 @@ def cmd_gk(args, out) -> int:
     from . import series
 
     coeffs, label, _meta = _series_source(args, args.N)
-    if any(c.denominator != 1 for c in coeffs):
-        raise UsageError("growth estimation needs integer dimension data")
+    try:
+        coeffs = as_dim_values(coeffs)
+    except ValueError as exc:
+        raise UsageError(f"growth estimation: {exc}") from None
     report = series.gk_estimate(coeffs)
     if args.emit == "json":
         _write_json(out, {
@@ -563,7 +566,8 @@ def cmd_sweep(args, out) -> int:
     rows = []
     for key, p in sweep_family(args.relation_weight):
         report = monomial.gap_dichotomy_check(p, args.horizon)
-        est = series.gk_estimate(monomial.dim_by_arity(p, args.horizon + 1, engine="dp"))
+        # one binary generator: arity n holds the weight n-1 normal forms
+        est = series.gk_estimate((0, *report.weight_counts))
         rows.append((key, report.criterion_d, report.growth_class, est.slope))
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["relations", "criterion_d", "growth_class", "tail_exponent"])
@@ -616,7 +620,6 @@ def build_parser() -> _Parser:
         p.add_argument("--source", default=None,
                        help="preset, presentation/algebra file, or CSV (default stdin)")
         p.add_argument("--preset", default=None, help="alias for --source <preset>")
-        p.add_argument("--engine", choices=ENGINES, default="dp")
 
     p = sub.add_parser("series", help="coefficient series from a preset, file, or CSV")
     add_source(p)

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import ne
 from typing import Iterator, Sequence
 
 INDEX_KINDS = ("arity", "weight", "degree")
@@ -52,19 +54,19 @@ class DimSeries:
 
     def partial_sums(self) -> tuple[int, ...]:
         """Running sums S(n) = values[0] + ... + values[n]."""
-        out = []
-        acc = 0
-        for v in self.values:
-            acc += v
-            out.append(acc)
-        return tuple(out)
+        return tuple(accumulate(self.values))
 
 
 def as_dim_values(dims: "DimSeries | Sequence[int]") -> tuple[int, ...]:
-    """Coerce either a DimSeries or a plain sequence to a value tuple."""
+    """Coerce either a DimSeries or a plain sequence of nonnegative integral
+    numbers (ints, or Fractions such as CSV gives) to a tuple of ints."""
     if isinstance(dims, DimSeries):
         return dims.values
-    return tuple(int(v) for v in dims)
+    values = tuple(map(int, dims))
+    if any(map(ne, values, dims)) or min(values, default=0) < 0:
+        bad = next(i for i, (v, d) in enumerate(zip(values, dims)) if v != d or v < 0)
+        raise ValueError(f"dimension {bad} is {dims[bad]}, not a nonnegative integer")
+    return values
 
 
 def log_of_int(x: int) -> float:

@@ -30,8 +30,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from operator import add, mul
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .dims import ENGINES, DimSeries
 from .order import TreeOrder
@@ -483,29 +484,28 @@ def gap_dichotomy_check(p: MonomialOperadPresentation, max_weight: int) -> GapDi
         raise PresentationError("gap dichotomy needs max_weight >= 6")
     wc = dim_by_weight(p, max_weight)
     sums = wc.partial_sums()
-    criterion_d = next(
-        (d for d in range(3, max_weight + 1) if wc[d] <= d - 3), None)
+    criterion_d = next((d for d in range(3, max_weight + 1) if wc[d] <= d - 3), None)
 
     first_zero = next((w for w in range(1, max_weight + 1) if wc[w] == 0), None)
     if first_zero is not None and any(wc[w] != 0 for w in range(first_zero, max_weight + 1)):
         raise AssertionError("weight counts revived after extinction; enumeration bug")
 
     if criterion_d is None:
-        return GapDichotomyReport(None, GROWTH_SUPERLINEAR, wc,
-                                  DimSeries(sums, "weight"), None, None)
+        return GapDichotomyReport(None, GROWTH_SUPERLINEAR, wc, DimSeries(sums, "weight"), None, None)
 
     growth = GROWTH_BOUNDED if wc[max_weight] == 0 else GROWTH_LINEAR
-    tail_start = max(0, (2 * max_weight) // 3)
-    a, b = _affine_fit([(n, sums[n]) for n in range(tail_start, max_weight + 1)])
-    first_violation = None
-    for n in range(max_weight + 1):
-        bound = a * n + b
-        allowed = max(Fraction(5), abs(bound) / 10)
-        if Fraction(sums[n]) - bound > allowed:
-            first_violation = n
-            break
+    a, b = _affine_fit([(n, sums[n]) for n in range(2 * max_weight // 3, max_weight + 1)])
     return GapDichotomyReport(criterion_d, growth, wc, DimSeries(sums, "weight"),
-                              (a, b), first_violation)
+                              (a, b), _first_violation(sums, a, b))
+
+
+def _first_violation(sums: Sequence[int], a: Fraction, b: Fraction) -> Optional[int]:
+    """The first n with sums[n] - (a*n + b) > max(5, |a*n + b|/10), or None;
+    both sides are scaled by 10*r, r = lcm of the denominators, to integers."""
+    r = lcm(a.denominator, b.denominator)
+    slope, offset = int(a * r), int(b * r)
+    return next((n for n, s in enumerate(sums) if 10 * (s * r - slope * n - offset)
+                 > max(50 * r, abs(slope * n + offset))), None)
 
 
 # ---------------------------------------------------------------------------

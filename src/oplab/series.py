@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .dims import DimSeries, as_dim_values, log_of_int
@@ -121,11 +122,7 @@ def gk_estimate(dims: DimSeries | Sequence[int]) -> GkReport:
         raise SeriesError("need at least 8 dimension values to estimate growth")
     if all(v == 0 for v in values[2:]):
         raise DegenerateSeriesError("series is zero beyond index 1")
-    sums = []
-    acc = 0
-    for v in values:
-        acc += v
-        sums.append(acc)
+    sums = list(accumulate(values))
     n_max = len(values) - 1
     start = max(2, n_max - int(n_max * TAIL_FRACTION))
     window = [(n, sums[n]) for n in range(start, n_max + 1) if sums[n] > 0]

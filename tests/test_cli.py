@@ -1,5 +1,6 @@
 """CLI: subcommands, formats, determinism, exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -11,7 +12,13 @@ from pathlib import Path
 
 import pytest
 
+from oplab.algebra import MonomialAlgebraPresentation, format_algebra
 from oplab.cli import CATALOG, run, sweep_family
+from oplab.monomial import format_presentation
+
+# stdout of the gapcheck runs in TestGapcheck.test_reports_are_pinned when the
+# affine bound was still checked over Fractions
+GAPCHECK_SHA256 = "d203acd8467431e866066d5a40bfaf8e3d4fcf55be26069f00c728f4fd1d8a01"
 
 
 def invoke(*argv, stdin=None, monkeypatch=None):
@@ -66,6 +73,15 @@ class TestDims:
         code, text = invoke("dims", "--presentation", str(f), "--max-arity", "5")
         assert code == 0
         assert text.splitlines()[5].startswith("4,4,")
+
+    @pytest.mark.parametrize("argv", [
+        ("series", "--max", "5"), ("gk", "--N", "20"), ("fit", "--max", "20"),
+        ("guess", "--max", "20", "--max-order", "1", "--max-degree", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_engine_belongs_to_dims_only(self, capsys, argv):
+        code, _ = invoke(*argv, "--preset", "ex53-2", "--engine", "brute")
+        assert code == 1
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_order_flag_rejected(self, capsys):
         code, _ = invoke("dims", "--preset", "ex53-2", "--max-arity", "5",
@@ -146,6 +162,29 @@ class TestSeriesPipes:
         assert code == 0
         assert text.splitlines()[9].startswith("8,55,")
 
+    @pytest.mark.parametrize("body", [
+        "# the fibonacci operad\nname fib,alt\ngenerator a 2\n"
+        "relation a(a(*,*),a(*,*))\nrelation a(a(a(*,*),*),*)\n",
+        "name\ngenerator a 2\nrelation a(a(a(*,*),*),*)\nrelation a(a(*,*),a(*,*))\n",
+    ], ids=["comma-in-name", "bare-name"])
+    def test_named_presentation_file(self, tmp_path, body):
+        f = tmp_path / "fib.txt"
+        f.write_text(body)
+        code, text = invoke("series", "--source", str(f), "--max", "12")
+        assert code == 0
+        assert text == invoke("series", "--preset", "fibonacci", "--max", "12")[1]
+
+    @pytest.mark.parametrize("body", [
+        format_algebra(MonomialAlgebraPresentation(["x1", "x2"], [("x1", "x1")], name="gold")),
+        "forbid x1 x1  # variables may follow\nvar x1\nvar x2\n",
+    ], ids=["written-by-format_algebra", "forbid-first"])
+    def test_named_algebra_file(self, tmp_path, body):
+        f = tmp_path / "alg.txt"
+        f.write_text(body)
+        code, text = invoke("series", "--source", str(f), "--max", "8")
+        assert code == 0
+        assert text.splitlines()[9].startswith("8,55,")
+
     @pytest.mark.parametrize("body, keys", [
         ("var x1\nvar x2\nforbid x1 x1\n", {"index_kind"}),
         ("generator a 2\nrelation a(a(*,*),a(*,*))\n", {"index_kind", "exact", "sha256"}),
@@ -197,6 +236,22 @@ class TestGapcheck:
     def test_horizon_too_small_is_computation_error(self, capsys):
         code, _ = invoke("gapcheck", "--preset", "ex53-3", "--max-weight", "3")
         assert code == 2
+
+    def test_reports_are_pinned(self, tmp_path, monkeypatch):
+        # text and JSON, affine_fit and first_violation included, on the ex53
+        # presets and every sweep presentation, as the Fraction bound printed them
+        monkeypatch.chdir(tmp_path)
+        sources = [("--preset", spec) for spec in ("ex53-1", "ex53-2", "ex53-3")]
+        for i, (_key, p) in enumerate(sweep_family(3)):
+            Path(f"p{i}.txt").write_text(format_presentation(p))
+            sources.append(("--presentation", f"p{i}.txt"))
+        digest = hashlib.sha256()
+        for flag, source in sources:
+            for emit in ("csv", "json"):
+                code, text = invoke("gapcheck", flag, source, "--max-weight", "30", "--emit", emit)
+                assert code == 0
+                digest.update(text.encode())
+        assert digest.hexdigest() == GAPCHECK_SHA256
 
 
 class TestSweep:
@@ -459,6 +514,13 @@ class TestCsvInput:
         code, text = from_csv("guess", "--max-order", "1", "--max-degree", "1", "--max", "40")
         assert code == 0
         assert text.startswith("no recurrence found at bounds (R=1, D=1, N=40) for ")
+
+    @pytest.mark.parametrize("value, shown", [("-1", "-1"), ("1/2", "1/2"), ("1.5", "3/2")])
+    def test_gk_rejects_negative_and_fractional_dims(self, monkeypatch, capsys, value, shown):
+        body = "0,5\n1,1\n2,VALUE\n" + "".join(f"{n},{n}\n" for n in range(3, 12))
+        code, text = invoke("gk", stdin=body.replace("VALUE", value), monkeypatch=monkeypatch)
+        assert (code, text) == (1, "")
+        assert f"dimension 2 is {shown}, not a nonnegative integer" in capsys.readouterr().err
 
     def test_short_csv_is_kept_whole(self, tmp_path):
         f = tmp_path / "fib.csv"

@@ -3,6 +3,7 @@
 import gc
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -30,6 +31,7 @@ from oplab.monomial import (
     CompletenessError,
     PresentationError,
     PresentationSyntaxError,
+    _first_violation,
     compile_grammar,
     format_presentation,
     parse_presentation,
@@ -337,6 +339,27 @@ class TestGapDichotomy:
     def test_needs_horizon_six(self, fibonacci):
         with pytest.raises(PresentationError):
             gap_dichotomy_check(fibonacci, 5)
+
+    def test_integer_bound_matches_the_fraction_bound(self):
+        # the affine bound over Fractions, as gapcheck stated it first
+        def reference(sums, a, b):
+            return next((n for n, s in enumerate(sums)
+                         if s - (a * n + b) > max(Fraction(5), abs(a * n + b) / 10)), None)
+
+        rng = random.Random(9)
+        seen = set()
+        for _ in range(2000):
+            a = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+            b = Fraction(rng.randint(-300, 300), rng.randint(1, 12))
+            sums = [rng.randint(0, 120) for _ in range(rng.randint(1, 25))]
+            expected = reference(sums, a, b)
+            assert _first_violation(sums, a, b) == expected, (sums, a, b)
+            seen.add(expected is None)
+        assert seen == {True, False}
+        # the boundary itself is no violation: 5 over, and 10% over a bound of 60
+        assert _first_violation([5, 66], Fraction(60), Fraction(0)) is None
+        assert _first_violation([6, 66], Fraction(60), Fraction(0)) == 0
+        assert _first_violation([5, 67], Fraction(60), Fraction(0)) == 1
 
 
 class TestPresentationFiles:

@@ -22,6 +22,7 @@ from oplab import (
     polynomial_ring_dims,
     zero_run_report,
 )
+from oplab.dims import as_dim_values
 from oplab.series import (
     DegenerateSeriesError,
     WindowTooShortError,
@@ -55,6 +56,19 @@ class TestDimSeries:
         # CSV input reaches gk_estimate as integral Fractions
         dims = partition_dims(300)
         assert gk_estimate([Fraction(v) for v in dims]) == gk_estimate(dims)
+        assert as_dim_values([Fraction(4), 2, Fraction(6, 3)]) == (4, 2, 2)
+
+    @pytest.mark.parametrize("values, bad", [
+        ([1, Fraction(1, 2)], 1), ([0, 1, 1.5], 2), ([1, 2, 3, -1], 3), ([Fraction(-2)], 0),
+    ])
+    def test_plain_sequences_must_be_nonnegative_integers(self, values, bad):
+        # no value is truncated to an int: 1/2 is not read as 0, nor 3/2 as 1
+        with pytest.raises(ValueError, match=f"dimension {bad} is"):
+            as_dim_values(values)
+        with pytest.raises(ValueError):
+            SeriesWindow.from_dims(values)
+        with pytest.raises(ValueError):
+            gk_estimate(list(range(1, 10)) + values)
 
 
 class TestGkEstimate:
