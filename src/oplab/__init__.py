@@ -43,7 +43,6 @@ _EXPORTS = {
         "to_branch_word",
     ),
     "constructions": (
-        "OperadDimProfile",
         "min_envelope_dims",
         "operadization_dims",
         "operadize",
@@ -60,7 +59,6 @@ _EXPORTS = {
     ),
     "order": ("TreeOrder",),
     "series": (
-        "SeriesWindow",
         "exponential_transform",
         "fit_rational",
         "gk_estimate",
@@ -71,7 +69,6 @@ _EXPORTS = {
         "LEAF",
         "Alphabet",
         "Generator",
-        "PathSequence",
         "TreeMonomial",
         "compose",
         "divides",

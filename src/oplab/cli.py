@@ -296,7 +296,8 @@ def _series_source(args, n: Optional[int]) -> tuple[list[Fraction | int], str, d
     preset, presentation or algebra file needs the max index n and gives the
     exact integer dimensions 0..n; CSV (a file, or stdin by default) gives its
     rows 0..n as Fractions, or all of them when n is None.  The file's head
-    (first line not blank, a comment or ``name``) tells CSV from the others."""
+    (first line not blank, a comment or ``name``) tells CSV from the others.
+    A --source that names neither a file nor a preset is a usage error."""
     from pathlib import Path
 
     source = _one_source(args, "source")
@@ -304,6 +305,8 @@ def _series_source(args, n: Optional[int]) -> tuple[list[Fraction | int], str, d
     if source is None or source == "-":
         return _load_csv_coeffs(sys.stdin.read())[:stop], "stdin", {}
     is_file = Path(source).exists()
+    if not is_file and args.source and source.partition(":")[0] not in CATALOG:
+        raise UsageError(f"{source!r} is neither a file nor a preset; run 'oplab preset-list'")
     if is_file:
         text = _read_text(source)
         head = next((ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines())
@@ -446,12 +449,11 @@ def cmd_fit(args, out) -> int:
     from . import series
 
     coeffs, label, _meta = _series_source(args, args.max)
-    window = series.SeriesWindow(tuple(coeffs))
-    max_den, max_num = series.fit_bounds(window.truncation, args.max_den, args.max_num)
-    fit = series.fit_rational(window, max_den, max_num)
+    max_den, max_num = series.fit_bounds(len(coeffs) - 1, args.max_den, args.max_num)
+    fit = series.fit_rational(coeffs, max_den, max_num)
     if fit is None:
         out.write(f"no rational fit at bounds (den<={max_den}, num<={max_num}, "
-                  f"N={window.truncation}) for {label}\n")
+                  f"N={len(coeffs) - 1}) for {label}\n")
         return 0
     num = "[" + ", ".join(map(str, fit.numerator)) + "]"
     den = "[" + ", ".join(map(str, fit.denominator)) + "]"
@@ -464,11 +466,10 @@ def cmd_guess(args, out) -> int:
     from . import series
 
     coeffs, label, _meta = _series_source(args, args.max)
-    window = series.SeriesWindow(tuple(coeffs))
-    cand = series.guess_holonomic(window, args.max_order, args.max_degree)
+    cand = series.guess_holonomic(coeffs, args.max_order, args.max_degree)
     if cand is None:
         out.write(f"no recurrence found at bounds (R={args.max_order}, D={args.max_degree}, "
-                  f"N={window.truncation}) for {label}\n")
+                  f"N={len(coeffs) - 1}) for {label}\n")
         return 0
     polys = " ".join(f"p{i}={list(poly)}" for i, poly in enumerate(cand.polynomials))
     out.write(f"recurrence for {label}: order={cand.order} degree={cand.degree} {polys} "
@@ -515,7 +516,10 @@ def cmd_operadize(args, out) -> int:
     if args.emit == "-":
         out.write(text)
     else:
-        Path(args.emit).write_text(text)
+        try:
+            Path(args.emit).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.emit}: {exc}") from None
         out.write(f"wrote {args.emit} ({len(p.relations)} relations, "
                   f"sha256={_presentation_hash(p)})\n")
     return 0
@@ -524,11 +528,14 @@ def cmd_operadize(args, out) -> int:
 def cmd_envelope(args, out) -> int:
     from .constructions import min_envelope_dims, symmetric_envelope_dims
 
-    envelope = min_envelope_dims if args.kind == "min" else symmetric_envelope_dims
-    profile = envelope(preset_dims(args.preset, args.max_index), source=args.preset)
-    _write_values(out, args.emit, profile.dims.values[:args.max_index + 1], {
-        "command": "envelope", "source": args.preset, "kind": profile.kind,
-        "index_kind": "arity", "exact": profile.dims.exact},
+    if args.kind == "min":
+        kind, envelope = "min_envelope", min_envelope_dims
+    else:
+        kind, envelope = "symmetric_envelope", symmetric_envelope_dims
+    dims = envelope(preset_dims(args.preset, args.max_index))
+    _write_values(out, args.emit, dims.values[:args.max_index + 1], {
+        "command": "envelope", "source": args.preset, "kind": kind,
+        "index_kind": "arity", "exact": dims.exact},
         title=f"envelope {args.kind} {args.preset}")
     return 0
 

@@ -18,9 +18,6 @@ at the dimension level only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .algebra import MonomialAlgebraPresentation
 from .dims import DimSeries
 from .monomial import MonomialOperadPresentation
@@ -35,35 +32,23 @@ class NonConnectedError(ConstructionError):
     """The input dimension series is not connected (values[0] != 1)."""
 
 
-@dataclass(frozen=True)
-class OperadDimProfile:
-    """Arity-indexed operad dimensions with a record of where they came from."""
-
-    dims: DimSeries
-    kind: str  # "min_envelope" | "operadization" | "symmetric_envelope" | "direct"
-    source: str
-    d: Optional[int] = None
-
-
 def _require_connected(a_dims: DimSeries) -> None:
     if len(a_dims) == 0 or a_dims[0] != 1:
         raise NonConnectedError("input dims must be connected (values[0] == 1)")
 
 
-def min_envelope_dims(a_dims: DimSeries, source: str = "algebra") -> OperadDimProfile:
+def min_envelope_dims(a_dims: DimSeries) -> DimSeries:
     """Shift the algebra series one slot up: dims[n] = a_dims[n-1], dims[0] = 0."""
     _require_connected(a_dims)
     values = (0,) + a_dims.values
-    return OperadDimProfile(DimSeries(values, "arity", exact=a_dims.exact),
-                            "min_envelope", source)
+    return DimSeries(values, "arity", exact=a_dims.exact)
 
 
-def symmetric_envelope_dims(a_dims: DimSeries, source: str = "algebra") -> OperadDimProfile:
+def symmetric_envelope_dims(a_dims: DimSeries) -> DimSeries:
     """dims[n] = n * a_dims[n-1]; the series identity is z (z H(z))'."""
     _require_connected(a_dims)
     values = (0,) + tuple(n * v for n, v in enumerate(a_dims.values, start=1))
-    return OperadDimProfile(DimSeries(values, "arity", exact=a_dims.exact),
-                            "symmetric_envelope", source)
+    return DimSeries(values, "arity", exact=a_dims.exact)
 
 
 def operadize(a: MonomialAlgebraPresentation) -> MonomialOperadPresentation:
@@ -93,8 +78,7 @@ def operadize(a: MonomialAlgebraPresentation) -> MonomialOperadPresentation:
     return MonomialOperadPresentation(alphabet, relations, name=label)
 
 
-def operadization_dims(a_dims: DimSeries, d: int, max_arity: int,
-                       source: str = "algebra") -> OperadDimProfile:
+def operadization_dims(a_dims: DimSeries, d: int, max_arity: int) -> DimSeries:
     """The piecewise dimension formula for an operadized algebra.
 
     dims[1] = dims[d] = 1, dims[(l+1)d - l] = a_dims[l] for l >= 1, zero
@@ -114,5 +98,4 @@ def operadization_dims(a_dims: DimSeries, d: int, max_arity: int,
         if n > max_arity:
             break
         values[n] = a_dims[l]
-    return OperadDimProfile(DimSeries(tuple(values), "arity", exact=a_dims.exact),
-                            "operadization", source, d=d)
+    return DimSeries(tuple(values), "arity", exact=a_dims.exact)

@@ -23,5 +23,5 @@ class TreeOrder:
     def key(self, t: TreeMonomial):
         """A sort key: key(t1) < key(t2) iff t1 is smaller than t2."""
         rank = self._rank
-        words = to_path_sequence(t).words
+        words = to_path_sequence(t)
         return (len(words), tuple((len(w), tuple(rank[x] for x in w)) for w in words))

@@ -1,8 +1,10 @@
 """Generating-series analysis: growth estimation, rational fitting,
 polynomial-coefficient recurrence guessing, and zero-run structure.
 
-Every fit runs over exact rationals; the only floating point lives in the
-explicitly labelled growth estimators (logarithms of exact partial sums).
+The analysers take any sequence of exact numbers (a DimSeries, ints or
+Fractions) and convert it to Fractions once on entry.  Every fit runs over
+exact rationals; the only floating point lives in the explicitly labelled
+growth estimators (logarithms of exact partial sums).
 Absence results are "no candidate at these bounds", never a proof: a
 candidate is returned only when it also verifies on a holdout suffix that
 no fitting step ever saw.
@@ -35,62 +37,36 @@ class WindowTooShortError(SeriesError):
     """Not enough coefficients for the requested fit bounds plus holdout."""
 
 
-@dataclass(frozen=True)
-class SeriesWindow:
-    """Exact rational coefficients c_0..c_N of a truncated power series."""
-
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients",
-                           tuple(Fraction(c) for c in self.coefficients))
-
-    @classmethod
-    def from_values(cls, values: Iterable) -> "SeriesWindow":
-        return cls(tuple(Fraction(v) for v in values))
-
-    @classmethod
-    def from_dims(cls, dims: DimSeries | Sequence[int]) -> "SeriesWindow":
-        return cls.from_values(as_dim_values(dims))
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coefficients[i]
-
-    def __iter__(self):
-        return iter(self.coefficients)
+def _exact(s: Iterable) -> tuple[Fraction, ...]:
+    """The coefficients c_0..c_N as exact rationals; a float becomes the
+    rational it stores exactly."""
+    return tuple(Fraction(c) for c in s)
 
 
-def series_shift(s: SeriesWindow, k: int = 1) -> SeriesWindow:
-    """Multiply by z**k, keeping the truncation window."""
-    if k < 0:
-        raise SeriesError("shift must be nonnegative")
-    coeffs = (Fraction(0),) * k + s.coefficients
-    return SeriesWindow(coeffs[:len(s.coefficients)])
+def series_shift(s: Iterable) -> tuple[Fraction, ...]:
+    """Multiply by z, keeping the truncation window."""
+    coeffs = _exact(s)
+    return ((Fraction(0),) + coeffs)[:len(coeffs)]
 
 
-def series_derivative(s: SeriesWindow) -> SeriesWindow:
+def series_derivative(s: Iterable) -> tuple[Fraction, ...]:
     """Formal derivative; the window shrinks by one."""
-    return SeriesWindow(tuple(n * c for n, c in enumerate(s.coefficients) if n >= 1))
+    return tuple(n * c for n, c in enumerate(_exact(s)) if n >= 1)
 
 
-def series_mul(a: SeriesWindow, b: SeriesWindow, truncation: Optional[int] = None) -> SeriesWindow:
+def series_mul(a: Iterable, b: Iterable,
+               truncation: Optional[int] = None) -> tuple[Fraction, ...]:
     """Cauchy product truncated to the shorter window (or to ``truncation``)."""
+    a, b = _exact(a), _exact(b)
     n = min(len(a), len(b)) - 1 if truncation is None else truncation
     out = [Fraction(0)] * (n + 1)
-    for i, ca in enumerate(a.coefficients[:n + 1]):
+    for i, ca in enumerate(a[:n + 1]):
         if ca == 0:
             continue
-        for j, cb in enumerate(b.coefficients[:n + 1 - i]):
+        for j, cb in enumerate(b[:n + 1 - i]):
             if cb != 0:
                 out[i + j] += ca * cb
-    return SeriesWindow(tuple(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +152,6 @@ class RationalFit:
 
     numerator: tuple[Fraction, ...]
     denominator: tuple[Fraction, ...]
-    holdout_verified: bool
 
 
 def fit_bounds(n_max: int, max_den_degree: Optional[int] = None,
@@ -195,7 +170,7 @@ def fit_bounds(n_max: int, max_den_degree: Optional[int] = None,
     return max_den_degree, max_num_degree
 
 
-def fit_rational(s: SeriesWindow, max_den_degree: Optional[int] = None,
+def fit_rational(s: Iterable, max_den_degree: Optional[int] = None,
                  max_num_degree: Optional[int] = None) -> Optional[RationalFit]:
     """Minimal rational function whose expansion reproduces the window.
 
@@ -205,7 +180,7 @@ def fit_rational(s: SeriesWindow, max_den_degree: Optional[int] = None,
     including the final ``DEFAULT_HOLDOUT`` coefficients, which no solve
     used.  Returns None when nothing fits.
     """
-    coeffs = s.coefficients
+    coeffs = _exact(s)
     n_max = len(coeffs) - 1
     usable = n_max - DEFAULT_HOLDOUT
     max_den_degree, max_num_degree = fit_bounds(n_max, max_den_degree, max_num_degree)
@@ -222,7 +197,7 @@ def fit_rational(s: SeriesWindow, max_den_degree: Optional[int] = None,
             conv = _poly_series_product(den, coeffs)
             if all(conv[n] == 0 for n in range(nu + 1, n_max + 1)):
                 num = tuple(conv[:nu + 1])
-                return RationalFit(num, tuple(den), True)
+                return RationalFit(num, tuple(den))
     return None
 
 
@@ -253,7 +228,7 @@ def _poly_series_product(poly: Sequence[Fraction], coeffs: Sequence[Fraction]) -
     return out
 
 
-def expand_rational(fit: RationalFit, truncation: int) -> SeriesWindow:
+def expand_rational(fit: RationalFit, truncation: int) -> tuple[Fraction, ...]:
     """Power-series expansion of num/den up to the given truncation."""
     num, den = fit.numerator, fit.denominator
     if not den or den[0] == 0:
@@ -264,7 +239,7 @@ def expand_rational(fit: RationalFit, truncation: int) -> SeriesWindow:
         for j in range(1, min(n, len(den) - 1) + 1):
             acc -= den[j] * out[n - j]
         out[n] = acc / den[0]
-    return SeriesWindow(tuple(out))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +259,6 @@ class RecurrenceCandidate:
     degree: int
     polynomials: tuple[tuple[int, ...], ...]
     fit_window: tuple[int, int]
-    holdout_verified: bool
 
     def residual(self, coeffs: Sequence[Fraction], n: int) -> Fraction:
         acc = Fraction(0)
@@ -297,7 +271,7 @@ class RecurrenceCandidate:
         return all(self.residual(coeffs, n) == 0 for n in range(start, stop + 1))
 
 
-def guess_holonomic(s: SeriesWindow, max_order: int,
+def guess_holonomic(s: Iterable, max_order: int,
                     max_degree: int) -> Optional[RecurrenceCandidate]:
     """Search for a polynomial-coefficient linear recurrence, smallest order
     first, then smallest degree.
@@ -310,7 +284,7 @@ def guess_holonomic(s: SeriesWindow, max_order: int,
     annihilate the final ``DEFAULT_HOLDOUT`` coefficients, which no fit
     ever used.
     """
-    coeffs = s.coefficients
+    coeffs = _exact(s)
     n_max = len(coeffs) - 1
     needed = (max_order + 1) * (max_degree + 1) + max_order + DEFAULT_HOLDOUT
     if n_max < needed:
@@ -332,9 +306,9 @@ def guess_holonomic(s: SeriesWindow, max_order: int,
                 polys = tuple(
                     tuple(ints[i * (degree + 1):(i + 1) * (degree + 1)])
                     for i in range(order + 1))
-                cand = RecurrenceCandidate(order, degree, polys, (order, usable), False)
+                cand = RecurrenceCandidate(order, degree, polys, (order, usable))
                 if cand.annihilates(coeffs, usable + 1, n_max):
-                    return RecurrenceCandidate(order, degree, polys, (order, usable), True)
+                    return cand
     return None
 
 
@@ -384,12 +358,12 @@ def zero_run_report(coeffs: Iterable) -> ZeroRunReport:
     return ZeroRunReport(tuple(runs), max_run, growing)
 
 
-def exponential_transform(s: SeriesWindow) -> SeriesWindow:
+def exponential_transform(s: Iterable) -> tuple[Fraction, ...]:
     """c_n -> c_n / n! as exact rationals."""
     out = []
     fact = 1
-    for n, c in enumerate(s.coefficients):
+    for n, c in enumerate(_exact(s)):
         if n:
             fact *= n
-        out.append(Fraction(c, 1) / fact)
-    return SeriesWindow(tuple(out))
+        out.append(c / fact)
+    return tuple(out)

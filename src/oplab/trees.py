@@ -168,17 +168,10 @@ class TreeMonomial:
         return cls(alphabet, None)
 
     @classmethod
-    def node(
-        cls,
-        alphabet: Alphabet,
-        name: str,
-        children: Optional[Sequence[Optional["TreeMonomial"]]] = None,
-    ) -> "TreeMonomial":
-        """Build a node labeled by the named generator; children default to leaves."""
+    def node(cls, alphabet: Alphabet, name: str) -> "TreeMonomial":
+        """The node labeled by the named generator, with a leaf in every slot."""
         g = alphabet[name]
-        if children is None:
-            children = (LEAF,) * g.arity
-        return cls(alphabet, g, children)
+        return cls(alphabet, g, (LEAF,) * g.arity)
 
     @property
     def is_trivial(self) -> bool:
@@ -259,25 +252,6 @@ def _fast_node(alphabet: Alphabet, generator: Generator,
     return t
 
 
-@dataclass(frozen=True)
-class PathSequence:
-    """One word over generator names per leaf, in planar order.
-
-    The trivial monomial's path sequence is a single empty word.
-    """
-
-    words: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "words", tuple(tuple(w) for w in self.words))
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __iter__(self) -> Iterator[tuple[str, ...]]:
-        return iter(self.words)
-
-
 def compose(t1: TreeMonomial, i: int, t2: TreeMonomial) -> TreeMonomial:
     """Partial composition: graft ``t2`` onto leaf ``i`` (1-based) of ``t1``.
 
@@ -306,10 +280,13 @@ def _replace_leaf(node: TreeMonomial, i: int, repl: TreeMonomial) -> TreeMonomia
     raise AssertionError("leaf index bookkeeping failure")
 
 
-def to_path_sequence(t: TreeMonomial) -> PathSequence:
-    """Record, for each leaf in planar order, the labels from the root down."""
+def to_path_sequence(t: TreeMonomial) -> tuple[tuple[str, ...], ...]:
+    """Record, for each leaf in planar order, the labels from the root down.
+
+    The trivial monomial's path sequence is a single empty word.
+    """
     if t.is_trivial:
-        return PathSequence(((),))
+        return ((),)
     words: list[tuple[str, ...]] = []
     path: list[str] = []  # the labels from the root down to the current vertex
     stack: list = [(t, 0)]  # (subtree or LEAF, its depth), the next one on top
@@ -321,16 +298,16 @@ def to_path_sequence(t: TreeMonomial) -> PathSequence:
         else:
             path.append(node.generator.name)
             stack += [(c, depth + 1) for c in reversed(node.children)]
-    return PathSequence(tuple(words))
+    return tuple(words)
 
 
-def from_path_sequence(path: PathSequence | Sequence[Sequence[str]], alphabet: Alphabet) -> TreeMonomial:
+def from_path_sequence(path: Sequence[Sequence[str]], alphabet: Alphabet) -> TreeMonomial:
     """Rebuild the unique tree monomial with the given path sequence.
 
     Raises :class:`MalformedPathError` when the words cannot be realized
     (unknown labels, arity bookkeeping failure, or inconsistent prefixes).
     """
-    words = path.words if isinstance(path, PathSequence) else tuple(tuple(w) for w in path)
+    words = tuple(tuple(w) for w in path)
     if not words:
         raise MalformedPathError("a path sequence needs at least one word")
     if words[0] == ():
@@ -365,7 +342,7 @@ def from_path_sequence(path: PathSequence | Sequence[Sequence[str]], alphabet: A
         raise AssertionError("nontrivial root parsed as leaf")
     if consumed != len(words):
         raise MalformedPathError(f"only {consumed} of {len(words)} words were consumed")
-    if to_path_sequence(tree).words != words:
+    if to_path_sequence(tree) != words:
         raise MalformedPathError("words are not the path sequence of any tree monomial")
     return tree
 

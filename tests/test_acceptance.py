@@ -16,7 +16,6 @@ from oplab import (
     BranchWord,
     MonomialAlgebraPresentation,
     MonomialOperadPresentation,
-    SeriesWindow,
     TreeMonomial,
     closed_set_counts,
     compose,
@@ -102,7 +101,7 @@ def test_criterion_02_path_sequences():
     t4 = parse_monomial("b(c(*,*),b(*,*))", FIG3)
 
     def words(t):
-        return tuple("".join(w) for w in to_path_sequence(t).words)
+        return tuple("".join(w) for w in to_path_sequence(t))
 
     assert words(t1) == ("ab", "ab")
     assert words(t2) == ("b", "bc", "bc")
@@ -149,7 +148,7 @@ def test_criterion_04_single_generator_dims():
     assert all(dims2[n] == dims2[n - 1] + dims2[n - 2] for n in range(3, 26))
 
     longer = dim_by_arity(fib, 45, engine="dp")
-    fit = fit_rational(SeriesWindow.from_dims(longer))
+    fit = fit_rational(longer)
     assert fit is not None and fit.denominator == (1, -1, -1)
     _report(4, "2^(n-2), eventually-2, and Fibonacci dims exact; "
                "fitted denominator 1 - z - z^2")
@@ -181,7 +180,7 @@ def test_criterion_06_operadization_formula():
         algebra = MonomialAlgebraPresentation(variables, words)
         p = operadize(algebra)
         engine = dim_by_arity(p, 15).values
-        formula = operadization_dims(hilbert_dims(algebra, 15), nvars, 15).dims.values
+        formula = operadization_dims(hilbert_dims(algebra, 15), nvars, 15).values
         assert engine == formula, (variables, algebra.forbidden)
     _report(6, "operadization dims match the piecewise formula for 10 random "
                "algebras up to arity 15, exactly")
@@ -290,27 +289,27 @@ def test_criterion_10_gap_dichotomy_sweep():
 def test_criterion_11_series_analysis():
     # rational fits
     ex1_dims = dim_by_arity(preset_presentation("ex53-1"), 45)
-    fit1 = fit_rational(SeriesWindow.from_dims(ex1_dims))
+    fit1 = fit_rational(ex1_dims)
     assert fit1.numerator == (0, 1, -1) and fit1.denominator == (1, -2)
     ex3_dims = dim_by_arity(preset_presentation("ex53-3"), 45)
-    fit3 = fit_rational(SeriesWindow.from_dims(ex3_dims))
+    fit3 = fit_rational(ex3_dims)
     assert fit3.numerator == (0, 1, 0, 1) and fit3.denominator == (1, -1)
 
     # recurrences
     fib_dims = dim_by_arity(preset_presentation("ex53-2"), 70)
-    fib_cand = guess_holonomic(SeriesWindow.from_dims(fib_dims), 4, 4)
+    fib_cand = guess_holonomic(fib_dims, 4, 4)
     assert (fib_cand.order, fib_cand.degree) == (2, 0)
     assert fib_cand.polynomials == ((1,), (-1,), (-1,))
     binom = [(n + 2) * (n + 1) // 2 for n in range(60)]
-    binom_cand = guess_holonomic(SeriesWindow.from_values(binom), 3, 3)
+    binom_cand = guess_holonomic(binom, 3, 3)
     assert binom_cand.order == 1 and binom_cand.degree <= 2
 
     # partition absence at the pinned bounds
-    absent = guess_holonomic(SeriesWindow.from_dims(partition_dims(300)), 6, 6)
+    absent = guess_holonomic(partition_dims(300), 6, 6)
     assert absent is None
 
     # exponential-transform equivalence at (4, 4)
-    w = SeriesWindow.from_dims(fib_dims)
+    w = fib_dims
     assert (guess_holonomic(w, 4, 4) is not None) == \
         (guess_holonomic(exponential_transform(w), 4, 4) is not None)
 
@@ -331,10 +330,10 @@ def test_criterion_11_series_analysis():
     assert report.growing
 
     # shift and derivative identities hold coefficientwise at N = 200
-    h = SeriesWindow.from_dims(partition_dims(200))
-    mins = min_envelope_dims(partition_dims(200)).dims
+    h = partition_dims(200)
+    mins = min_envelope_dims(partition_dims(200))
     assert tuple(int(c) for c in series_shift(h)) == mins.values[:201]
-    syms = symmetric_envelope_dims(partition_dims(200)).dims
+    syms = symmetric_envelope_dims(partition_dims(200))
     zh_prime = series_shift(series_derivative(series_shift(h)))
     assert tuple(int(c) for c in zh_prime) == syms.values[:200]
     _report(11, "rational fits, recurrences, partition absence at (6,6,300), "
@@ -346,10 +345,10 @@ def test_criterion_12_series_reproduction():
     n = 100
     h_u = example62_dims(n)
     # shifted series: arity-n dim equals degree-(n-1) dim
-    p_u = min_envelope_dims(h_u).dims
+    p_u = min_envelope_dims(h_u)
     assert p_u.values[:n + 1] == (0,) + h_u.values[:n]
     # single-generator encoding: z + z^2 H(z)
-    q_u = operadization_dims(example62_dims(n - 2), 2, n).dims
+    q_u = operadization_dims(example62_dims(n - 2), 2, n)
     expected = [0, 1] + [h_u[l] for l in range(n - 1)]
     assert list(q_u.values) == expected
 
@@ -357,15 +356,15 @@ def test_criterion_12_series_reproduction():
     model = example62_monomial_model(29)
     p = operadize(model)
     engine = dim_by_arity(p, 31).values
-    formula = operadization_dims(hilbert_dims(model, 29), 2, 31).dims.values
+    formula = operadization_dims(hilbert_dims(model, 29), 2, 31).values
     assert engine == formula
     assert hilbert_dims(model, 29).values == example62_dims(29).values
 
     # partition algebra: z P(z) and z (z P(z))'
     p_n = partition_dims(n)
-    p_a = min_envelope_dims(p_n).dims
+    p_a = min_envelope_dims(p_n)
     assert p_a.values[:n + 1] == (0,) + p_n.values[:n]
-    so_a = symmetric_envelope_dims(p_n).dims
+    so_a = symmetric_envelope_dims(p_n)
     assert all(so_a[k] == k * p_n[k - 1] for k in range(1, n + 1))
     _report(12, "shifted, encoded, and derivative series identities exact to "
                 "N = 100 with the explicit gap-model cross-check")

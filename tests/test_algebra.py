@@ -31,7 +31,7 @@ from oplab.algebra import (
     sparse_gap_intervals,
     word_is_normal,
 )
-from oplab.series import SeriesWindow, series_mul
+from oplab.series import series_mul
 
 
 class TestHilbert:
@@ -127,10 +127,10 @@ class TestPartition:
     def test_product_oracle(self):
         n = 40
         dims = partition_dims(n)
-        prod = SeriesWindow.from_values([1] + [0] * n)
+        prod = [1] + [0] * n
         for part in range(1, n + 1):
             geom = [1 if k % part == 0 else 0 for k in range(n + 1)]
-            prod = series_mul(prod, SeriesWindow.from_values(geom), n)
+            prod = series_mul(prod, geom, n)
         assert tuple(int(c) for c in prod) == dims.values
 
     def test_pentagonal_recurrence(self):

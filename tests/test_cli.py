@@ -308,6 +308,15 @@ class TestOperadizeCommand:
         code, _ = invoke("operadize", "--algebra", str(alg), "--emit", "-")
         assert code == 1
 
+    @pytest.mark.parametrize("target", ["missing/out.txt", "."], ids=["no-dir", "dir"])
+    def test_unwritable_emit_is_usage_error(self, tmp_path, capsys, target):
+        alg = tmp_path / "alg.txt"
+        alg.write_text("var x1\nvar x2\n")
+        emit = tmp_path / target
+        code, text = invoke("operadize", "--algebra", str(alg), "--emit", str(emit))
+        assert (code, text) == (1, "")
+        assert f"oplab: usage error: cannot write {emit}: " in capsys.readouterr().err
+
 
 class TestEnvelope:
     def test_min_partition(self):
@@ -327,6 +336,19 @@ class TestEnvelope:
                             "--max-index", "3", "--emit", "gnuplot")
         assert code == 0
         assert text == "# envelope sym ex64-partition\n$data << EOD\n0 0 0\n1 1 1\n2 2 3\n3 6 9\nEOD\n"
+
+    @pytest.mark.parametrize("kind, line", [
+        ("min", '{"command": "envelope", "exact": true, "index_kind": "arity", '
+                '"kind": "min_envelope", "source": "ex64-partition", "truncation": 8, '
+                '"values": ["0", "1", "1", "2", "3", "5", "7", "11", "15"]}\n'),
+        ("sym", '{"command": "envelope", "exact": true, "index_kind": "arity", '
+                '"kind": "symmetric_envelope", "source": "ex64-partition", "truncation": 8, '
+                '"values": ["0", "1", "2", "6", "12", "25", "42", "77", "120"]}\n'),
+    ])
+    def test_json_line(self, kind, line):
+        code, text = invoke("envelope", "--kind", kind, "--preset", "ex64-partition",
+                            "--max-index", "8", "--emit", "json")
+        assert (code, text) == (0, line)
 
 
 class TestUsageErrors:
@@ -363,6 +385,18 @@ class TestUsageErrors:
         code, text = invoke("series", "--preset", spec, "--max", "5")
         assert (code, text) == (1, "")
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("--max", "3"), ()], ids=["max", "no-max"])
+    def test_missing_source_file_is_neither_file_nor_preset(self, tmp_path, capsys, argv):
+        missing = tmp_path / "missing.csv"
+        code, text = invoke("series", "--source", str(missing), *argv)
+        assert (code, text) == (1, "")
+        assert (capsys.readouterr().err == f"oplab: usage error: {str(missing)!r} is neither "
+                "a file nor a preset; run 'oplab preset-list'\n")
+        # --preset keeps its own message
+        code, _ = invoke("series", "--preset", "missing.csv", "--max", "3")
+        assert code == 1
+        assert "unknown preset 'missing.csv'" in capsys.readouterr().err
 
     def test_parametrized_preset_requires_param(self):
         code, _ = invoke("series", "--preset", "warfield", "--max", "10")
@@ -596,21 +630,23 @@ class TestReadme:
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# every name the package exported when its __init__ imported each submodule eagerly
+# every name the package exports: those it exported when its __init__ imported
+# each submodule eagerly, less the wrapper types in REMOVED_NAMES
 PUBLIC_NAMES = """
     MonomialAlgebraPresentation adjoin_polynomial_variables example62_dims
     example62_monomial_model floor_power_dims free_algebra_dims hilbert_dims
     partition_dims polynomial_ring_dims warfield_dims warfield_monomial_model
     AvoidanceSystem BranchWord closed_set_counts extend from_branch_word
     is_local_period is_period minimal_period to_branch_word
-    OperadDimProfile min_envelope_dims operadization_dims operadize
+    min_envelope_dims operadization_dims operadize
     symmetric_envelope_dims DimSeries MonomialOperadPresentation dim_by_arity
     dim_by_weight enumerate_irr gap_dichotomy_check is_normal_form TreeOrder
-    SeriesWindow exponential_transform fit_rational gk_estimate guess_holonomic
-    zero_run_report LEAF Alphabet Generator PathSequence TreeMonomial compose
+    exponential_transform fit_rational gk_estimate guess_holonomic
+    zero_run_report LEAF Alphabet Generator TreeMonomial compose
     divides format_monomial from_path_sequence parse_monomial submonomials
     to_path_sequence __version__
 """.split()
+REMOVED_NAMES = ("SeriesWindow", "PathSequence", "OperadDimProfile")
 
 
 def modules_loaded_by(code: str) -> set[str]:
@@ -652,7 +688,7 @@ class TestImportGraph:
             assert hasattr(oplab, name), name
             assert name in dir(oplab), name
         assert oplab.DimSeries is DimSeries
-        assert set(PUBLIC_NAMES) - {"__version__"} <= set(oplab.__all__)
+        assert set(PUBLIC_NAMES) - {"__version__"} == set(oplab.__all__)
 
     def test_unknown_name_raises_attribute_error(self):
         import oplab
@@ -660,3 +696,6 @@ class TestImportGraph:
         with pytest.raises(AttributeError, match="no_such_name"):
             oplab.no_such_name
         assert not hasattr(oplab, "cli_helpers")
+        for name in REMOVED_NAMES:
+            with pytest.raises(AttributeError, match=name):
+                getattr(oplab, name)

@@ -75,7 +75,7 @@ class TestOperadize:
             a = MonomialAlgebraPresentation(variables, words)
             p = operadize(a)
             engine = dim_by_arity(p, 15).values
-            formula = operadization_dims(hilbert_dims(a, 15), nvars, 15).dims.values
+            formula = operadization_dims(hilbert_dims(a, 15), nvars, 15).values
             assert engine == formula
 
     def test_relation_composites_stay_in_ideal(self):
@@ -97,7 +97,7 @@ class TestGkPreservation:
         a = MonomialAlgebraPresentation(("x", "y"), [("y", "x")])
         algebra_est = gk_estimate(hilbert_dims(a, 4000))
         operad_est = gk_estimate(
-            operadization_dims(hilbert_dims(a, 2000), 2, 2002).dims)
+            operadization_dims(hilbert_dims(a, 2000), 2, 2002))
         assert abs(algebra_est.slope - 2.0) < 0.1
         assert abs(operad_est.slope - algebra_est.slope) < 0.1
 
@@ -106,27 +106,26 @@ class TestGkPreservation:
         a = MonomialAlgebraPresentation(("x", "y"))
         assert gk_estimate(hilbert_dims(a, 300)).exp_flag
         assert gk_estimate(
-            operadization_dims(hilbert_dims(a, 300), 2, 302).dims).exp_flag
+            operadization_dims(hilbert_dims(a, 300), 2, 302)).exp_flag
 
 
 class TestEnvelopes:
     def test_min_envelope_shifts(self):
-        prof = min_envelope_dims(partition_dims(8))
-        assert prof.dims.values == (0,) + partition_dims(8).values
-        assert prof.kind == "min_envelope"
+        dims = min_envelope_dims(partition_dims(8))
+        assert dims.values == (0,) + partition_dims(8).values
 
     def test_min_envelope_unit(self):
-        prof = min_envelope_dims(DimSeries((1, 0, 0), "degree"))
-        assert prof.dims.values == (0, 1, 0, 0)
+        dims = min_envelope_dims(DimSeries((1, 0, 0), "degree"))
+        assert dims.values == (0, 1, 0, 0)
 
     def test_symmetric_envelope_scales(self):
-        prof = symmetric_envelope_dims(partition_dims(6))
+        dims = symmetric_envelope_dims(partition_dims(6))
         p = partition_dims(6).values
-        assert prof.dims.values == (0,) + tuple((n + 1) * p[n] for n in range(7))
+        assert dims.values == (0,) + tuple((n + 1) * p[n] for n in range(7))
 
     def test_symmetric_envelope_unit(self):
-        prof = symmetric_envelope_dims(DimSeries((1, 0, 0), "degree"))
-        assert prof.dims.values == (0, 1, 0, 0)
+        dims = symmetric_envelope_dims(DimSeries((1, 0, 0), "degree"))
+        assert dims.values == (0, 1, 0, 0)
 
     def test_non_connected_rejected(self):
         bad = DimSeries((0, 1, 1), "degree")
@@ -140,7 +139,7 @@ class TestEnvelopes:
 
 class TestOperadizationFormula:
     def test_support_pattern_d2(self):
-        dims = operadization_dims(hilbert_dims(fib_algebra(), 10), 2, 12).dims
+        dims = operadization_dims(hilbert_dims(fib_algebra(), 10), 2, 12)
         assert dims[1] == 1 and dims[2] == 1
         fib = hilbert_dims(fib_algebra(), 10)
         for l in range(1, 11):
@@ -148,7 +147,7 @@ class TestOperadizationFormula:
 
     def test_support_pattern_d3(self):
         a = MonomialAlgebraPresentation(("x", "y", "z"))
-        dims = operadization_dims(hilbert_dims(a, 5), 3, 13).dims
+        dims = operadization_dims(hilbert_dims(a, 5), 3, 13)
         assert dims[1] == 1 and dims[3] == 1
         assert dims[2] == 0 and dims[4] == 0
         for l in range(1, 6):

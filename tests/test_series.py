@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from oplab import (
     DimSeries,
     MonomialAlgebraPresentation,
-    SeriesWindow,
     exponential_transform,
     fit_rational,
     free_algebra_dims,
@@ -66,8 +65,6 @@ class TestDimSeries:
         with pytest.raises(ValueError, match=f"dimension {bad} is"):
             as_dim_values(values)
         with pytest.raises(ValueError):
-            SeriesWindow.from_dims(values)
-        with pytest.raises(ValueError):
             gk_estimate(list(range(1, 10)) + values)
 
 
@@ -107,29 +104,28 @@ def _floor_pow(n, q):
 class TestFitRational:
     def test_geometric_with_offset(self):
         vals = [0, 1] + [2 ** (n - 2) for n in range(2, 41)]
-        fit = fit_rational(SeriesWindow.from_values(vals))
+        fit = fit_rational(vals)
         assert fit.numerator == (0, 1, -1)
         assert fit.denominator == (1, -2)
-        assert fit.holdout_verified
 
     def test_fibonacci_denominator(self):
-        fit = fit_rational(SeriesWindow.from_values(fib_values(40)))
+        fit = fit_rational(fib_values(40))
         assert fit.numerator == (0, 1)
         assert fit.denominator == (1, -1, -1)
 
     def test_eventually_constant(self):
         vals = [0, 1, 1] + [2] * 37
-        fit = fit_rational(SeriesWindow.from_values(vals))
+        fit = fit_rational(vals)
         assert fit.numerator == (0, 1, 0, 1)
         assert fit.denominator == (1, -1)
 
     def test_no_fit_for_partitions(self):
-        fit = fit_rational(SeriesWindow.from_dims(partition_dims(60)), max_den_degree=6)
+        fit = fit_rational(partition_dims(60), max_den_degree=6)
         assert fit is None
 
     def test_expand_round_trip(self):
         vals = fib_values(40)
-        fit = fit_rational(SeriesWindow.from_values(vals))
+        fit = fit_rational(vals)
         assert list(expand_rational(fit, 40)) == [Fraction(v) for v in vals]
 
     @given(st.data())
@@ -142,7 +138,7 @@ class TestFitRational:
         num = [Fraction(data.draw(st.integers(-4, 4))) for _ in range(num_deg + 1)]
         window = expand_rational(
             __import__("oplab.series", fromlist=["RationalFit"]).RationalFit(
-                tuple(num), tuple(den), True), 60)
+                tuple(num), tuple(den)), 60)
         fit = fit_rational(window)
         assert fit is not None
         # same rational function: cross-multiplied polynomials agree
@@ -152,7 +148,7 @@ class TestFitRational:
 
     def test_window_too_short(self):
         with pytest.raises(WindowTooShortError):
-            fit_rational(SeriesWindow.from_values([1, 2, 3]), max_den_degree=4)
+            fit_rational([1, 2, 3], max_den_degree=4)
 
 
 def _poly_mul(a, b):
@@ -167,18 +163,18 @@ def _poly_mul(a, b):
 
 class TestGuessHolonomic:
     def test_fibonacci_constant_coefficients(self):
-        cand = guess_holonomic(SeriesWindow.from_values(fib_values(70)), 4, 4)
+        cand = guess_holonomic(fib_values(70), 4, 4)
         assert (cand.order, cand.degree) == (2, 0)
         assert cand.polynomials == ((1,), (-1,), (-1,))
 
     def test_binomial_first_order(self):
         vals = [(n + 2) * (n + 1) // 2 for n in range(60)]
-        cand = guess_holonomic(SeriesWindow.from_values(vals), 3, 3)
+        cand = guess_holonomic(vals, 3, 3)
         assert cand.order == 1 and cand.degree <= 2
         assert cand.annihilates([Fraction(v) for v in vals], 1, 59)
 
     def test_partition_absent_at_small_bounds(self):
-        cand = guess_holonomic(SeriesWindow.from_dims(partition_dims(150)), 3, 3)
+        cand = guess_holonomic(partition_dims(150), 3, 3)
         assert cand is None
 
     def test_recovers_random_recurrences(self):
@@ -208,21 +204,21 @@ class TestGuessHolonomic:
                 n += 1
             if not ok:
                 continue
-            cand = guess_holonomic(SeriesWindow.from_values(vals), 3, 3)
+            cand = guess_holonomic(vals, 3, 3)
             assert cand is not None
             assert cand.annihilates(vals, cand.order, len(vals) - 1)
 
     def test_holdout_rejection_keeps_searching(self):
         # c_n = c_{n-1} holds on the fit window only; every later bound is still tried
         vals = [Fraction(1, 3)] * 50 + [Fraction(2)] * 20
-        assert guess_holonomic(SeriesWindow.from_values(vals), 3, 2) is None
+        assert guess_holonomic(vals, 3, 2) is None
 
     def test_window_too_short(self):
         with pytest.raises(WindowTooShortError):
-            guess_holonomic(SeriesWindow.from_values(fib_values(30)), 4, 4)
+            guess_holonomic(fib_values(30), 4, 4)
 
     def test_exponential_transform_equivalence(self):
-        w = SeriesWindow.from_values(fib_values(70))
+        w = fib_values(70)
         e = exponential_transform(w)
         c1 = guess_holonomic(w, 4, 4)
         c2 = guess_holonomic(e, 4, 4)
@@ -254,13 +250,13 @@ class TestZeroRuns:
 
     def test_operadized_support_d2(self):
         dims = operadization_dims(hilbert_dims(
-            MonomialAlgebraPresentation(("x1", "x2")), 40), 2, 42).dims
+            MonomialAlgebraPresentation(("x1", "x2")), 40), 2, 42)
         report = zero_run_report(dims.values)
         assert all(j <= 0 for _, j in report.runs)  # only the n=0 slot is zero
 
     def test_operadized_support_d3(self):
         dims = operadization_dims(hilbert_dims(
-            MonomialAlgebraPresentation(("x", "y", "z")), 18), 3, 40).dims
+            MonomialAlgebraPresentation(("x", "y", "z")), 18), 3, 40)
         report = zero_run_report(dims.values)
         interior = [r for r in report.runs if r[0] >= 4]
         assert interior and all(j - i + 1 == 1 for i, j in interior)
@@ -275,24 +271,40 @@ class TestZeroRuns:
 
 class TestExponentialTransform:
     def test_ones(self):
-        w = exponential_transform(SeriesWindow.from_values([1, 1, 1, 1]))
+        w = exponential_transform([1, 1, 1, 1])
         assert list(w) == [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 6)]
 
     def test_factorials_flatten(self):
         fact = [1]
         for n in range(1, 8):
             fact.append(fact[-1] * n)
-        w = exponential_transform(SeriesWindow.from_values(fact))
+        w = exponential_transform(fact)
         assert all(c == 1 for c in w)
+
+
+class TestInputConvention:
+    @pytest.mark.parametrize("dims", [DimSeries(fib_values(80), "arity"),
+                                      polynomial_ring_dims(3, 80)], ids=["fib", "polyring3"])
+    def test_dimseries_ints_and_fractions_agree(self, dims):
+        inputs = (dims, list(dims.values), [Fraction(v) for v in dims.values])
+        fits = [fit_rational(s) for s in inputs]
+        guesses = [guess_holonomic(s, 2, 2) for s in inputs]
+        assert fits[0] is not None and fits.count(fits[0]) == 3
+        assert guesses[0] is not None and guesses.count(guesses[0]) == 3
+
+    def test_float_input_becomes_exact(self):
+        prod = series_mul([0.5, 1.0], [0.25, 0.1])
+        assert all(type(c) is Fraction for c in prod)
+        assert prod == (Fraction(1, 8), Fraction(1, 4) + Fraction(0.1) / 2)
 
 
 class TestSeriesOps:
     def test_shift_and_derivative(self):
-        s = SeriesWindow.from_values([1, 2, 3, 4])
+        s = [1, 2, 3, 4]
         assert list(series_shift(s)) == [0, 1, 2, 3]
         assert list(series_derivative(s)) == [2, 6, 12]
 
     def test_mul(self):
-        geom = SeriesWindow.from_values([1] * 6)
+        geom = [1] * 6
         sq = series_mul(geom, geom)
         assert list(sq) == [1, 2, 3, 4, 5, 6]

@@ -50,7 +50,7 @@ def fig3():
 
 
 def paths(t):
-    return tuple("".join(w) for w in to_path_sequence(t).words)
+    return tuple("".join(w) for w in to_path_sequence(t))
 
 
 class TestConstruction:
@@ -115,7 +115,7 @@ class TestConstruction:
         # printing, path words and equality must not recurse once per level either
         tall, twin, shorter = (_unary_chain(height) for height in (3000, 3000, 2999))
         assert format_monomial(tall) == "a(" * 3000 + "*" + ")" * 3000
-        assert to_path_sequence(tall).words == (("a",) * 3000,)
+        assert to_path_sequence(tall) == (("a",) * 3000,)
         assert tall == twin and not tall != twin
         assert tall != shorter and not tall == shorter
 
@@ -144,7 +144,7 @@ class TestPathSequences:
         assert paths(fig3["t4"]) == ("bc", "bc", "bb", "bb")
 
     def test_trivial(self):
-        assert to_path_sequence(TreeMonomial.trivial(FIG3)).words == ((),)
+        assert to_path_sequence(TreeMonomial.trivial(FIG3)) == ((),)
 
     def test_reconstruction(self, fig3):
         assert from_path_sequence([("a", "b"), ("a", "b")], FIG3) == fig3["t1"]
@@ -168,7 +168,7 @@ class TestPathSequences:
 
     def test_adjacent_words_share_prefix(self):
         for t in all_monomials(FIG3, 3):
-            words = to_path_sequence(t).words
+            words = to_path_sequence(t)
             for u, v in zip(words, words[1:]):
                 k = 0
                 while k < min(len(u), len(v)) and u[k] == v[k]:
