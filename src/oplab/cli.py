@@ -526,13 +526,17 @@ def cmd_operadize(args, out) -> int:
 
 
 def cmd_envelope(args, out) -> int:
-    from .constructions import min_envelope_dims, symmetric_envelope_dims
+    from .constructions import NonConnectedError, min_envelope_dims, symmetric_envelope_dims
 
     if args.kind == "min":
         kind, envelope = "min_envelope", min_envelope_dims
     else:
         kind, envelope = "symmetric_envelope", symmetric_envelope_dims
-    dims = envelope(preset_dims(args.preset, args.max_index))
+    try:
+        dims = envelope(preset_dims(args.preset, args.max_index))
+    except NonConnectedError:
+        raise UsageError(f"preset {args.preset!r} is not a connected algebra "
+                         f"(its dims do not start with 1)") from None
     _write_values(out, args.emit, dims.values[:args.max_index + 1], {
         "command": "envelope", "source": args.preset, "kind": kind,
         "index_kind": "arity", "exact": dims.exact},

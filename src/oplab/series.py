@@ -5,9 +5,10 @@ The analysers take any sequence of exact numbers (a DimSeries, ints or
 Fractions) and convert it to Fractions once on entry.  Every fit runs over
 exact rationals; the only floating point lives in the explicitly labelled
 growth estimators (logarithms of exact partial sums).
-Absence results are "no candidate at these bounds", never a proof: a
-candidate is returned only when it also verifies on a holdout suffix that
-no fitting step ever saw.
+Absence results are "no candidate at these bounds", never a proof beyond
+them.  Both fitters first certify their top-bound matrix modulo a prime:
+when that decides, "none" is exact for the fitted rows; otherwise it means
+that no candidate passed the holdout suffix, which no fitting step saw.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .dims import DimSeries, as_dim_values, log_of_int
-from .linalg import clear_denominators, kernel_is_trivial, nullspace, scale_rows_to_int, solve
+from .linalg import clear_denominators, kernel_is_trivial, nullspace, scale_rows_to_int
 
 DEFAULT_HOLDOUT = 20
 TAIL_FRACTION = 1 / 3  # gk_estimate fits its slope on the last third of the window
@@ -161,71 +162,59 @@ def fit_bounds(n_max: int, max_den_degree: Optional[int] = None,
 
     An unset denominator bound is the largest d <= 8 with 2d + 4 <= n_max -
     DEFAULT_HOLDOUT (0 when there is none); an unset numerator bound is the
-    denominator bound plus 3.
+    denominator bound plus 3.  The numerator bound is capped at n_max -
+    DEFAULT_HOLDOUT - 1, the largest degree that leaves a fitted row.
     """
     if max_den_degree is None:
         max_den_degree = min(8, max(0, (n_max - DEFAULT_HOLDOUT - 4) // 2))
     if max_num_degree is None:
         max_num_degree = max_den_degree + 3
-    return max_den_degree, max_num_degree
+    return max_den_degree, min(max_num_degree, max(0, n_max - DEFAULT_HOLDOUT - 1))
 
 
 def fit_rational(s: Iterable, max_den_degree: Optional[int] = None,
                  max_num_degree: Optional[int] = None) -> Optional[RationalFit]:
     """Minimal rational function whose expansion reproduces the window.
 
-    Scans denominator degrees upward (then numerator degrees), solving the
-    constant-coefficient recurrence exactly, and accepts a candidate only
-    if the product den * series has zero coefficients over the whole window
-    including the final ``DEFAULT_HOLDOUT`` coefficients, which no solve
-    used.  Returns None when nothing fits.
+    On the window scaled to integers, a fit with denominator 1 + b1 z + ...
+    + bd z^d and numerator degree <= nu is a null vector (b1..bd, 1) of the
+    rows (c_{n-1}, ..., c_{n-d}, c_n), nu < n <= N - ``DEFAULT_HOLDOUT``.
+    Padded with zeros it is one of the top bound's matrix, so if that has
+    full rank mod p, None is exact for these rows.  Otherwise the bounds
+    are scanned, denominator degree first, and a candidate must also make
+    den * series vanish on the holdout suffix; None means that none did.
     """
     coeffs = _exact(s)
     n_max = len(coeffs) - 1
-    usable = n_max - DEFAULT_HOLDOUT
     max_den_degree, max_num_degree = fit_bounds(n_max, max_den_degree, max_num_degree)
     if n_max < 2 * max_den_degree + 4:
         raise WindowTooShortError(
             f"need N >= {2 * max_den_degree + 4} for denominator degree {max_den_degree}")
+    if n_max <= DEFAULT_HOLDOUT:
+        raise WindowTooShortError(
+            f"need N > {DEFAULT_HOLDOUT} to keep a holdout of {DEFAULT_HOLDOUT}; got N = {n_max}")
+    usable = n_max - DEFAULT_HOLDOUT
+    scaled = scale_rows_to_int([coeffs])[0]
+
+    def rows(d: int, nu: int) -> list[list[int]]:
+        return [[scaled[n - j] if n >= j else 0 for j in range(1, d + 1)] + [scaled[n]]
+                for n in range(nu + 1, usable + 1)]
+
+    if kernel_is_trivial(rows(max_den_degree, max_num_degree)):
+        return None
     for d in range(max_den_degree + 1):
         for nu in range(max_num_degree + 1):
-            if nu + 1 > usable:
-                break
-            den = _solve_denominator(coeffs, d, nu, usable)
-            if den is None:
+            mat = rows(d, nu)
+            if len(mat) < d or kernel_is_trivial(mat):  # fewer rows than unknowns: skipped
                 continue
-            conv = _poly_series_product(den, coeffs)
-            if all(conv[n] == 0 for n in range(nu + 1, n_max + 1)):
-                num = tuple(conv[:nu + 1])
-                return RationalFit(num, tuple(den))
+            vec = next((v for v in nullspace(mat) if v[-1]), None)  # every free b_j zero
+            if vec is None:
+                continue
+            den = (Fraction(1), *vec[:-1])
+            conv = series_mul(den, coeffs, n_max)
+            if not any(conv[nu + 1:]):
+                return RationalFit(conv[:nu + 1], den)
     return None
-
-
-def _solve_denominator(coeffs, d: int, nu: int, usable: int) -> Optional[list[Fraction]]:
-    """Find den = 1 + b1 z + ... + bd z^d with (den*S)[n] = 0 for nu < n <= usable."""
-    if d == 0:
-        return [Fraction(1)] if all(coeffs[n] == 0 for n in range(nu + 1, usable + 1)) else None
-    rows = []
-    rhs = []
-    for n in range(nu + 1, usable + 1):
-        rows.append([coeffs[n - j] if n - j >= 0 else Fraction(0) for j in range(1, d + 1)])
-        rhs.append(-coeffs[n])
-    if len(rows) < d:
-        return None
-    sol = solve(rows, rhs)
-    if sol is None:
-        return None
-    return [Fraction(1)] + sol
-
-
-def _poly_series_product(poly: Sequence[Fraction], coeffs: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * len(coeffs)
-    for j, pj in enumerate(poly):
-        if pj == 0:
-            continue
-        for n in range(j, len(coeffs)):
-            out[n] += pj * coeffs[n - j]
-    return out
 
 
 def expand_rational(fit: RationalFit, truncation: int) -> tuple[Fraction, ...]:
@@ -280,9 +269,11 @@ def guess_holonomic(s: Iterable, max_order: int,
     recurrence), so each row is built over the integers.  The kernel is
     solved exactly; :func:`~oplab.linalg.kernel_is_trivial` certifies
     emptiness modulo one prime below 2**30, usually from a square block of
-    the rows, without rational arithmetic.  A candidate must also
-    annihilate the final ``DEFAULT_HOLDOUT`` coefficients, which no fit
-    ever used.
+    the rows, without rational arithmetic.  Every bound's null vector,
+    padded with zeros, is one of the top bound's matrix on rows n >=
+    max_order, so a certified top matrix makes None exact for the fitted
+    rows.  Otherwise a candidate must also annihilate the final
+    ``DEFAULT_HOLDOUT`` coefficients, which no fit ever used.
     """
     coeffs = _exact(s)
     n_max = len(coeffs) - 1
@@ -293,15 +284,19 @@ def guess_holonomic(s: Iterable, max_order: int,
             f"holdout {DEFAULT_HOLDOUT}); got N = {n_max}")
     usable = n_max - DEFAULT_HOLDOUT
     scaled = scale_rows_to_int([coeffs])[0]
+
+    def rows(order: int, degree: int) -> list[list[int]]:
+        return [[scaled[n - i] * n ** k for i in range(order + 1) for k in range(degree + 1)]
+                for n in range(order, usable + 1)]
+
+    if kernel_is_trivial(rows(max_order, max_degree)):
+        return None
     for order in range(1, max_order + 1):
         for degree in range(max_degree + 1):
-            rows = [[scaled[n - i] * n ** k for i in range(order + 1) for k in range(degree + 1)]
-                    for n in range(order, usable + 1)]
-            if not rows or len(rows) < len(rows[0]):
+            mat = rows(order, degree)
+            if kernel_is_trivial(mat):
                 continue
-            if kernel_is_trivial(rows):
-                continue
-            for vec in nullspace(rows):
+            for vec in nullspace(mat):
                 ints = clear_denominators(vec)
                 polys = tuple(
                     tuple(ints[i * (degree + 1):(i + 1) * (degree + 1)])

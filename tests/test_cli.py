@@ -142,11 +142,27 @@ class TestSeriesPipes:
     @pytest.mark.parametrize("argv, bounds", [
         (("--preset", "ex64-partition", "--max", "60"), "(den<=8, num<=11, N=60)"),
         (("--preset", "fibonacci", "--max", "60", "--max-den", "0"), "(den<=0, num<=3, N=60)"),
+        # N=30 leaves rows 1..10 before the holdout, so numerator degrees 0..9
+        (("--preset", "partition", "--max", "30", "--max-num", "50"), "(den<=3, num<=9, N=30)"),
     ])
     def test_fit_not_found_prints_searched_bounds(self, argv, bounds):
         code, text = invoke("fit", *argv)
         assert code == 0
         assert text.startswith(f"no rational fit at bounds {bounds} for ")
+
+    def test_partition_no_fit_line_is_pinned(self, monkeypatch):
+        _, series_csv = invoke("series", "--preset", "ex64-partition", "--max", "300")
+        code, text = invoke("fit", stdin=series_csv, monkeypatch=monkeypatch)
+        assert (code, text) == (
+            0, "no rational fit at bounds (den<=8, num<=11, N=300) for stdin\n")
+
+    @pytest.mark.parametrize("n_max", ["10", "20"])
+    def test_fit_on_a_window_within_the_holdout_is_an_error(self, monkeypatch, capsys, n_max):
+        _, series_csv = invoke("series", "--preset", "fibonacci", "--max", n_max)
+        code, text = invoke("fit", stdin=series_csv, monkeypatch=monkeypatch)
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == (
+            f"oplab: computation error: need N > 20 to keep a holdout of 20; got N = {n_max}\n")
 
     def test_binomial_guess(self, monkeypatch):
         _, series_csv = invoke("series", "--preset", "polyring:3", "--max", "60")
@@ -319,6 +335,14 @@ class TestOperadizeCommand:
 
 
 class TestEnvelope:
+    @pytest.mark.parametrize("kind, preset", [("min", "ex53-1"), ("sym", "ex34:3/2")])
+    def test_preset_that_is_not_an_algebra_is_usage_error(self, capsys, kind, preset):
+        code, text = invoke("envelope", "--kind", kind, "--preset", preset, "--max-index", "5")
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == (
+            f"oplab: usage error: preset {preset!r} is not a connected algebra "
+            f"(its dims do not start with 1)\n")
+
     def test_min_partition(self):
         code, text = invoke("envelope", "--kind", "min", "--preset", "ex64-partition",
                             "--max-index", "8")
