@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
-from .dims import DimSeries
+from .dims import DimSeries, FileSyntaxError, directives
 
 Word = tuple[str, ...]
 
@@ -27,13 +27,8 @@ class AlgebraError(ValueError):
     """Base class for monomial-algebra errors."""
 
 
-class AlgebraSyntaxError(AlgebraError):
+class AlgebraSyntaxError(FileSyntaxError, AlgebraError):
     """An algebra file failed to parse; carries the offending line."""
-
-    def __init__(self, lineno: int, line: str, reason: str) -> None:
-        super().__init__(f"line {lineno}: {reason}: {line!r}")
-        self.lineno = lineno
-        self.line = line
 
 
 def as_fraction(x) -> Fraction:
@@ -369,27 +364,27 @@ def adjoin_polynomial_variables(dims: DimSeries, n: int) -> DimSeries:
 # ---------------------------------------------------------------------------
 
 def parse_algebra(text: str, name: Optional[str] = None) -> MonomialAlgebraPresentation:
-    """Parse ``var <id>`` lines then ``forbid <id> <id> ...`` lines."""
+    """Parse ``name``, ``var <id>`` and ``forbid <id> <id> ...`` lines as
+    :func:`oplab.dims.directives` reads them, or raise :class:`AlgebraSyntaxError`."""
     variables: list[str] = []
     forbid_lines: list[tuple[int, str, Word]] = []
     label = name
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "var":
-            if len(parts) != 2:
+    for lineno, raw, keyword, rest in directives(text):
+        fields = rest.split()
+        if keyword == "var":
+            if len(fields) != 1:
                 raise AlgebraSyntaxError(lineno, raw, "expected 'var <id>'")
-            variables.append(parts[1])
-        elif parts[0] == "forbid":
-            if len(parts) < 2:
+            if rest in variables:
+                raise AlgebraSyntaxError(lineno, raw, "variable declared twice")
+            variables.append(rest)
+        elif keyword == "forbid":
+            if not fields:
                 raise AlgebraSyntaxError(lineno, raw, "expected 'forbid <id> <id> ...'")
-            forbid_lines.append((lineno, raw, tuple(parts[1:])))
-        elif parts[0] == "name":
-            label = parts[1] if len(parts) > 1 else None
+            forbid_lines.append((lineno, raw, tuple(fields)))
+        elif keyword == "name":
+            label = rest or None
         else:
-            raise AlgebraSyntaxError(lineno, raw, f"unknown directive {parts[0]!r}")
+            raise AlgebraSyntaxError(lineno, raw, f"unknown directive {keyword!r}")
     if not variables:
         raise AlgebraSyntaxError(0, "", "algebra declares no variables")
     varset = set(variables)
@@ -398,10 +393,7 @@ def parse_algebra(text: str, name: Optional[str] = None) -> MonomialAlgebraPrese
             raise AlgebraSyntaxError(lineno, raw, "forbidden word uses unknown variables")
         if len(w) < 2:
             raise AlgebraSyntaxError(lineno, raw, "forbidden words need length >= 2")
-    try:
-        return MonomialAlgebraPresentation(variables, [w for _, _, w in forbid_lines], name=label)
-    except AlgebraError as exc:
-        raise AlgebraSyntaxError(0, "", str(exc)) from None
+    return MonomialAlgebraPresentation(variables, [w for _, _, w in forbid_lines], name=label)
 
 
 def format_algebra(a: MonomialAlgebraPresentation) -> str:

@@ -5,9 +5,10 @@ operadize, envelope, preset-list.  Output is CSV by default (JSON carries
 full metadata, gnuplot emits a plottable block); every numeric value is an
 exact integer or rational unless explicitly labelled as a floating
 estimate.  Exit codes: 0 success, 1 usage error, 2 computation error
-(including a failed internal invariant).  Usage errors include a preset
-parameter that is missing, malformed or out of range, and a missing or
-doubled source (a file flag together with --preset).
+(including a failed internal invariant and a tree too tall to walk).
+Usage errors include a preset parameter that is missing, malformed or out
+of range, and a missing or doubled source (a file flag together with
+--preset).
 
 Sweep rows are ordered by presentation key before emission, so results are
 byte-identical across runs.
@@ -28,7 +29,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .dims import ENGINES, DimSeries, as_dim_values, log_of_int
+from .dims import ENGINES, DimSeries, FileSyntaxError, as_dim_values, directives, log_of_int
 
 if TYPE_CHECKING:
     from .monomial import MonomialOperadPresentation
@@ -226,18 +227,14 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _load_file(path: str, kind: str, text: Optional[str] = None):
-    """The presentation (``kind`` "presentation") or algebra ("algebra") in a
-    file or its ``text``; a malformed file is a usage error naming the file and line."""
+def _load_file(path: str, parse: Callable, text: Optional[str] = None):
+    """``parse`` (``parse_presentation`` or ``parse_algebra``) of a file or its
+    ``text``; a malformed file is a usage error naming the file and line."""
     from pathlib import Path
 
-    if kind == "algebra":
-        from .algebra import AlgebraSyntaxError as syntax_error, parse_algebra as parse
-    else:
-        from .monomial import PresentationSyntaxError as syntax_error, parse_presentation as parse
     try:
         return parse(_read_text(path) if text is None else text, name=Path(path).stem)
-    except syntax_error as exc:
+    except FileSyntaxError as exc:
         raise UsageError(f"{path}: {exc}") from None
 
 
@@ -285,7 +282,9 @@ def _get_presentation(args) -> tuple[MonomialOperadPresentation, str]:
     """The presentation named by --presentation or --preset, and that name."""
     label = _one_source(args, "presentation")
     if args.presentation:
-        return _load_file(label, "presentation"), label
+        from .monomial import parse_presentation
+
+        return _load_file(label, parse_presentation), label
     if not label:
         raise UsageError("pass --presentation <file> or --preset <name>")
     return preset_presentation(label), label
@@ -296,7 +295,7 @@ def _series_source(args, n: Optional[int]) -> tuple[list[Fraction | int], str, d
     preset, presentation or algebra file needs the max index n and gives the
     exact integer dimensions 0..n; CSV (a file, or stdin by default) gives its
     rows 0..n as Fractions, or all of them when n is None.  The file's head
-    (first line not blank, a comment or ``name``) tells CSV from the others.
+    (first directive other than ``name``) tells CSV from the others.
     A --source that names neither a file nor a preset is a usage error."""
     from pathlib import Path
 
@@ -309,24 +308,24 @@ def _series_source(args, n: Optional[int]) -> tuple[list[Fraction | int], str, d
         raise UsageError(f"{source!r} is neither a file nor a preset; run 'oplab preset-list'")
     if is_file:
         text = _read_text(source)
-        head = next((ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines())
-                     if ln and ln.split()[0] != "name"), "")
-        if source.endswith(".csv") or head[:1].isdigit() or "," in head:
+        keyword, rest = next(((keyword, rest) for _, _, keyword, rest in directives(text)
+                              if keyword != "name"), ("", ""))
+        if source.endswith(".csv") or keyword[:1].isdigit() or "," in keyword + rest:
             return _load_csv_coeffs(text)[:stop], source, {}
     if n is None:
         raise UsageError(f"a max index is required for {'file' if is_file else 'preset'} sources")
     if not is_file:
         dims = preset_dims(source, n)
         meta = {"exact": dims.exact}
-    elif head.split()[:1] in (["var"], ["forbid"]):
+    elif keyword in ("var", "forbid"):
         from . import algebra
 
-        dims = algebra.hilbert_dims(_load_file(source, "algebra", text), n)
+        dims = algebra.hilbert_dims(_load_file(source, algebra.parse_algebra, text), n)
         meta = {}
     else:
         from . import monomial
 
-        p = _load_file(source, "presentation", text)
+        p = _load_file(source, monomial.parse_presentation, text)
         dims = monomial.dim_by_arity(p, n)
         meta = {"exact": dims.exact, "sha256": _presentation_hash(p)}
     meta["index_kind"] = dims.index_kind
@@ -508,10 +507,11 @@ def cmd_gapcheck(args, out) -> int:
 def cmd_operadize(args, out) -> int:
     from pathlib import Path
 
+    from .algebra import parse_algebra
     from .constructions import operadize
     from .monomial import format_presentation
 
-    p = operadize(_load_file(args.algebra, "algebra"))
+    p = operadize(_load_file(args.algebra, parse_algebra))
     text = format_presentation(p)
     if args.emit == "-":
         out.write(text)
@@ -574,12 +574,15 @@ def cmd_sweep(args, out) -> int:
         raise UsageError("sweep horizon must be at least 8")
     from . import monomial, series
 
+    verdicts: dict = {}  # presentation -> its row after the key; equal ones share it
     rows = []
     for key, p in sweep_family(args.relation_weight):
-        report = monomial.gap_dichotomy_check(p, args.horizon)
-        # one binary generator: arity n holds the weight n-1 normal forms
-        est = series.gk_estimate((0, *report.weight_counts))
-        rows.append((key, report.criterion_d, report.growth_class, est.slope))
+        if p not in verdicts:
+            report = monomial.gap_dichotomy_check(p, args.horizon)
+            # one binary generator: arity n holds the weight n-1 normal forms
+            est = series.gk_estimate((0, *report.weight_counts))
+            verdicts[p] = (report.criterion_d, report.growth_class, est.slope)
+        rows.append((key, *verdicts[p]))
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["relations", "criterion_d", "growth_class", "tail_exponent"])
     for key, criterion_d, growth_class, exponent in rows:
@@ -697,7 +700,7 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except UsageError as exc:
         print(f"oplab: usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError, AssertionError) as exc:
+    except (ValueError, ArithmeticError, AssertionError, RecursionError) as exc:
         print(f"oplab: computation error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,6 @@
-"""Exact integer dimension sequences with indexing metadata, and the two
-helpers every ``oplab`` subcommand reaches: the counting engine names and a
-natural log of an exact integer."""
+"""Exact integer dimension sequences with indexing metadata, and the helpers
+every ``oplab`` subcommand reaches: the engine names, a natural log of an
+exact integer, and the line reader of presentation and algebra files."""
 
 from __future__ import annotations
 
@@ -12,6 +12,24 @@ from typing import Iterator, Sequence
 
 INDEX_KINDS = ("arity", "weight", "degree")
 ENGINES = ("brute", "dp")
+
+
+class FileSyntaxError(ValueError):
+    """A presentation or algebra file failed to parse; carries the offending line."""
+
+    def __init__(self, lineno: int, line: str, reason: str) -> None:
+        super().__init__(f"line {lineno}: {reason}: {line!r}")
+        self.lineno = lineno
+        self.line = line
+
+
+def directives(text: str) -> Iterator[tuple[int, str, str, str]]:
+    """(line number, raw line, keyword, rest of the line) for each line of a
+    presentation or algebra file that is not blank or a ``#`` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split(None, 1)
+        if fields:
+            yield lineno, raw, fields[0], fields[1].strip() if len(fields) > 1 else ""
 
 
 @dataclass(frozen=True)

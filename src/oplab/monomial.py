@@ -34,7 +34,7 @@ from math import lcm
 from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .dims import ENGINES, DimSeries
+from .dims import ENGINES, DimSeries, FileSyntaxError, directives
 from .order import TreeOrder
 from .trees import (
     LEAF,
@@ -62,13 +62,8 @@ class CompletenessError(PresentationError):
     """Arity-indexed counts need a weight cap when unary generators exist."""
 
 
-class PresentationSyntaxError(PresentationError):
+class PresentationSyntaxError(FileSyntaxError, PresentationError):
     """A presentation file failed to parse; carries the offending line."""
-
-    def __init__(self, lineno: int, line: str, reason: str) -> None:
-        super().__init__(f"line {lineno}: {reason}: {line!r}")
-        self.lineno = lineno
-        self.line = line
 
 
 class MonomialOperadPresentation:
@@ -281,40 +276,43 @@ class CrownGrammar(NamedTuple):
     rules: tuple  # (crown index, generator, child crown indices or LEAF_ID)
 
 
-def compile_grammar(p: MonomialOperadPresentation, max_degree: Optional[int] = None,
-                    shift=lambda g: 1) -> CrownGrammar:
+def compile_grammar(p: MonomialOperadPresentation,
+                    max_weight: Optional[int] = None) -> CrownGrammar:
     """Find the rules ``crown <- g(k_1..k_m)`` of ``p``, starting from "leaf only".
 
     A relation matching at a root sees a child only through the relation
     subtrees that match at the child's root, so a crown is that set (a leaf
     matches none).  A rule exists when no relation rooted at g matches over
     the child crowns, so each nontrivial normal form derives by exactly one
-    rule.  Rules are found by degree (shift(g) >= 1 plus the children's least
-    degrees), so each crown first appears at its least degree; rules above
-    ``max_degree`` add nothing to counts up to it and are never built.
+    rule.  Rules are found by weight (1 plus the children's least weights),
+    so each crown first appears at its least weight; rules above
+    ``max_weight`` derive no tree that light and are never built.  Without a
+    unary generator a tree's weight is at most its arity - 1, so the same
+    bound serves counts by arity.
     """
-    subtrees = sorted({t for r in p.relations for t in r.internal_nodes() if t is not r},
+    # a relation heavier than max_weight matches no tree that light
+    rels = [r for r in p.relations if max_weight is None or r.weight <= max_weight]
+    subtrees = sorted({t for r in rels for t in r.internal_nodes() if t is not r},
                       key=lambda t: (t.weight, p._order.key(t)))
     ids = {t: q for q, t in enumerate(subtrees)}
 
     def needs(t: TreeMonomial) -> list:  # (slot, subtree id) per non-leaf child
         return [(i, ids[c]) for i, c in enumerate(t.children) if c is not LEAF]
 
-    gens = [(g, shift(g), [needs(r) for r in p.relations if r.generator == g],
+    gens = [(g, [needs(r) for r in rels if r.generator == g],
              [(q, needs(t)) for q, t in enumerate(subtrees) if t.generator == g])
             for g in p.alphabet.generators]
-    by_degree: list[list] = [[]]  # (index, crown) by least degree; _child_combos adds leaves
+    by_weight: list[list] = [[]]  # (index, crown) by least weight; _child_combos adds leaves
     index: dict = {}  # crown -> its index
     rules = []
     most = max(g.arity for g in p.alphabet.generators)
-    top_shift = max(map(shift, p.alphabet.generators))
     d = deepest = 0
-    # a rule's degree is at most top_shift + most * (the deepest crown's degree)
-    while d < most * deepest + top_shift and (max_degree is None or d < max_degree):
+    # a rule's weight is at most 1 + most * (the deepest crown's weight)
+    while d < most * deepest + 1 and (max_weight is None or d < max_weight):
         d += 1
         level = []
-        for g, s, rel_needs, tests in gens:
-            for kids in (_child_combos(g.arity, d - s, by_degree) if s <= d else ()):
+        for g, rel_needs, tests in gens:
+            for kids in _child_combos(g.arity, d - 1, by_weight):
                 sets = [() if k is LEAF else k[1] for k in kids]
                 if any(all(c in sets[i] for i, c in need) for need in rel_needs):
                     continue
@@ -323,7 +321,7 @@ def compile_grammar(p: MonomialOperadPresentation, max_degree: Optional[int] = N
                     index[crown] = len(index)
                     level.append((index[crown], crown))
                 rules.append((index[crown], g, tuple(LEAF_ID if k is LEAF else k[0] for k in kids)))
-        by_degree.append(level)
+        by_weight.append(level)
         deepest = d if level else deepest
     return CrownGrammar(tuple(tuple(subtrees[q] for q in sorted(k)) for k in index), tuple(rules))
 
@@ -348,11 +346,12 @@ def _graded_counts(p: MonomialOperadPresentation, n: int, shift, coef=None,
     """Coefficients 0..n of the series of all nontrivial normal forms.
 
     A rule ``c <- g(k_1..k_m)`` adds coef(g) * x^shift(g) * F_k1..F_km to
-    F_c (coef defaults to ``one``, a leaf's series).  Child products are
-    shared as sorted multisets whose prefixes keep running series, so a
-    degree costs O(n) per factor.
+    F_c (coef defaults to ``one``, a leaf's series); shift(g) >= 1 for every
+    g, so the grammar up to weight n holds every rule up to degree n.  Child
+    products are shared as sorted multisets whose prefixes keep running
+    series, so a degree costs O(n) per factor.
     """
-    grammar = compile_grammar(p, n, shift)
+    grammar = compile_grammar(p, n)
     series = [[zero] for _ in grammar.crowns]
     prods: dict = {(): [one] + [zero] * n, **{(i,): f for i, f in enumerate(series)}}
     keys = [tuple(sorted(k for k in children if k != LEAF_ID)) for _, _, children in grammar.rules]
@@ -513,27 +512,20 @@ def _first_violation(sums: Sequence[int], a: Fraction, b: Fraction) -> Optional[
 # ---------------------------------------------------------------------------
 
 def parse_presentation(text: str, name: Optional[str] = None) -> MonomialOperadPresentation:
-    """Parse the text format: ``generator <id> <arity>`` then ``relation <literal>``.
-
-    Blank lines and ``#`` comments are ignored.  Raises
-    :class:`PresentationSyntaxError` carrying the offending line.
-    """
-    gens: list[Generator] = []
+    """Parse ``name``, ``generator <id> <arity>`` and ``relation <literal>`` lines
+    as :func:`oplab.dims.directives` reads them, or raise :class:`PresentationSyntaxError`."""
+    gens: dict[str, Generator] = {}
     relation_lines: list[tuple[int, str, str]] = []
     label = name
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(None, 1)
-        keyword = parts[0]
-        rest = parts[1].strip() if len(parts) > 1 else ""
+    for lineno, raw, keyword, rest in directives(text):
         if keyword == "generator":
             fields = rest.split()
             if len(fields) != 2 or not fields[1].isdigit():
                 raise PresentationSyntaxError(lineno, raw, "expected 'generator <id> <arity>'")
+            if fields[0] in gens:
+                raise PresentationSyntaxError(lineno, raw, "generator declared twice")
             try:
-                gens.append(Generator(fields[0], int(fields[1])))
+                gens[fields[0]] = Generator(fields[0], int(fields[1]))
             except ValueError as exc:
                 raise PresentationSyntaxError(lineno, raw, str(exc)) from None
         elif keyword == "relation":
@@ -546,17 +538,17 @@ def parse_presentation(text: str, name: Optional[str] = None) -> MonomialOperadP
             raise PresentationSyntaxError(lineno, raw, f"unknown directive {keyword!r}")
     if not gens:
         raise PresentationSyntaxError(0, "", "presentation declares no generators")
-    alphabet = Alphabet(tuple(gens))
+    alphabet = Alphabet(tuple(gens.values()))
     relations = []
     for lineno, raw, literal in relation_lines:
         try:
-            relations.append(parse_monomial(literal, alphabet))
+            r = parse_monomial(literal, alphabet)
         except ValueError as exc:
             raise PresentationSyntaxError(lineno, raw, str(exc)) from None
-    try:
-        return MonomialOperadPresentation(alphabet, relations, name=label)
-    except ValueError as exc:
-        raise PresentationSyntaxError(0, "", str(exc)) from None
+        if r.is_trivial:
+            raise PresentationSyntaxError(lineno, raw, "the trivial monomial cannot be a relation")
+        relations.append(r)
+    return MonomialOperadPresentation(alphabet, relations, name=label)
 
 
 def format_presentation(p: MonomialOperadPresentation) -> str:

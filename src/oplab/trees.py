@@ -14,6 +14,7 @@ everything is safe to share across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -384,8 +385,6 @@ def submonomials(t: TreeMonomial, weight: Optional[int] = None) -> set[TreeMonom
     if t.is_trivial:
         raise TreeError("the trivial monomial has no submonomials")
     cap = t.weight if weight is None else weight
-    if cap < 1:
-        return set()
     out: set[TreeMonomial] = set()
     for anchor in t.internal_nodes():
         for sub in _anchored_submonomials(anchor, cap):
@@ -395,7 +394,9 @@ def submonomials(t: TreeMonomial, weight: Optional[int] = None) -> set[TreeMonom
 
 
 def _anchored_submonomials(node: TreeMonomial, cap: int) -> list[TreeMonomial]:
-    """All submonomials anchored at ``node`` with weight <= cap (cap >= 1)."""
+    """All submonomials anchored at ``node`` with weight <= cap."""
+    if cap < 1:
+        return []
     results: list[TreeMonomial] = []
     slots = node.children
 
@@ -449,7 +450,9 @@ def parse_monomial(text: str, alphabet: Alphabet) -> TreeMonomial:
         node     := generator_id "(" child ("," child)* ")"
         child    := "*" | node
     """
-    tokens = _tokenize(text)
+    tokens = re.findall(r"[(),*]|[^\s(),*]+", text)
+    if not tokens:
+        raise LiteralSyntaxError("empty tree-monomial literal")
     pos = 0
 
     def peek() -> Optional[str]:
@@ -465,57 +468,39 @@ def parse_monomial(text: str, alphabet: Alphabet) -> TreeMonomial:
         pos += 1
         return tok
 
-    def parse_node() -> TreeMonomial:
+    def open_node() -> tuple[str, list]:
         name = take()
         if name in "(),*":
             raise LiteralSyntaxError(f"expected generator name, found {name!r} in {text!r}")
         if name not in alphabet:
             raise LiteralSyntaxError(f"unknown generator {name!r} in {text!r}")
         take("(")
-        children: list[Optional[TreeMonomial]] = []
-        while True:
-            if peek() == "*":
-                take()
-                children.append(LEAF)
-            else:
-                children.append(parse_node())
-            if peek() == ",":
-                take()
-                continue
-            take(")")
-            break
-        try:
-            return TreeMonomial(alphabet, alphabet[name], children)
-        except TreeError as exc:
-            raise LiteralSyntaxError(f"{exc} in {text!r}") from None
+        return name, []
 
     if peek() == "1":
         take()
         result = TreeMonomial.trivial(alphabet)
     else:
-        result = parse_node()
+        # open nodes from an explicit stack, innermost last, each with the
+        # children read so far: a tall literal must not hit the recursion limit
+        stack = [open_node()]
+        while stack:
+            if peek() != "*":
+                stack.append(open_node())
+                continue
+            take()
+            result = LEAF
+            while stack:  # a child is complete: add it, closing each node whose ")" follows
+                stack[-1][1].append(result)
+                if peek() == ",":
+                    take()
+                    break
+                take(")")
+                name, children = stack.pop()
+                try:
+                    result = TreeMonomial(alphabet, alphabet[name], children)
+                except TreeError as exc:
+                    raise LiteralSyntaxError(f"{exc} in {text!r}") from None
     if pos != len(tokens):
         raise LiteralSyntaxError(f"trailing tokens after monomial in {text!r}")
     return result
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    word = ""
-    for ch in text:
-        if ch.isspace():
-            if word:
-                tokens.append(word)
-                word = ""
-        elif ch in "(),*":
-            if word:
-                tokens.append(word)
-                word = ""
-            tokens.append(ch)
-        else:
-            word += ch
-    if word:
-        tokens.append(word)
-    if not tokens:
-        raise LiteralSyntaxError("empty tree-monomial literal")
-    return tokens

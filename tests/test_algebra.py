@@ -31,6 +31,8 @@ from oplab.algebra import (
     sparse_gap_intervals,
     word_is_normal,
 )
+from oplab.dims import FileSyntaxError, directives
+from oplab.monomial import PresentationError, PresentationSyntaxError
 from oplab.series import series_mul
 
 
@@ -229,3 +231,27 @@ class TestAlgebraFiles:
             parse_algebra("forbid x x\n")
         with pytest.raises(AlgebraSyntaxError):
             parse_algebra("var x\nshenanigans\n")
+
+    def test_repeated_variable_names_its_line(self):
+        with pytest.raises(AlgebraSyntaxError) as err:
+            parse_algebra("var x\nvar x\n")
+        assert (err.value.lineno, err.value.line) == (2, "var x")
+
+    def test_multi_word_name_round_trips(self):
+        a = MonomialAlgebraPresentation(("x1", "x2"), [("x1", "x1")], name="two words")
+        assert parse_algebra(format_algebra(a)).name == "two words"
+
+    def test_syntax_errors_share_one_implementation(self):
+        for cls in (AlgebraSyntaxError, PresentationSyntaxError):
+            assert issubclass(cls, FileSyntaxError)
+            assert "__init__" not in vars(cls)
+        assert issubclass(AlgebraSyntaxError, AlgebraError)
+        assert issubclass(PresentationSyntaxError, PresentationError)
+
+    def test_directives_skip_blanks_and_comments(self):
+        text = "# head\n\n  var   x1  # note\nforbid x1 x1\n   \nname a  b\n"
+        assert list(directives(text)) == [
+            (3, "  var   x1  # note", "var", "x1"),
+            (4, "forbid x1 x1", "forbid", "x1 x1"),
+            (6, "name a  b", "name", "a  b"),
+        ]

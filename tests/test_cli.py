@@ -282,13 +282,6 @@ class TestSweep:
         assert len(sweep_family(3)) == 128
         assert len(sweep_family(2)) == 4
 
-    def test_deterministic_across_threads(self, monkeypatch):
-        monkeypatch.setenv("OPLAB_THREADS", "1")
-        _, one = invoke("sweep", "--relation-weight", "2", "--horizon", "10")
-        monkeypatch.setenv("OPLAB_THREADS", "4")
-        _, four = invoke("sweep", "--relation-weight", "2", "--horizon", "10")
-        assert one == four
-
     def test_repeat_runs_identical(self):
         _, a = invoke("sweep", "--relation-weight", "2", "--horizon", "10")
         _, b = invoke("sweep", "--relation-weight", "2", "--horizon", "10")
@@ -297,6 +290,18 @@ class TestSweep:
     def test_horizon_cap(self):
         code, _ = invoke("sweep", "--horizon", "50")
         assert code == 1
+
+    def test_computes_once_per_distinct_presentation(self, monkeypatch):
+        import oplab.monomial
+
+        checked = []
+        check = oplab.monomial.gap_dichotomy_check
+        monkeypatch.setattr(oplab.monomial, "gap_dichotomy_check",
+                            lambda p, horizon: checked.append(p) or check(p, horizon))
+        code, text = invoke("sweep", "--relation-weight", "3", "--horizon", "10")
+        assert code == 0
+        assert len(text.splitlines()) == 1 + 128 + 1
+        assert len(checked) == len(set(checked)) == len({p for _, p in sweep_family(3)}) == 37
 
 
 class TestOperadizeCommand:
@@ -432,6 +437,38 @@ class TestUsageErrors:
         code, _ = invoke("dims", "--presentation", str(f), "--max-arity", "4")
         assert code == 1
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, body, lineno", [
+        (("dims", "--max-arity", "4", "--presentation"),
+         "generator a 2\ngenerator a 3\n", 2),
+        (("dims", "--max-arity", "4", "--presentation"),
+         "generator a 2\nrelation a(a(*,*),*)\nrelation 1\n", 3),
+        (("operadize", "--emit", "-", "--algebra"), "var x\nvar x\n", 2),
+        (("series", "--max", "4", "--source"), "var x\nvar x\n", 2),
+    ], ids=["repeated-generator", "trivial-relation", "repeated-var", "repeated-var-source"])
+    def test_every_rejection_names_its_line(self, tmp_path, capsys, argv, body, lineno):
+        f = tmp_path / "bad.txt"
+        f.write_text(body)
+        code, _ = invoke(*argv, str(f))
+        assert code == 1
+        assert f"{f}: line {lineno}: " in capsys.readouterr().err
+
+    def test_one_tall_relation_counts_like_the_free_operad(self, tmp_path):
+        f = tmp_path / "tall.txt"
+        f.write_text("generator a 2\nrelation " + "a(" * 1500 + "*,*)" + ",*)" * 1499 + "\n")
+        code, text = invoke("dims", "--presentation", str(f), "--max-arity", "10")
+        assert code == 0
+        assert text == invoke("dims", "--preset", "free-operad:2", "--max-arity", "10")[1]
+
+    @pytest.mark.parametrize("command", ["dims", "grammar"])
+    def test_two_tall_relations_give_no_traceback(self, tmp_path, capsys, command):
+        f = tmp_path / "tall.txt"
+        f.write_text("generator a 2\n" + "".join(
+            "relation " + "a(" * h + "*,*)" + ",*)" * (h - 1) + "\n" for h in (1500, 1501)))
+        code, _ = invoke(command, "--presentation", str(f),
+                         *(["--max-arity", "10"] if command == "dims" else []))
+        assert code in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_negative_max_arity_is_usage_error(self, capsys):
         code, _ = invoke("dims", "--preset", "ex53-2", "--max-arity", "-1")

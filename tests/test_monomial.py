@@ -383,3 +383,19 @@ class TestPresentationFiles:
     def test_comments_and_blanks(self):
         p = parse_presentation("# comment\n\ngenerator a 2\nrelation a(a(*,*),*)  # tail\n")
         assert len(p.relations) == 1
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("generator a 2\ngenerator a 3\n", 2),
+        ("generator a 2\n# comment\nrelation 1\n", 3),
+        ("generator a 2\nrelation a(*,*)\n\trelation   1  # trivial\n", 3),
+    ], ids=["repeated-generator", "trivial-relation", "trivial-relation-spaced"])
+    def test_every_rejection_names_its_line(self, text, lineno):
+        with pytest.raises(PresentationSyntaxError) as err:
+            parse_presentation(text)
+        assert err.value.lineno == lineno
+        assert err.value.line == text.splitlines()[lineno - 1]
+
+    def test_name_takes_the_rest_of_its_line(self):
+        p = binary_presentation(SHUFFLE, name="the fibonacci operad")
+        assert parse_presentation(format_presentation(p)).name == "the fibonacci operad"
+        assert parse_presentation("name  a\tb  # note\ngenerator a 2\n").name == "a\tb"

@@ -1,6 +1,7 @@
 """Tree monomials: grafting, path sequences, divisibility, submonomials."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,27 @@ class TestLiterals:
         for bad in ["", "b(*)", "b(*,*", "d(*,*)", "b(*,*)x", "a()", "*"]:
             with pytest.raises(LiteralSyntaxError):
                 parse_monomial(bad, FIG3)
+
+    def test_syntax_error_messages(self):
+        for bad, message in [
+            ("", "empty tree-monomial literal"),
+            ("b(*)", "b has arity 2 but got 1 children in 'b(*)'"),
+            ("b(*,*", "unexpected end of literal 'b(*,*'"),
+            ("b(*;*)", "expected ')' but found ';' in 'b(*;*)'"),
+            ("b(*,d(*,*))", "unknown generator 'd' in 'b(*,d(*,*))'"),
+            ("b(*,c)", "expected '(' but found ')' in 'b(*,c)'"),
+            ("b(*,*)x", "trailing tokens after monomial in 'b(*,*)x'"),
+            ("b(,*)", "expected generator name, found ',' in 'b(,*)'"),
+            ("b(* *)", "expected ')' but found '*' in 'b(* *)'"),
+        ]:
+            with pytest.raises(LiteralSyntaxError, match=re.escape(message) + "$"):
+                parse_monomial(bad, FIG3)
+
+    def test_tall_literal_round_trips(self):
+        text = "b(*," * 3000 + "*" + ")" * 3000
+        t = parse_monomial(text, FIG3)
+        assert (t.height, t.arity) == (3000, 3001)
+        assert format_monomial(t) == text
 
 
 class TestPathSequences:
@@ -280,6 +302,12 @@ class TestSubmonomials:
         chain = parse_monomial("a(a(a(*,*),*),*)", BINARY)
         subs = submonomials(chain, 2)
         assert subs == {parse_monomial("a(a(*,*),*)", BINARY)}
+
+    def test_weight_cap_stops_the_descent(self):
+        chain = LEAF
+        for _ in range(3000):
+            chain = TreeMonomial(BINARY, BINARY["a"], (chain, LEAF))
+        assert submonomials(chain, 2) == {parse_monomial("a(a(*,*),*)", BINARY)}
 
     def test_full_weight(self, fig3):
         t = fig3["t4"]
