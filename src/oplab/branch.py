@@ -13,10 +13,9 @@ extension, which happens exactly when the minimal period divides it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .dims import DimSeries
+from .dims import DimSeries, Frozen
 from .trees import (
     LEAF,
     Alphabet,
@@ -42,18 +41,17 @@ class PeriodWitnessError(BranchError):
     """The explicit extension witness contradicted the divisibility test."""
 
 
-@dataclass(frozen=True)
-class BranchWord:
+class BranchWord(Frozen):
     """Letters (generator, composition index); the last index is a dummy 1.
 
     Index k of letter k points at the child slot where letter k+1 hangs,
     so 1 <= index <= arity for every non-final position.
     """
 
-    letters: tuple[tuple[Generator, int], ...]
+    __slots__ = _fields = ("letters",)
 
-    def __post_init__(self) -> None:
-        letters = tuple((g, int(i)) for g, i in self.letters)
+    def __init__(self, letters: Iterable[tuple[Generator, int]]) -> None:
+        letters = tuple((g, int(i)) for g, i in letters)
         if letters:
             last_gen, _ = letters[-1]
             letters = letters[:-1] + ((last_gen, 1),)
@@ -64,6 +62,16 @@ class BranchWord:
                 raise BranchError(
                     f"index {i} at position {pos + 1} out of range 1..{g.arity}")
         object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -213,8 +221,7 @@ def contains_factor(w: BranchWord, f: BranchWord) -> bool:
 # avoidance systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AvoidanceSystem:
+class AvoidanceSystem(Frozen):
     """Single-branched words avoiding forbidden factors, with optional caps.
 
     ``forbidden`` lists submonomials that may not occur; ``letter_caps``
@@ -224,23 +231,32 @@ class AvoidanceSystem:
     the cubic growth bound.
     """
 
-    alphabet: Alphabet
-    forbidden: tuple[BranchWord, ...] = ()
-    letter_caps: Mapping[tuple[str, int], int] = None
+    __slots__ = _fields = ("alphabet", "forbidden", "letter_caps")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "forbidden", tuple(self.forbidden))
-        for f in self.forbidden:
+    def __init__(self, alphabet: Alphabet, forbidden: Iterable[BranchWord] = (),
+                 letter_caps: Optional[Mapping[tuple[str, int], int]] = None) -> None:
+        forbidden = tuple(forbidden)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "forbidden", forbidden)
+        for f in forbidden:
             if len(f) == 0:
                 raise BranchError("forbidden factors must be nonempty")
-        caps = dict(self.letter_caps or {})
+        caps = dict(letter_caps or {})
         for (name, idx), cap in caps.items():
-            g = self.alphabet[name]
+            g = alphabet[name]
             if not 1 <= idx <= g.arity:
                 raise BranchError(f"cap letter {name}:{idx} has an invalid index")
             if cap < 0:
                 raise BranchError("letter caps must be nonnegative")
         object.__setattr__(self, "letter_caps", caps)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet, self.forbidden, self.letter_caps) == (
+            other.alphabet, other.forbidden, other.letter_caps)
 
     def __hash__(self) -> int:
         return hash((self.alphabet, self.forbidden, tuple(sorted(self.letter_caps.items()))))

@@ -5,7 +5,8 @@ operadize, envelope, preset-list.  Output is CSV by default (JSON carries
 full metadata, gnuplot emits a plottable block); every numeric value is an
 exact integer or rational unless explicitly labelled as a floating
 estimate.  Exit codes: 0 success, 1 usage error, 2 computation error
-(including a failed internal invariant and a tree too tall to walk).
+(including a failed internal invariant, and a relation too tall for
+``grammar`` to print).
 Usage errors include a preset parameter that is missing, malformed or out
 of range, and a missing or doubled source (a file flag together with
 --preset).
@@ -24,14 +25,14 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, combinations
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .dims import ENGINES, DimSeries, FileSyntaxError, as_dim_values, directives, log_of_int
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .monomial import MonomialOperadPresentation
 
 
@@ -55,8 +56,7 @@ def _size(text: str) -> int:
 # preset catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(NamedTuple):
     """``build(*params)`` gives a presentation, ``build(n, *params)`` dims up
     to index n.  ``param`` (None: no parameter) parses the text after ``name:``
     into build's last argument, raising ValueError or ZeroDivisionError if bad."""
@@ -68,7 +68,8 @@ class Preset:
     param: Optional[Callable[[str], object]] = None
 
 
-def _param(kind: type, valid: Callable, requirement: str) -> Callable[[str], object]:
+def _param(kind: Callable[[str], object], valid: Callable,
+           requirement: str) -> Callable[[str], object]:
     """A ``Preset.param`` parser: ``kind(text)``, checked by ``valid``."""
     def parse(text: str):
         value = kind(text)
@@ -78,9 +79,15 @@ def _param(kind: type, valid: Callable, requirement: str) -> Callable[[str], obj
     return parse
 
 
+def _rational(text: str) -> Fraction:
+    from fractions import Fraction
+
+    return Fraction(text)
+
+
 _AT_LEAST_1 = _param(int, lambda d: d >= 1, "be at least 1")
-_POSITIVE = _param(Fraction, lambda a: a > 0, "be positive")
-_STAIRCASE = _param(Fraction, lambda r: 2 < r < 3, "lie strictly between 2 and 3")
+_POSITIVE = _param(_rational, lambda a: a > 0, "be positive")
+_STAIRCASE = _param(_rational, lambda r: 2 < r < 3, "lie strictly between 2 and 3")
 
 
 def _binary_operad(relation_literals: Sequence[str], name: str) -> MonomialOperadPresentation:
@@ -245,6 +252,8 @@ def _load_csv_coeffs(text: str) -> list[Fraction]:
     columns after the value (``oplab series`` output) are ignored; any
     other row is a usage error that names its line.
     """
+    from fractions import Fraction
+
     coeffs: list[Fraction] = []
     header_seen = False
     reader = csv.reader(io.StringIO(text))
@@ -390,11 +399,21 @@ def cmd_dims(args, out) -> int:
     return 0
 
 
+# a left comb h levels tall compiles to h - 1 crowns listing about h**2 / 2
+# relation subtrees, about 5 * h**3 / 6 characters: 7 MB at h = 200, 830 MB
+# at this limit
+GRAMMAR_MAX_HEIGHT = 1000
+
+
 def cmd_grammar(args, out) -> int:
     from .monomial import LEAF_ID, compile_grammar
     from .trees import format_monomial
 
-    crowns, rules = compile_grammar(_get_presentation(args)[0])
+    p = _get_presentation(args)[0]
+    if p.max_relation_height > GRAMMAR_MAX_HEIGHT:
+        raise ValueError(f"a relation {p.max_relation_height} levels tall is over the grammar's "
+                         f"limit of {GRAMMAR_MAX_HEIGHT}: its text grows as the cube of the height")
+    crowns, rules = compile_grammar(p)
     terms: list[list[str]] = [[] for _ in crowns]
     for c, g, children in rules:
         kids = ("*" if k == LEAF_ID else f"K{k + 1}" for k in children)

@@ -1,11 +1,11 @@
 """Exact integer dimension sequences with indexing metadata, and the helpers
-every ``oplab`` subcommand reaches: the engine names, a natural log of an
-exact integer, and the line reader of presentation and algebra files."""
+every ``oplab`` subcommand reaches: the base of the immutable value classes,
+the engine names, a natural log of an exact integer, and the line reader of
+presentation and algebra files."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import ne
 from typing import Iterator, Sequence
@@ -32,8 +32,34 @@ def directives(text: str) -> Iterator[tuple[int, str, str, str]]:
             yield lineno, raw, fields[0], fields[1].strip() if len(fields) > 1 else ""
 
 
-@dataclass(frozen=True)
-class DimSeries:
+class Frozen:
+    """Base of the immutable value classes.
+
+    A subclass lists its fields, in constructor order, in ``_fields`` and
+    stores them in ``__init__`` with ``object.__setattr__``; afterwards
+    assignment and deletion raise AttributeError.  It defines its own
+    ``__eq__`` (identity first) and ``__hash__`` (the tuple of its fields,
+    unless it says otherwise).
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class DimSeries(Frozen):
     """A truncated sequence of nonnegative integer dimensions.
 
     ``values[i]`` is the dimension at index ``i``, where the index counts
@@ -42,19 +68,30 @@ class DimSeries:
     arity-indexed counts infinite without a cap).
     """
 
-    values: tuple[int, ...]
-    index_kind: str
-    exact: bool = True
+    __slots__ = _fields = ("values", "index_kind", "exact")
 
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
+    def __init__(self, values: Sequence[int], index_kind: str, exact: bool = True) -> None:
+        values = tuple(values)
         object.__setattr__(self, "values", values)
-        if self.index_kind not in INDEX_KINDS:
-            raise ValueError(f"unknown index kind {self.index_kind!r}")
+        object.__setattr__(self, "index_kind", index_kind)
+        object.__setattr__(self, "exact", exact)
+        if index_kind not in INDEX_KINDS:
+            raise ValueError(f"unknown index kind {index_kind!r}")
         if not set(map(type, values)) <= {int}:
             raise ValueError("dimensions must be ints")
         if values and min(values) < 0:
             raise ValueError("dimensions must be nonnegative")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.values, self.index_kind, self.exact) == (
+            other.values, other.index_kind, other.exact)
+
+    def __hash__(self) -> int:
+        return hash((self.values, self.index_kind, self.exact))
 
     @property
     def truncation(self) -> int:

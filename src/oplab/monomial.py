@@ -27,12 +27,10 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import add, mul
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .dims import ENGINES, DimSeries, FileSyntaxError, directives
 from .order import TreeOrder
@@ -48,6 +46,9 @@ from .trees import (
     matches_at_root,
     parse_monomial,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 GROWTH_BOUNDED = "bounded"
 GROWTH_LINEAR = "linear"
@@ -437,8 +438,7 @@ def dim_by_weight(p: MonomialOperadPresentation, max_weight: int,
 # growth dichotomy
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GapDichotomyReport:
+class GapDichotomyReport(NamedTuple):
     """Outcome of the linear-growth dichotomy check on weight counts.
 
     ``criterion_d`` is the first d >= 3 whose weight-d count is <= d-3, if
@@ -457,6 +457,8 @@ class GapDichotomyReport:
 
 def _affine_fit(points: list[tuple[int, int]]) -> tuple[Fraction, Fraction]:
     """Exact least-squares line through integer points."""
+    from fractions import Fraction
+
     k = len(points)
     sx = sum(x for x, _ in points)
     sy = sum(y for _, y in points)

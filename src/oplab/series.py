@@ -14,10 +14,9 @@ that no candidate passed the holdout suffix, which no fitting step saw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .dims import DimSeries, as_dim_values, log_of_int
 from .linalg import clear_denominators, kernel_is_trivial, nullspace, scale_rows_to_int
@@ -74,8 +73,7 @@ def series_mul(a: Iterable, b: Iterable,
 # growth estimation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GkReport:
+class GkReport(NamedTuple):
     """Growth estimates from exact partial sums (floating point, labelled).
 
     ``pointwise`` is log_N(S(N)); ``slope`` the least-squares slope of
@@ -143,8 +141,7 @@ def _geometric(sums: list[int]) -> bool:
 # rational fitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalFit:
+class RationalFit(NamedTuple):
     """num(z)/den(z) matching every coefficient in the window, holdout included.
 
     Polynomials are coefficient tuples, low degree first, den normalized to
@@ -235,8 +232,7 @@ def expand_rational(fit: RationalFit, truncation: int) -> tuple[Fraction, ...]:
 # holonomic guessing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RecurrenceCandidate:
+class RecurrenceCandidate(NamedTuple):
     """sum_i p_i(n) c_{n-i} = 0 on the fit window and the holdout suffix.
 
     ``polynomials[i]`` lists the integer coefficients of p_i, low degree
@@ -311,8 +307,7 @@ def guess_holonomic(s: Iterable, max_order: int,
 # zero runs and the exponential transform
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZeroRunReport:
+class ZeroRunReport(NamedTuple):
     """Maximal zero intervals of a coefficient stream (heuristic evidence).
 
     ``growing`` is True when the last three complete runs (runs followed by

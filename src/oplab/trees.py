@@ -15,8 +15,9 @@ everything is safe to share across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
+
+from .dims import Frozen
 
 
 class TreeError(ValueError):
@@ -46,35 +47,54 @@ class LiteralSyntaxError(TreeError):
 _RESERVED_CHARS = set("(),*#\"'")
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Frozen):
     """An operation symbol with a fixed arity >= 1."""
 
-    name: str
-    arity: int
+    __slots__ = _fields = ("name", "arity")
 
-    def __post_init__(self) -> None:
-        if not self.name or not self.name.isprintable():
-            raise TreeError(f"generator name must be nonempty printable, got {self.name!r}")
-        if any(c.isspace() or c in _RESERVED_CHARS for c in self.name):
-            raise TreeError(f"generator name {self.name!r} contains reserved characters")
-        if self.name == "1":
+    def __init__(self, name: str, arity: int) -> None:
+        if not name or not name.isprintable():
+            raise TreeError(f"generator name must be nonempty printable, got {name!r}")
+        if any(c.isspace() or c in _RESERVED_CHARS for c in name):
+            raise TreeError(f"generator name {name!r} contains reserved characters")
+        if name == "1":
             raise TreeError("generator name '1' is reserved for the trivial monomial")
-        if not isinstance(self.arity, int) or self.arity < 1:
-            raise TreeError(f"generator arity must be a positive integer, got {self.arity!r}")
+        if not isinstance(arity, int) or arity < 1:
+            raise TreeError(f"generator arity must be a positive integer, got {arity!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arity", arity)
+
+    # identity first: the trees of one alphabet share its generator objects.
+    # The tree walks test ``!=``, so it is written out, not derived from ``==``.
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.arity == other.arity
+
+    def __ne__(self, other: object) -> bool:
+        if self is other:
+            return False
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name != other.name or self.arity != other.arity
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.arity))
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Frozen):
     """A finite ordered collection of generators with unique names.
 
     Declaration order is the generator rank of the term order (:mod:`oplab.order`).
     """
 
-    generators: tuple[Generator, ...]
+    __slots__ = ("generators", "_by_name", "_rank")
+    _fields = ("generators",)
 
-    def __post_init__(self) -> None:
-        gens = tuple(self.generators)
+    def __init__(self, generators: Sequence[Generator]) -> None:
+        gens = tuple(generators)
         object.__setattr__(self, "generators", gens)
         if not gens:
             raise TreeError("alphabet must contain at least one generator")
@@ -105,6 +125,20 @@ class Alphabet:
     @property
     def max_arity(self) -> int:
         return max(g.arity for g in self.generators)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.generators == other.generators
+
+    def __ne__(self, other: object) -> bool:
+        if self is other:
+            return False
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.generators != other.generators
 
     def __hash__(self) -> int:
         return hash(self.generators)
@@ -271,14 +305,24 @@ def compose(t1: TreeMonomial, i: int, t2: TreeMonomial) -> TreeMonomial:
 
 
 def _replace_leaf(node: TreeMonomial, i: int, repl: TreeMonomial) -> TreeMonomial:
-    new_children = list(node.children)
-    for k, c in enumerate(node.children):
-        size = 1 if c is LEAF else c.arity
-        if i <= size:
-            new_children[k] = repl if c is LEAF else _replace_leaf(c, i, repl)
-            return TreeMonomial(node.alphabet, node.generator, new_children)
-        i -= size
-    raise AssertionError("leaf index bookkeeping failure")
+    # down to leaf i, then the nodes on the way rebuilt bottom-up, from an
+    # explicit list: a tall tree must not hit the recursion limit
+    path = []  # (node, slot of the child on the way to leaf i)
+    while node is not LEAF:
+        for k, c in enumerate(node.children):
+            size = 1 if c is LEAF else c.arity
+            if i <= size:
+                break
+            i -= size
+        else:
+            raise AssertionError("leaf index bookkeeping failure")
+        path.append((node, k))
+        node = c
+    for node, k in reversed(path):
+        children = list(node.children)
+        children[k] = repl
+        repl = TreeMonomial(node.alphabet, node.generator, children)
+    return repl
 
 
 def to_path_sequence(t: TreeMonomial) -> tuple[tuple[str, ...], ...]:
@@ -316,33 +360,38 @@ def from_path_sequence(path: Sequence[Sequence[str]], alphabet: Alphabet) -> Tre
             raise MalformedPathError("an empty word is only valid for the trivial monomial")
         return TreeMonomial.trivial(alphabet)
 
-    def parse(pos: int, depth: int) -> tuple[Optional[TreeMonomial], int]:
-        w = words[pos]
-        if len(w) < depth:
-            raise MalformedPathError(f"word {pos + 1} is shorter than its tree depth")
-        if len(w) == depth:
-            return LEAF, pos + 1
-        name = w[depth]
-        if name not in alphabet:
-            raise MalformedPathError(f"unknown generator {name!r} in word {pos + 1}")
-        g = alphabet[name]
-        children: list[Optional[TreeMonomial]] = []
-        p = pos
-        for _ in range(g.arity):
-            if p >= len(words):
-                raise MalformedPathError("ran out of words while filling child slots")
-            wj = words[p]
-            if len(wj) <= depth or wj[depth] != name:
-                raise MalformedPathError(f"word {p + 1} does not pass through {name!r}")
-            child, p = parse(p, depth + 1)
-            children.append(child)
-        return TreeMonomial(alphabet, g, children), p
+    # open nodes from an explicit stack, innermost last, each with the
+    # children read so far: a tall tree must not hit the recursion limit.  The
+    # node at stack index j has depth j, and words[pos], which passes through
+    # every open node, starts the next subtree: a leaf when it ends there.
+    stack: list[tuple[Generator, list]] = []
+    pos = 0
+    while True:
+        depth, w = len(stack), words[pos]
+        if len(w) > depth:
+            name = w[depth]
+            if name not in alphabet:
+                raise MalformedPathError(f"unknown generator {name!r} in word {pos + 1}")
+            stack.append((alphabet[name], []))
+            continue
+        tree, pos = LEAF, pos + 1
+        while stack:  # a subtree is complete: add it, closing each node it fills
+            g, children = stack[-1]
+            children.append(tree)
+            if len(children) < g.arity:
+                break
+            stack.pop()
+            tree = TreeMonomial(alphabet, g, children)
+        if not stack:
+            break
+        if pos >= len(words):
+            raise MalformedPathError("ran out of words while filling child slots")
+        name = stack[-1][0].name
+        if len(words[pos]) < len(stack) or words[pos][len(stack) - 1] != name:
+            raise MalformedPathError(f"word {pos + 1} does not pass through {name!r}")
 
-    tree, consumed = parse(0, 0)
-    if tree is LEAF:
-        raise AssertionError("nontrivial root parsed as leaf")
-    if consumed != len(words):
-        raise MalformedPathError(f"only {consumed} of {len(words)} words were consumed")
+    if pos != len(words):
+        raise MalformedPathError(f"only {pos} of {len(words)} words were consumed")
     if to_path_sequence(tree) != words:
         raise MalformedPathError("words are not the path sequence of any tree monomial")
     return tree
@@ -356,11 +405,16 @@ def matches_at_root(d: TreeMonomial, t: TreeMonomial) -> bool:
     """
     if d.generator != t.generator:
         return False
-    for dc, tc in zip(d.children, t.children):
-        if dc is LEAF:
-            continue
-        if tc is LEAF or not matches_at_root(dc, tc):
-            return False
+    # the child pairs of each matched vertex pair, from an explicit stack: a
+    # tall tree must not hit the recursion limit
+    stack = [zip(d.children, t.children)]
+    while stack:
+        for dc, tc in stack.pop():
+            if dc is LEAF:
+                continue
+            if tc is LEAF or dc.generator != tc.generator:
+                return False
+            stack.append(zip(dc.children, tc.children))
     return True
 
 

@@ -470,6 +470,26 @@ class TestUsageErrors:
         assert code in (0, 2)
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_two_tall_relations_print_dims(self, tmp_path):
+        # the taller comb is divisible by the shorter, which is too heavy for
+        # arity 10, so the counts are the free operad's
+        f = tmp_path / "tall.txt"
+        f.write_text("generator a 2\n" + "".join(
+            "relation " + "a(" * h + "*,*)" + ",*)" * (h - 1) + "\n" for h in (1500, 1501)))
+        code, text = invoke("dims", "--presentation", str(f), "--max-arity", "10")
+        assert code == 0
+        assert text == invoke("dims", "--preset", "free-operad:2", "--max-arity", "10")[1]
+
+    def test_grammar_refuses_a_relation_over_its_height_limit(self, tmp_path, capsys):
+        from oplab.cli import GRAMMAR_MAX_HEIGHT
+
+        f = tmp_path / "tall.txt"
+        h = GRAMMAR_MAX_HEIGHT + 1
+        f.write_text("generator a 2\nrelation " + "a(" * h + "*,*)" + ",*)" * (h - 1) + "\n")
+        code, text = invoke("grammar", "--presentation", str(f))
+        assert (code, text) == (2, "")
+        assert f"a relation {h} levels tall is over the grammar's limit" in capsys.readouterr().err
+
     def test_negative_max_arity_is_usage_error(self, capsys):
         code, _ = invoke("dims", "--preset", "ex53-2", "--max-arity", "-1")
         assert code == 1
@@ -740,6 +760,26 @@ class TestImportGraph:
             f"assert oplab.cli.run({argv.split()!r}, out=io.StringIO()) == 0")
         assert needed <= loaded
         assert not loaded & unused
+
+    # dataclasses imports inspect, ast, dis and tokenize; fractions imports
+    # decimal and numbers: start-up pays for them only where they are used
+    @pytest.mark.parametrize("argv, fractions_allowed", [
+        (None, False),
+        ("dims --preset ex53-1 --max-arity 10", False),
+        ("dims --preset ex53-1 --max-arity 10 --engine brute", False),
+        ("sweep --relation-weight 2 --horizon 10", True),
+        ("gk --preset floorpow:3/2 --N 50", True),
+        ("guess --preset fibonacci --max 60 --max-order 2 --max-degree 1", True),
+    ])
+    def test_no_dataclasses_and_fractions_only_for_rationals(self, argv, fractions_allowed):
+        code = "import io, oplab.cli\n"
+        if argv:
+            code += f"assert oplab.cli.run({argv.split()!r}, out=io.StringIO()) == 0"
+        loaded = modules_loaded_by(code)
+        assert "oplab.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect"}
+        if not fractions_allowed:
+            assert "fractions" not in loaded
 
     def test_every_public_name_resolves(self):
         import oplab

@@ -65,3 +65,21 @@ def test_cli_calls_the_wrapped_functions(tmp_path, argv, expected):
 @pytest.mark.parametrize("argv, expected", TRACED)
 def test_launcher_records_lazily_imported_layers(tmp_path, argv, expected):
     assert expected <= traced_spans(tmp_path, argv, preload=False)
+
+
+def test_install_leaves_the_preset_catalog_unchanged():
+    # install rebuilds (with dataclasses.replace) a preset whose build is a
+    # LAYERS function; every build is a lambda or a closure, so none is touched
+    code = (
+        "import importlib, sys\nsys.path.insert(0, sys.argv[1])\nimport launcher\n"
+        "for modname, *_ in launcher.LAYERS:\n    importlib.import_module(modname)\n"
+        "from oplab.cli import CATALOG\n"
+        "before = dict(CATALOG)\n"
+        "launcher.install(launcher.Tracer())\n"
+        "assert list(CATALOG) == list(before)\n"
+        "assert all(CATALOG[key] is preset for key, preset in before.items())\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code, str(LAUNCHER.parent)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
