@@ -8,13 +8,17 @@ by arity or weight, and runs the linear-growth dichotomy check on the
 weight-indexed counts.
 
 Two engines compute dimensions.  ``brute`` explicitly builds every normal
-form by composing smaller normal forms (sound because every submonomial of
-a normal form is normal, so only a root-anchored divisor can appear when a
-fresh root is added).  It keeps each weight level in buckets keyed by
-(root mask, arity), where the mask has one bit per distinct non-leaf
-relation child matching at the tree's root, found with ``matches_at_root``
-(its only root test), so the root check runs once per tuple of child
-buckets instead of once per candidate tree.  ``dp`` compiles the
+form below the top weight by composing smaller normal forms (sound because
+every submonomial of a normal form is normal, so only a root-anchored
+divisor can appear when a fresh root is added).  It keeps each weight
+level in buckets keyed by (root mask, arity), where the mask has one bit
+per distinct non-leaf relation child matching at the tree's root, found
+with ``matches_at_root`` on the built trees (its only root test), so the
+root check runs once per tuple of child buckets instead of once per
+candidate tree.  The top weight, which no heavier level takes as
+children, is counted from the accepted bucket tuples (the product of
+their sizes) and not built; no crown or grammar enters, so ``brute`` stays
+independent of ``dp``.  ``dp`` compiles the
 presentation once into a crown grammar, rules ``crown <- g(k_1..k_m)``
 whose crowns are the sets of relation subtrees matching at a tree's root
 (all a root-anchored relation match can see of a child), then counts over
@@ -27,8 +31,9 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
+from contextlib import contextmanager
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from operator import add, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -163,11 +168,23 @@ def _root_buckets(nslots: int, rels: list, weight: int, buckets: list[dict],
     return out
 
 
-def _build_level(alphabet: Alphabet, roots: list, w: int, buckets: list[dict],
-                 max_arity: Optional[int], need_buckets: bool) -> tuple[list, dict]:
-    """All weight-w normal forms from the lighter levels' buckets, and (when
-    ``need_buckets``, i.e. a heavier level will use them as children) the
-    same trees keyed by (root mask, arity).
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, then restore its state: the trees
+    hold no cycles, and each collection would walk every tree built so far."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _build_level(alphabet: Alphabet, groups: list, tests: dict) -> tuple[list, dict]:
+    """The normal forms of the accepted groups, in group order, and the same
+    trees keyed by (root mask, arity), where the mask holds the bits in
+    ``tests[g]`` of the relation children matching at the root.
 
     Children are normal forms, so only a root-anchored relation match needs
     checking; every tree is distinct because (root label, child tuple)
@@ -175,34 +192,31 @@ def _build_level(alphabet: Alphabet, roots: list, w: int, buckets: list[dict],
     """
     level: list[TreeMonomial] = []
     by_key: dict = {}
-    for g, tests, rels in roots:
-        for lists, arity in _root_buckets(g.arity, rels, w - 1, buckets, max_arity):
-            trees = [_fast_node(alphabet, g, children) for children in product(*lists)]
-            level += trees
-            if not need_buckets:
-                continue
-            for t in trees:
-                mask = 0
-                for pattern, bit in tests:
-                    if matches_at_root(pattern, t):
-                        mask |= bit
-                by_key.setdefault((mask, arity), []).append(t)
+    for g, lists, arity in groups:
+        trees = [_fast_node(alphabet, g, children) for children in product(*lists)]
+        level += trees
+        root_tests = tests[g]
+        for t in trees:
+            mask = 0
+            for pattern, bit in root_tests:
+                if matches_at_root(pattern, t):
+                    mask |= bit
+            by_key.setdefault((mask, arity), []).append(t)
     return level, by_key
 
 
-def _irr_levels(p: MonomialOperadPresentation, max_weight: int, max_arity: Optional[int] = None,
-                key=None) -> Iterator[list[TreeMonomial]]:
-    """Normal forms level by level (one level per weight), each sorted by
-    ``key`` when given.
+def _irr_levels(p: MonomialOperadPresentation, max_weight: int,
+                max_arity: Optional[int] = None) -> Iterator[tuple[list, Optional[list]]]:
+    """Per weight 1..max_weight, the accepted groups ``(generator, child
+    lists, arity)``, whose child tuples ``product(*lists)`` are the level's
+    normal forms, and the normal forms themselves; the heaviest level is
+    left unbuilt (None), since no level reads it as children.
 
     Each distinct non-leaf child of a relation gets one bit, and a built
     normal form's root mask holds the bits of those it matches at the root
     (a leaf's mask is 0).  Levels are kept in buckets keyed by (mask,
     arity), so a relation rooted at g is one required bit per slot and the
     root check runs once per bucket tuple, not once per candidate tree.
-    The cyclic garbage collector is paused while a level is built: the
-    trees hold no cycles, and each collection would walk every tree built
-    so far.
     """
     bits: dict = {}
     for r in p.relations:
@@ -215,22 +229,19 @@ def _irr_levels(p: MonomialOperadPresentation, max_weight: int, max_arity: Optio
                  for r in p.relations if r.generator == g]
         rels = [(need, max((i + 1 for i, b in enumerate(need) if b), default=0))
                 for need in needs]
-        roots.append((g, [(c, b) for c, b in bits.items() if c.generator == g], rels))
+        roots.append((g, rels))
+    tests = {g: [(c, b) for c, b in bits.items() if c.generator == g]
+             for g in p.alphabet.generators}
     buckets = [{(0, 1): [LEAF]}]
-    yield [TreeMonomial.trivial(p.alphabet)]
     for w in range(1, max_weight + 1):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            level, by_key = _build_level(p.alphabet, roots, w, buckets, max_arity,
-                                         w < max_weight)
-            if key is not None:
-                level.sort(key=key)
-        finally:
-            if enabled:
-                gc.enable()
-        buckets.append(by_key)
-        yield level
+        groups = [(g, lists, arity) for g, rels in roots
+                  for lists, arity in _root_buckets(g.arity, rels, w - 1, buckets, max_arity)]
+        level = None
+        if w < max_weight:
+            with _gc_paused():
+                level, by_key = _build_level(p.alphabet, groups, tests)
+            buckets.append(by_key)
+        yield groups, level
 
 
 _LEAF_ONLY = (LEAF,)
@@ -261,7 +272,13 @@ def enumerate_irr(p: MonomialOperadPresentation, max_weight: int) -> Iterator[Tr
     """
     if max_weight < 0:
         raise PresentationError("max_weight must be nonnegative")
-    for level in _irr_levels(p, max_weight, key=p._order.key):
+    yield TreeMonomial.trivial(p.alphabet)
+    for groups, level in _irr_levels(p, max_weight):
+        with _gc_paused():
+            if level is None:  # the heaviest level, which no level reads as children
+                level = [_fast_node(p.alphabet, g, children)
+                         for g, lists, _ in groups for children in product(*lists)]
+            level.sort(key=p._order.key)
         yield from level
 
 
@@ -373,8 +390,15 @@ def _graded_counts(p: MonomialOperadPresentation, n: int, shift, coef=None,
 
 def _brute_counts(p: MonomialOperadPresentation, max_weight: int,
                   max_arity: Optional[int] = None) -> list[Counter]:
-    """Normal forms counted by arity, one Counter per weight."""
-    return [Counter(t.arity for t in level) for level in _irr_levels(p, max_weight, max_arity)]
+    """Nontrivial normal forms counted by arity, one Counter per weight
+    1..max_weight, each summed from its accepted groups' bucket sizes."""
+    counts = []
+    for groups, _ in _irr_levels(p, max_weight, max_arity):
+        per_arity: Counter = Counter()
+        for _, lists, arity in groups:
+            per_arity[arity] += prod(map(len, lists))
+        counts.append(per_arity)
+    return counts
 
 
 def _engine(engine: str) -> str:
@@ -407,7 +431,7 @@ def dim_by_arity(p: MonomialOperadPresentation, max_arity: int, engine: str = "d
     # nontrivial[e]: nontrivial normal forms of arity e+1
     if _engine(engine) == "brute":
         nontrivial = [0] * max_arity
-        for per_arity in _brute_counts(p, max_weight, max_arity)[1:]:
+        for per_arity in _brute_counts(p, max_weight, max_arity):
             for n, c in per_arity.items():
                 nontrivial[n - 1] += c
     elif exact:  # g adds arity(g)-1 to arity-1
@@ -428,7 +452,7 @@ def dim_by_weight(p: MonomialOperadPresentation, max_weight: int,
     if max_weight < 0:
         raise PresentationError("max_weight must be nonnegative")
     if _engine(engine) == "brute":
-        nontrivial = [sum(per_arity.values()) for per_arity in _brute_counts(p, max_weight)]
+        nontrivial = [0] + [sum(per_arity.values()) for per_arity in _brute_counts(p, max_weight)]
     else:
         nontrivial = _graded_counts(p, max_weight, lambda g: 1)
     return DimSeries((1, *nontrivial[1:]), "weight", exact=True)

@@ -1,12 +1,14 @@
 """Monomial operad presentations: normal forms, engines, growth dichotomy."""
 
 import gc
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import oplab.monomial
 from helpers import BINARY, UNARY_BINARY, all_monomials
 from oplab import (
     Alphabet,
@@ -99,6 +101,20 @@ class TestNormalForms:
         a = [repr(t) for t in enumerate_irr(fibonacci, 5)]
         b = [repr(t) for t in enumerate_irr(fibonacci, 5)]
         assert a == b
+
+    def test_enumeration_digests_are_pinned(self, fibonacci):
+        # SHA-256 of the format_monomial lines, recorded from an enumerator
+        # that built every level, the heaviest included, the same way
+        rng = random.Random(29)
+        ab = Alphabet.of(a=2, b=3)
+        pool = [t for t in all_monomials(ab, 3) if t.weight >= 2]
+        mixed = MonomialOperadPresentation(ab, rng.sample(pool, k=4))
+        for p, max_weight, count, digest in (
+                (fibonacci, 7, 54, "9d014c0b6f53e389aa2cbf29f2e88d8f7c61d9da2ffd2c29a9da37b338fcf99c"),
+                (mixed, 5, 2464, "d4d84715821d7074ffb543dc21f79d41c15f2dec68734a44b84936acc29f015b")):
+            lines = [format_monomial(t) for t in enumerate_irr(p, max_weight)]
+            assert len(lines) == count
+            assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
     def test_tall_unary_chain(self):
         # one normal form per weight, u(u(...(*))); sorting a level keys it by its path words
@@ -245,6 +261,52 @@ class TestBruteBuckets:
         counts = Counter(t.arity for t in all_monomials(p.alphabet, max_weight)
                          if t.arity <= max_arity and is_normal_form(p, t))
         return tuple(counts[n] for n in range(max_arity + 1))
+
+    @staticmethod
+    def naive_by_weight(p, max_weight):
+        """Counts by weight from filtering every monomial with divides."""
+        counts = Counter(t.weight for t in all_monomials(p.alphabet, max_weight)
+                         if is_normal_form(p, t))
+        return tuple(counts[w] for w in range(max_weight + 1))
+
+    def test_top_level_is_counted_not_built(self, monkeypatch):
+        # only weights 1..11 are built as children of a heavier level:
+        # C_1 + ... + C_11 = 82499 trees, not the 290511 up to C_12
+        built = []
+        fast_node = oplab.monomial._fast_node
+
+        def counted(*args):
+            built.append(None)
+            return fast_node(*args)
+
+        monkeypatch.setattr(oplab.monomial, "_fast_node", counted)
+        free = MonomialOperadPresentation(BINARY, ())
+        catalan = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
+        assert dim_by_arity(free, 13, engine="brute").values == (0, *catalan)
+        assert len(built) == 82499
+        built.clear()
+        assert dim_by_weight(free, 12, engine="brute").values == catalan
+        assert len(built) == 82499
+
+    def test_counted_top_level_matches_the_naive_filter(self):
+        rng = random.Random(37)
+        for al, unary in ((Alphabet.of(a=2, b=3), False), (Alphabet.of(u=1, b=2, c=3), True)):
+            pool = [t for t in all_monomials(al, 3) if t.weight >= 2]
+            for _ in range(4):
+                p = MonomialOperadPresentation(al, rng.sample(pool, k=rng.randint(1, 5)))
+                for w in (0, 1, 4):
+                    assert dim_by_weight(p, w, engine="brute").values == \
+                        self.naive_by_weight(p, w), (p, w)
+                # the top weight is the cap, or max_arity - 1 without one;
+                # max_arity 3 prunes inside it
+                for n in (0, 1, 2, 3, 5):
+                    cap = 4 if unary or n == 5 else None
+                    top = cap if cap is not None else max(0, n - 1)
+                    assert dim_by_arity(p, n, engine="brute", weight_cap=cap).values == \
+                        self.naive_by_arity(p, n, top), (p, n)
+                if not unary:  # a cap below max_arity - 1: arity 6 cuts weight 3's arity 7
+                    assert dim_by_arity(p, 6, engine="brute", weight_cap=3).values == \
+                        self.naive_by_arity(p, 6, 3), p
 
     def test_brute_matches_dp_on_seeded_mixed_alphabets(self):
         rng = random.Random(23)
