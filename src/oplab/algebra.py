@@ -14,7 +14,7 @@ k-th roots; no floating point touches any dimension value.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, pairwise
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
@@ -183,8 +183,8 @@ def warfield_dims(r, max_degree: int) -> DimSeries:
     """Strictly increasing dims with growth exponent r, for 2 < r < 3.
 
     With q = (r-1)/2 the degree-n dimension is
-    1 + n + (floor(n**q) - 1) * floor(n**q) / 2 for n >= 2; the partial sums
-    grow like n**r.
+    1 + n + (floor(n**q) - 1) * floor(n**q) / 2 (1 and 2 at n = 0 and 1);
+    the partial sums grow like n**r.
     """
     r = as_fraction(r)
     if not Fraction(2) < r < Fraction(3):
@@ -193,11 +193,8 @@ def warfield_dims(r, max_degree: int) -> DimSeries:
         raise AlgebraError("max_degree must be nonnegative")
     q = (r - 1) / 2
     a, b = q.numerator, q.denominator
-    values = [1, 2]
-    for n in range(2, max_degree + 1):
-        fl = floor_root(n ** a, b)
-        values.append(1 + n + (fl - 1) * fl // 2)
-    return DimSeries(tuple(values[:max_degree + 1]), "degree")
+    floors = (floor_root(n ** a, b) for n in range(max_degree + 1))
+    return DimSeries(tuple(1 + n + (fl - 1) * fl // 2 for n, fl in enumerate(floors)), "degree")
 
 
 def warfield_monomial_model(r, max_degree: int) -> MonomialAlgebraPresentation:
@@ -319,15 +316,8 @@ def floor_power_dims(alpha, max_index: int) -> DimSeries:
     if max_index < 0:
         raise AlgebraError("max_index must be nonnegative")
     a, b = alpha.numerator, alpha.denominator
-    values = [0]
-    if max_index >= 1:
-        values.append(1)
-    prev = 1
-    for n in range(2, max_index + 1):
-        cur = floor_root(n ** a, b)
-        values.append(cur - prev)
-        prev = cur
-    return DimSeries(tuple(values), "arity")
+    floors = (floor_root(n ** a, b) for n in range(max_index + 1))
+    return DimSeries(tuple(cur - prev for prev, cur in pairwise(chain((0,), floors))), "arity")
 
 
 def polynomial_ring_dims(d: int, max_degree: int) -> DimSeries:

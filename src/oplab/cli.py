@@ -299,11 +299,12 @@ def _get_presentation(args) -> tuple[MonomialOperadPresentation, str]:
     return preset_presentation(label), label
 
 
-def _series_source(args, n: Optional[int]) -> tuple[list[Fraction | int], str, dict]:
+def _series_source(args, n: Optional[int]) -> tuple[Sequence[Fraction | int], str, dict]:
     """Coefficients, label and JSON metadata of --source or --preset.  A
     preset, presentation or algebra file needs the max index n and gives the
-    exact integer dimensions 0..n; CSV (a file, or stdin by default) gives its
-    rows 0..n as Fractions, or all of them when n is None.  The file's head
+    exact integer dimensions 0..n, the DimSeries's own values tuple uncopied;
+    CSV (a file, or stdin by default) gives a list of its rows 0..n as
+    Fractions, or of all of them when n is None.  The file's head
     (first directive other than ``name``) tells CSV from the others.
     A --source that names neither a file nor a preset is a usage error."""
     from pathlib import Path
@@ -338,7 +339,7 @@ def _series_source(args, n: Optional[int]) -> tuple[list[Fraction | int], str, d
         dims = monomial.dim_by_arity(p, n)
         meta = {"exact": dims.exact, "sha256": _presentation_hash(p)}
     meta["index_kind"] = dims.index_kind
-    return list(dims.values[:n + 1]), source, meta
+    return dims.values[:n + 1], source, meta
 
 
 def _presentation_hash(p: MonomialOperadPresentation) -> str:

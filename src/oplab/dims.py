@@ -114,11 +114,18 @@ class DimSeries(Frozen):
 
 def as_dim_values(dims: "DimSeries | Sequence[int]") -> tuple[int, ...]:
     """Coerce either a DimSeries or a plain sequence of nonnegative integral
-    numbers (ints, or Fractions such as CSV gives) to a tuple of ints."""
+    numbers (ints, or Fractions such as CSV gives) to a tuple of ints.
+
+    A DimSeries gives its own values tuple, and a tuple of nonnegative ints
+    is checked and returned as it is; any other sequence is checked and
+    copied once."""
     if isinstance(dims, DimSeries):
         return dims.values
-    values = tuple(map(int, dims))
-    if any(map(ne, values, dims)) or min(values, default=0) < 0:
+    if type(dims) is tuple and set(map(type, dims)) <= {int}:
+        values = dims
+    else:
+        values = tuple(map(int, dims))
+    if (values is not dims and any(map(ne, values, dims))) or min(values, default=0) < 0:
         bad = next(i for i, (v, d) in enumerate(zip(values, dims)) if v != d or v < 0)
         raise ValueError(f"dimension {bad} is {dims[bad]}, not a nonnegative integer")
     return values

@@ -1,8 +1,11 @@
 """Generating-series analysis: growth estimation, rational fitting,
 polynomial-coefficient recurrence guessing, and zero-run structure.
 
-The analysers take any sequence of exact numbers (a DimSeries, ints or
-Fractions) and convert it to Fractions once on entry.  Every fit runs over
+The fitters take any sequence of exact numbers (a DimSeries, ints or
+Fractions) and convert it to Fractions once on entry.  The growth estimator
+takes nonnegative integers: a DimSeries or a tuple of ints is read in place,
+any other sequence is copied once into a tuple of ints, and of the partial
+sums it keeps only the logarithms on the tail window.  Every fit runs over
 exact rationals; the only floating point lives in the explicitly labelled
 growth estimators (logarithms of exact partial sums).
 Absence results are "no candidate at these bounds", never a proof beyond
@@ -14,8 +17,10 @@ that no candidate passed the holdout suffix, which no fitting step saw.
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice, pairwise
+from operator import mul, truediv
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .dims import DimSeries, as_dim_values, log_of_int
@@ -91,35 +96,40 @@ class GkReport(NamedTuple):
 
 
 def gk_estimate(dims: DimSeries | Sequence[int]) -> GkReport:
-    """Estimate the growth exponent limsup log_n(sum of dims up to n)."""
+    """Estimate the growth exponent limsup log_n(sum of dims up to n).
+
+    Only the tail window's partial sums are formed, from one sum of the
+    values up to its start.  Sums never decrease, so the positive ones are a
+    suffix of the window; their logs and those of their indices are kept in
+    two float arrays, and nothing else of window length."""
     values = as_dim_values(dims)
     if len(values) < 8:
         raise SeriesError("need at least 8 dimension values to estimate growth")
-    if all(v == 0 for v in values[2:]):
+    if not any(islice(values, 2, None)):
         raise DegenerateSeriesError("series is zero beyond index 1")
-    sums = list(accumulate(values))
     n_max = len(values) - 1
     start = max(2, n_max - int(n_max * TAIL_FRACTION))
-    window = [(n, sums[n]) for n in range(start, n_max + 1) if sums[n] > 0]
-    if len(window) < 2:
+    tail_sums = accumulate(islice(values, start + 1, None), initial=sum(islice(values, start + 1)))
+    ys = array("d", map(log_of_int, filter(None, tail_sums)))
+    k = len(ys)
+    if k < 2:
         raise DegenerateSeriesError("partial sums vanish on the tail window")
-    logs = [(math.log(n), log_of_int(s)) for n, s in window]
-    k = len(logs)
-    sx = sum(x for x, _ in logs)
-    sy = sum(y for _, y in logs)
-    sxx = sum(x * x for x, _ in logs)
-    sxy = sum(x * y for x, y in logs)
+    xs = array("d", map(math.log, range(n_max + 1 - k, n_max + 1)))
+    sx = sum(xs)
+    sy = sum(ys)
+    sxx = sum(x * x for x in xs)
+    sxy = sum(map(mul, xs, ys))
     den = k * sxx - sx * sx
     slope = (k * sxy - sx * sy) / den if den else 0.0
-    pointwise = log_of_int(sums[n_max]) / math.log(n_max)
-    pointwise_max = max(y / x for x, y in logs)
-    return GkReport(pointwise, slope, pointwise_max, _geometric(sums),
+    pointwise = ys[-1] / xs[-1]
+    pointwise_max = max(map(truediv, ys, xs))
+    return GkReport(pointwise, slope, pointwise_max, _geometric(values),
                     (start, n_max), n_max)
 
 
-def _geometric(sums: list[int]) -> bool:
+def _geometric(values: Sequence[int]) -> bool:
     """Do the doubling ratios S(2n)/S(n) keep growing?  (geometric test)"""
-    n_max = len(sums) - 1
+    n_max = len(values) - 1
     anchors = []
     n = max(2, n_max // 16)
     while 2 * n <= n_max:
@@ -127,9 +137,11 @@ def _geometric(sums: list[int]) -> bool:
         n *= 2
     if len(anchors) < 2:
         return False
+    # S at each anchor and at twice the last, each extending the one before
+    rest = iter(values)
+    sums = accumulate(sum(islice(rest, hi - lo)) for lo, hi in pairwise([-1, *anchors, n]))
     exps = []
-    for n in anchors:
-        lo, hi = sums[n], sums[2 * n]
+    for lo, hi in pairwise(sums):
         if lo == 0:
             return False
         exps.append((log_of_int(hi) - log_of_int(lo)) / math.log(2))

@@ -191,6 +191,24 @@ class TestFloorPower:
                              for n in range(2, 2001) for fl in [floor_power(n, q)]]
         assert list(warfield_dims(r, 2000).values) == expected
 
+    @pytest.mark.parametrize("max_index", [0, 1, 2, 3, 700])
+    @pytest.mark.parametrize("alpha", [Fraction(1, 2), 1, Fraction(3, 2), Fraction(5, 3), 2,
+                                       Fraction(7, 2)])
+    def test_dims_are_floor_power_differences(self, alpha, max_index):
+        values = floor_power_dims(alpha, max_index).values
+        assert type(values) is tuple and len(values) == max_index + 1 and values[0] == 0
+        assert values[1:] == tuple(floor_power(n, alpha) - floor_power(n - 1, alpha)
+                                   for n in range(1, max_index + 1))
+
+    @pytest.mark.parametrize("max_degree", [0, 1, 2, 3, 700])
+    @pytest.mark.parametrize("r", [Fraction(5, 2), Fraction(7, 3), Fraction(8, 3), "2.9"])
+    def test_warfield_dims_are_the_closed_form_at_every_degree(self, r, max_degree):
+        q = (Fraction(r) - 1) / 2
+        values = warfield_dims(r, max_degree).values
+        assert type(values) is tuple and values[:2] == (1, 2)[:max_degree + 1]
+        assert values == tuple(1 + n + (fl - 1) * fl // 2
+                               for n in range(max_degree + 1) for fl in [floor_power(n, q)])
+
 
 class TestAdjoin:
     def test_unit_series_becomes_polynomial_ring(self):

@@ -1,0 +1,203 @@
+"""gk_estimate against the full-window formula it replaced, and its memory.
+
+The oracle forms every partial sum, a list of (n, S) pairs on the tail
+window and a list of (log n, log S) pairs, and runs the geometric test on
+the full list of sums.  gk_estimate sums only the tail window; it must
+return a bit-identical GkReport, or raise the same error with the same
+message.
+"""
+
+import math
+import random
+import tracemalloc
+from fractions import Fraction
+from itertools import accumulate
+from operator import ne
+
+import pytest
+
+from oplab import (
+    DimSeries,
+    floor_power_dims,
+    free_algebra_dims,
+    gk_estimate,
+    polynomial_ring_dims,
+    warfield_dims,
+)
+from oplab.dims import as_dim_values, log_of_int
+from oplab.series import TAIL_FRACTION, DegenerateSeriesError, GkReport, SeriesError
+
+
+def full_window_gk(dims):
+    """Growth report from the full list of partial sums and per-point tuples."""
+    if isinstance(dims, DimSeries):
+        values = dims.values
+    else:
+        values = tuple(map(int, dims))
+        if any(map(ne, values, dims)) or min(values, default=0) < 0:
+            bad = next(i for i, (v, d) in enumerate(zip(values, dims)) if v != d or v < 0)
+            raise ValueError(f"dimension {bad} is {dims[bad]}, not a nonnegative integer")
+    if len(values) < 8:
+        raise SeriesError("need at least 8 dimension values to estimate growth")
+    if all(v == 0 for v in values[2:]):
+        raise DegenerateSeriesError("series is zero beyond index 1")
+    sums = list(accumulate(values))
+    n_max = len(values) - 1
+    start = max(2, n_max - int(n_max * TAIL_FRACTION))
+    window = [(n, sums[n]) for n in range(start, n_max + 1) if sums[n] > 0]
+    if len(window) < 2:
+        raise DegenerateSeriesError("partial sums vanish on the tail window")
+    logs = [(math.log(n), log_of_int(s)) for n, s in window]
+    k = len(logs)
+    sx = sum(x for x, _ in logs)
+    sy = sum(y for _, y in logs)
+    sxx = sum(x * x for x, _ in logs)
+    sxy = sum(x * y for x, y in logs)
+    den = k * sxx - sx * sx
+    slope = (k * sxy - sx * sy) / den if den else 0.0
+    pointwise = log_of_int(sums[n_max]) / math.log(n_max)
+    pointwise_max = max(y / x for x, y in logs)
+    return GkReport(pointwise, slope, pointwise_max, full_sums_geometric(sums),
+                    (start, n_max), n_max)
+
+
+def full_sums_geometric(sums):
+    n_max = len(sums) - 1
+    anchors = []
+    n = max(2, n_max // 16)
+    while 2 * n <= n_max:
+        anchors.append(n)
+        n *= 2
+    if len(anchors) < 2:
+        return False
+    exps = []
+    for n in anchors:
+        lo, hi = sums[n], sums[2 * n]
+        if lo == 0:
+            return False
+        exps.append((log_of_int(hi) - log_of_int(lo)) / math.log(2))
+    increasing = all(b > a for a, b in zip(exps, exps[1:]))
+    return increasing and exps[-1] - exps[0] > 2.0
+
+
+def outcome(estimate, dims):
+    """The report with every float as its exact repr, or the error raised."""
+    try:
+        return "report", repr(estimate(dims))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same(dims):
+    expected = outcome(full_window_gk, dims)
+    assert outcome(gk_estimate, dims) == expected
+    return expected
+
+
+def _window_start(n_max):
+    return max(2, n_max - int(n_max * TAIL_FRACTION))
+
+
+def _seeded_series(rng):
+    """A nonnegative integer series with runs of zeros, now and then huge
+    values, and often a leading zero run that ends near the tail window."""
+    n_max = rng.randint(5, 400)
+    zero_share = rng.choice((0.0, 0.3, 0.9))
+    top = rng.choice((3, 1000, 2 ** 70, 2 ** 1000, None))  # None: 2**n at index n
+    values = [0 if rng.random() < zero_share else 2 ** n if top is None else rng.randint(0, top)
+              for n in range(n_max + 1)]
+    start = _window_start(n_max)
+    lead = rng.choice((0, rng.randint(0, n_max + 1), start, start + 1, n_max - 1, n_max, n_max + 1))
+    values[:lead] = [0] * min(lead, n_max + 1)
+    return values
+
+
+SEEDED = [_seeded_series(random.Random(seed)) for seed in range(300)]
+
+
+def _leading_zeros(n_max, first):
+    """Ones from index ``first`` on, zeros before it."""
+    return [0] * first + [1] * (n_max + 1 - first)
+
+
+EDGES = [
+    list(range(7)),                          # too short
+    [3, 5, 0, 0, 0, 0, 0, 0, 0, 0],          # zero beyond index 1
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4],    # one positive sum in the window
+    [0] * 2 + [1] * 8,                       # positive from index 2 on
+    [2 ** 3000] * 40,                        # every log on the big path
+    [0] * 4 + [1] + [2 ** (n * n // 8) for n in range(5, 65)],  # geometric; S(4) = values[4]
+    [1, 1, 2, 1, 3, 1, 4, -1, 5],            # negative
+    [1, 1, 2, 1, 3, Fraction(1, 2), 4, 1],   # fractional
+] + [_leading_zeros(n_max, first)
+     for n_max in (9, 30, 99, 100, 257)
+     for first in (0, 1, _window_start(n_max) - 1, _window_start(n_max),
+                   _window_start(n_max) + 1, n_max - 1, n_max, n_max + 1)]
+
+
+class TestAgainstFullWindow:
+    @pytest.mark.parametrize("alpha", ["3/2", "1/2", "5/3", "7/2"])
+    def test_floor_power(self, alpha):
+        kind, _ = assert_same(floor_power_dims(alpha, 10 ** 5 if alpha == "3/2" else 5000))
+        assert kind == "report"
+
+    @pytest.mark.parametrize("dims", [
+        warfield_dims("5/2", 4000), warfield_dims("8/3", 257),
+        polynomial_ring_dims(3, 3000), polynomial_ring_dims(1, 40),
+        free_algebra_dims(2, 1500), free_algebra_dims(3, 64),
+    ], ids=["warfield-5/2", "warfield-8/3", "polyring-3", "polyring-1", "free-2", "free-3"])
+    def test_closed_forms(self, dims):
+        kind, _ = assert_same(dims)
+        assert kind == "report"
+
+    def test_free_algebra_takes_the_big_log_path(self):
+        # its sums pass 2**900, where log_of_int no longer calls math.log directly
+        dims = free_algebra_dims(2, 1500)
+        assert sum(dims.values).bit_length() > 900
+        assert gk_estimate(dims).exp_flag
+
+    @pytest.mark.parametrize("values", EDGES)
+    def test_edges(self, values):
+        assert_same(values)
+
+    def test_seeded_series(self):
+        outcomes = [assert_same(values) for values in SEEDED]
+        assert {kind for kind, _ in outcomes} == {"report", SeriesError, DegenerateSeriesError}
+        flags = {"exp_flag=True" in text for kind, text in outcomes if kind == "report"}
+        assert flags == {True, False}
+
+    @pytest.mark.parametrize("wrap", [
+        lambda v: DimSeries(v, "degree"), tuple, list, lambda v: [Fraction(x) for x in v],
+    ], ids=["DimSeries", "tuple", "list", "Fractions"])
+    def test_every_input_form(self, wrap):
+        for values in SEEDED[:60] + EDGES[:5] + [list(warfield_dims("5/2", 600))]:
+            assert_same(wrap(values))
+
+
+class TestCopies:
+    def test_a_tuple_of_ints_is_not_copied(self):
+        values = floor_power_dims("3/2", 100).values
+        assert as_dim_values(values) is values
+        assert as_dim_values(list(values)) == values
+
+    @pytest.mark.parametrize("values", [(1, True, 2), (1, 2.0, 3), (1, Fraction(2), 3)])
+    def test_a_tuple_of_other_numbers_is_coerced(self, values):
+        coerced = as_dim_values(values)
+        assert coerced == values and set(map(type, coerced)) == {int}
+
+    def test_a_tuple_is_still_checked(self):
+        with pytest.raises(ValueError, match="dimension 2 is -1"):
+            as_dim_values((1, 2, -1, 3))
+
+    def test_traced_peak_of_gk_estimate_at_1e5(self):
+        # The full-window formula peaks at about 10.9 MB here and the tail
+        # window at about 0.55 MB (CPython 3.11); 3 MB also fails a full
+        # list of the 100001 partial sums.
+        dims = floor_power_dims("3/2", 10 ** 5)
+        tracemalloc.start()
+        try:
+            gk_estimate(dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 10 ** 6
