@@ -245,8 +245,10 @@ def _load_file(path: str, parse: Callable, text: Optional[str] = None):
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _load_csv_coeffs(text: str) -> list[Fraction]:
-    """Coefficients from ``n,value`` rows with n = 0, 1, 2, ... in order.
+def _load_csv_coeffs(text: str, stop: Optional[int]) -> list[Fraction | int]:
+    """Coefficients from ``n,value`` rows with n = 0, 1, 2, ... in order:
+    an int where ``int`` reads the value, else a Fraction.  Every row is
+    checked, and those from index ``stop`` on are then dropped in place.
 
     Blank lines and one leading non-numeric header row are skipped, and
     columns after the value (``oplab series`` output) are ignored; any
@@ -254,7 +256,7 @@ def _load_csv_coeffs(text: str) -> list[Fraction]:
     """
     from fractions import Fraction
 
-    coeffs: list[Fraction] = []
+    coeffs: list[Fraction | int] = []
     header_seen = False
     reader = csv.reader(io.StringIO(text))
     for row in reader:
@@ -271,11 +273,16 @@ def _load_csv_coeffs(text: str) -> list[Fraction]:
         if n != len(coeffs):
             raise UsageError(f"line {line}: expected index {len(coeffs)}, got {n}")
         try:
-            coeffs.append(Fraction(row[1]))
+            try:  # every cell int reads, Fraction reads with the same value
+                coeffs.append(int(row[1]))
+            except ValueError:
+                coeffs.append(Fraction(row[1]))
         except (IndexError, ValueError, ZeroDivisionError):
             raise UsageError(f"line {line}: no coefficient in {','.join(row)!r}") from None
     if not coeffs:
         raise UsageError("no numeric rows found in CSV input")
+    if stop is not None:
+        del coeffs[stop:]
     return coeffs
 
 
@@ -304,7 +311,7 @@ def _series_source(args, n: Optional[int]) -> tuple[Sequence[Fraction | int], st
     preset, presentation or algebra file needs the max index n and gives the
     exact integer dimensions 0..n, the DimSeries's own values tuple uncopied;
     CSV (a file, or stdin by default) gives a list of its rows 0..n as
-    Fractions, or of all of them when n is None.  The file's head
+    ints or Fractions, or of all of them when n is None.  The file's head
     (first directive other than ``name``) tells CSV from the others.
     A --source that names neither a file nor a preset is a usage error."""
     from pathlib import Path
@@ -312,7 +319,7 @@ def _series_source(args, n: Optional[int]) -> tuple[Sequence[Fraction | int], st
     source = _one_source(args, "source")
     stop = None if n is None else n + 1
     if source is None or source == "-":
-        return _load_csv_coeffs(sys.stdin.read())[:stop], "stdin", {}
+        return _load_csv_coeffs(sys.stdin.read(), stop), "stdin", {}
     is_file = Path(source).exists()
     if not is_file and args.source and source.partition(":")[0] not in CATALOG:
         raise UsageError(f"{source!r} is neither a file nor a preset; run 'oplab preset-list'")
@@ -321,7 +328,7 @@ def _series_source(args, n: Optional[int]) -> tuple[Sequence[Fraction | int], st
         keyword, rest = next(((keyword, rest) for _, _, keyword, rest in directives(text)
                               if keyword != "name"), ("", ""))
         if source.endswith(".csv") or keyword[:1].isdigit() or "," in keyword + rest:
-            return _load_csv_coeffs(text)[:stop], source, {}
+            return _load_csv_coeffs(text, stop), source, {}
     if n is None:
         raise UsageError(f"a max index is required for {'file' if is_file else 'preset'} sources")
     if not is_file:
@@ -371,7 +378,7 @@ def _write_values(out, emit: str, values: Sequence, report: dict,
     if emit == "json":
         _write_json(out, dict(report, truncation=len(values) - 1, values=list(map(str, values))))
         return
-    rows = list(enumerate(zip(values, accumulate(values))))
+    rows = enumerate(zip(values, accumulate(values)))
     if emit == "gnuplot":
         out.write(f"# {title or report['command'] + ' ' + report['source']}\n$data << EOD\n")
         out.writelines(f"{n} {v} {s}\n" for n, (v, s) in rows)

@@ -33,7 +33,7 @@ import gc
 from collections import Counter
 from contextlib import contextmanager
 from itertools import product
-from math import lcm, prod
+from math import lcm
 from operator import add, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -133,11 +133,12 @@ def is_normal_form(p: MonomialOperadPresentation, t: TreeMonomial) -> bool:
     return not any(divides(r, t) for r in p.relations)
 
 
-def _root_buckets(nslots: int, rels: list, weight: int, buckets: list[dict],
+def _root_buckets(nslots: int, rels: list, weight: int, sizes: list[dict],
                   max_arity: Optional[int]) -> list[tuple]:
     """Bucket tuples, one bucket per child slot and of total weight
-    ``weight``, over which no relation in ``rels`` matches at the root,
-    each with the arity its trees share.
+    ``weight``, over which no relation in ``rels`` matches at the root: each
+    as its buckets' (weight, (mask, arity)) keys, the arity its trees share
+    and their number, the product of the bucket sizes in ``sizes``.
 
     A relation is (one required mask per slot, slots up to its last
     non-leaf child); a child fits a slot when its mask holds the required
@@ -146,25 +147,26 @@ def _root_buckets(nslots: int, rels: list, weight: int, buckets: list[dict],
     completion.
     """
     out: list[tuple] = []
-    acc: list[list] = []
+    acc: list[tuple] = []
 
-    def rec(slot: int, remaining: int, arity: int, alive: list) -> None:
+    def rec(slot: int, remaining: int, arity: int, count: int, alive: list) -> None:
         rest = nslots - slot - 1
         for w1 in range(remaining + 1) if rest else (remaining,):
-            for (mask, a), trees in buckets[w1].items():
+            for key, n in sizes[w1].items():
+                mask, a = key
                 if max_arity is not None and arity + a + rest > max_arity:
                     continue
                 still = [(need, end) for need, end in alive if need[slot] & mask == need[slot]]
                 if any(end <= slot + 1 for _, end in still):
                     continue
-                acc.append(trees)
+                acc.append((w1, key))
                 if rest:
-                    rec(slot + 1, remaining - w1, arity + a, still)
+                    rec(slot + 1, remaining - w1, arity + a, count * n, still)
                 else:
-                    out.append((tuple(acc), arity + a))
+                    out.append((tuple(acc), arity + a, count * n))
                 acc.pop()
 
-    rec(0, weight, 0, rels)
+    rec(0, weight, 0, 1, rels)
     return out
 
 
@@ -181,42 +183,57 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _build_level(alphabet: Alphabet, groups: list, tests: dict) -> tuple[list, dict]:
-    """The normal forms of the accepted groups, in group order, and the same
-    trees keyed by (root mask, arity), where the mask holds the bits in
-    ``tests[g]`` of the relation children matching at the root.
+def _build_level(alphabet: Alphabet, groups: list, tests: dict, trees: list[dict],
+                 keep: bool) -> tuple[dict, Optional[dict]]:
+    """Build the normal forms of the accepted groups, whose child buckets
+    are read from ``trees``, and sort them into buckets keyed by (root mask,
+    arity), where the mask holds the bits in ``tests[g]`` of the relation
+    children matching at the root.  Returns each bucket's size, and with
+    ``keep`` its trees; otherwise each tree is dropped once counted.
 
     Children are normal forms, so only a root-anchored relation match needs
     checking; every tree is distinct because (root label, child tuple)
     determines it.
     """
-    level: list[TreeMonomial] = []
-    by_key: dict = {}
-    for g, lists, arity in groups:
-        trees = [_fast_node(alphabet, g, children) for children in product(*lists)]
-        level += trees
+    sizes: dict = {}
+    kept: Optional[dict] = {} if keep else None
+    for g, slots, arity, _ in groups:
         root_tests = tests[g]
-        for t in trees:
+        for children in product(*[trees[w][key] for w, key in slots]):
+            t = _fast_node(alphabet, g, children)
             mask = 0
             for pattern, bit in root_tests:
                 if matches_at_root(pattern, t):
                     mask |= bit
-            by_key.setdefault((mask, arity), []).append(t)
-    return level, by_key
+            key = mask, arity
+            sizes[key] = sizes.get(key, 0) + 1
+            if kept is not None:
+                kept.setdefault(key, []).append(t)
+    return sizes, kept
 
 
-def _irr_levels(p: MonomialOperadPresentation, max_weight: int,
-                max_arity: Optional[int] = None) -> Iterator[tuple[list, Optional[list]]]:
+def _irr_levels(p: MonomialOperadPresentation, max_weight: int, max_arity: Optional[int] = None,
+                read_trees: bool = False) -> Iterator[tuple[list, Optional[dict]]]:
     """Per weight 1..max_weight, the accepted groups ``(generator, child
-    lists, arity)``, whose child tuples ``product(*lists)`` are the level's
-    normal forms, and the normal forms themselves; the heaviest level is
-    left unbuilt (None), since no level reads it as children.
+    buckets, arity, size)``, one bucket (weight, (mask, arity)) per slot,
+    whose child tuples from the buckets' trees give the level's normal
+    forms; and those normal forms in buckets keyed by (root mask, arity)
+    when the level is kept (else None).
 
     Each distinct non-leaf child of a relation gets one bit, and a built
     normal form's root mask holds the bits of those it matches at the root
-    (a leaf's mask is 0).  Levels are kept in buckets keyed by (mask,
-    arity), so a relation rooted at g is one required bit per slot and the
-    root check runs once per bucket tuple, not once per candidate tree.
+    (a leaf's mask is 0).  A relation rooted at g is then one required bit
+    per slot, and the root check runs once per bucket tuple, not once per
+    candidate tree.  A group's size is the product of its child buckets'
+    sizes, which every level records.
+
+    Only the trees of levels that a heavier level reads as children are
+    kept: levels 1..max_weight-2.  Level max_weight-1 is built and
+    root-tested one tree at a time, each tree adding 1 to its bucket's size
+    and then dropped, and the heaviest level is not built; its groups'
+    sizes count it.  A caller that reads every level's trees passes
+    ``read_trees``: then every level is built and kept, the heaviest without
+    root tests, since no level reads its masks.
     """
     bits: dict = {}
     for r in p.relations:
@@ -232,15 +249,19 @@ def _irr_levels(p: MonomialOperadPresentation, max_weight: int,
         roots.append((g, rels))
     tests = {g: [(c, b) for c, b in bits.items() if c.generator == g]
              for g in p.alphabet.generators}
-    buckets = [{(0, 1): [LEAF]}]
+    sizes: list[dict] = [{(0, 1): 1}]
+    trees: list[Optional[dict]] = [{(0, 1): [LEAF]}]
     for w in range(1, max_weight + 1):
-        groups = [(g, lists, arity) for g, rels in roots
-                  for lists, arity in _root_buckets(g.arity, rels, w - 1, buckets, max_arity)]
+        groups = [(g, slots, arity, n) for g, rels in roots
+                  for slots, arity, n in _root_buckets(g.arity, rels, w - 1, sizes, max_arity)]
         level = None
-        if w < max_weight:
+        if read_trees or w < max_weight:
             with _gc_paused():
-                level, by_key = _build_level(p.alphabet, groups, tests)
-            buckets.append(by_key)
+                level_sizes, level = _build_level(
+                    p.alphabet, groups, tests if w < max_weight else dict.fromkeys(tests, ()),
+                    trees, read_trees or w < max_weight - 1)
+            sizes.append(level_sizes)
+            trees.append(level)
         yield groups, level
 
 
@@ -268,16 +289,17 @@ def _child_combos(nslots: int, weight: int, levels: list) -> Iterator[tuple]:
 def enumerate_irr(p: MonomialOperadPresentation, max_weight: int) -> Iterator[TreeMonomial]:
     """Stream every normal form of weight <= max_weight exactly once.
 
-    Deterministic order: by weight, then by the path-sequence order.
+    Deterministic order: by weight, then by the path-sequence order.  Every
+    level, the heaviest too, is built and kept as trees; a level's stream
+    is its buckets' trees sorted by that order, a total order on distinct
+    trees.
     """
     if max_weight < 0:
         raise PresentationError("max_weight must be nonnegative")
     yield TreeMonomial.trivial(p.alphabet)
-    for groups, level in _irr_levels(p, max_weight):
+    for _, buckets in _irr_levels(p, max_weight, read_trees=True):
         with _gc_paused():
-            if level is None:  # the heaviest level, which no level reads as children
-                level = [_fast_node(p.alphabet, g, children)
-                         for g, lists, _ in groups for children in product(*lists)]
+            level = [t for trees in buckets.values() for t in trees]
             level.sort(key=p._order.key)
         yield from level
 
@@ -395,8 +417,8 @@ def _brute_counts(p: MonomialOperadPresentation, max_weight: int,
     counts = []
     for groups, _ in _irr_levels(p, max_weight, max_arity):
         per_arity: Counter = Counter()
-        for _, lists, arity in groups:
-            per_arity[arity] += prod(map(len, lists))
+        for _, _, arity, n in groups:
+            per_arity[arity] += n
         counts.append(per_arity)
     return counts
 

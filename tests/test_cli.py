@@ -609,6 +609,21 @@ class TestCsvInput:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell, value", [
+        ("5", 5), (" 7 ", 7), ("+5", 5), ("-3", -3), ("1_000", 1000), ("5.0", 5), ("1e3", 1000),
+        ("3/1", 3), ("1/2", Fraction(1, 2)), ("", None), ("x", None),
+    ])
+    def test_cell_reads_as_its_exact_value(self, cell, value):
+        # the value Fraction(cell) gives, or the usage error its ValueError gives
+        from oplab.cli import UsageError, _load_csv_coeffs
+        text = f"0,1\n1,{cell}\n"
+        if value is None:
+            with pytest.raises(UsageError, match=f"^line 2: no coefficient in '1,{cell}'$"):
+                _load_csv_coeffs(text, None)
+        else:
+            assert _load_csv_coeffs(text, None) == [1, value]
+            assert _load_csv_coeffs(text, 1) == [1]
+
     @pytest.mark.parametrize("via", ["file", "stdin"])
     def test_max_truncates_csv(self, tmp_path, monkeypatch, via):
         _, long_csv = invoke("series", "--preset", "partition", "--max", "80")
