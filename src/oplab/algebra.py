@@ -18,7 +18,7 @@ from itertools import accumulate, chain, pairwise
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
-from .dims import DimSeries, FileSyntaxError, directives
+from .dims import DimSeries, FileSyntaxError, Frozen, directives
 
 Word = tuple[str, ...]
 
@@ -70,10 +70,10 @@ def floor_power(n: int, q: Fraction) -> int:
     return floor_root(n ** q.numerator, q.denominator)
 
 
-class MonomialAlgebraPresentation:
+class MonomialAlgebraPresentation(Frozen):
     """Degree-1 variables modulo a self-reduced set of forbidden words."""
 
-    __slots__ = ("variables", "forbidden", "name")
+    __slots__ = _fields = ("variables", "forbidden", "name")
 
     def __init__(self, variables: Sequence[str], forbidden: Iterable[Word] = (),
                  name: Optional[str] = None) -> None:
@@ -97,9 +97,6 @@ class MonomialAlgebraPresentation:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "forbidden", tuple(kept))
         object.__setattr__(self, "name", name)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("MonomialAlgebraPresentation is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, MonomialAlgebraPresentation):

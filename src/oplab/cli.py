@@ -26,7 +26,7 @@ import csv
 import io
 import sys
 from itertools import accumulate, combinations
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .dims import ENGINES, DimSeries, FileSyntaxError, as_dim_values, directives, log_of_int
 
@@ -245,8 +245,9 @@ def _load_file(path: str, parse: Callable, text: Optional[str] = None):
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _load_csv_coeffs(text: str, stop: Optional[int]) -> list[Fraction | int]:
-    """Coefficients from ``n,value`` rows with n = 0, 1, 2, ... in order:
+def _load_csv_coeffs(lines: Iterable[str], stop: Optional[int]) -> list[Fraction | int]:
+    """Coefficients from the ``n,value`` rows of ``lines`` (stdin is read as
+    it streams), with n = 0, 1, 2, ... in order:
     an int where ``int`` reads the value, else a Fraction.  Every row is
     checked, and those from index ``stop`` on are then dropped in place.
 
@@ -258,7 +259,7 @@ def _load_csv_coeffs(text: str, stop: Optional[int]) -> list[Fraction | int]:
 
     coeffs: list[Fraction | int] = []
     header_seen = False
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(lines)
     for row in reader:
         if not any(cell.strip() for cell in row):
             continue
@@ -319,7 +320,7 @@ def _series_source(args, n: Optional[int]) -> tuple[Sequence[Fraction | int], st
     source = _one_source(args, "source")
     stop = None if n is None else n + 1
     if source is None or source == "-":
-        return _load_csv_coeffs(sys.stdin.read(), stop), "stdin", {}
+        return _load_csv_coeffs(sys.stdin, stop), "stdin", {}
     is_file = Path(source).exists()
     if not is_file and args.source and source.partition(":")[0] not in CATALOG:
         raise UsageError(f"{source!r} is neither a file nor a preset; run 'oplab preset-list'")
@@ -328,7 +329,7 @@ def _series_source(args, n: Optional[int]) -> tuple[Sequence[Fraction | int], st
         keyword, rest = next(((keyword, rest) for _, _, keyword, rest in directives(text)
                               if keyword != "name"), ("", ""))
         if source.endswith(".csv") or keyword[:1].isdigit() or "," in keyword + rest:
-            return _load_csv_coeffs(text, stop), source, {}
+            return _load_csv_coeffs(io.StringIO(text), stop), source, {}
     if n is None:
         raise UsageError(f"a max index is required for {'file' if is_file else 'preset'} sources")
     if not is_file:

@@ -7,22 +7,25 @@ divides; this module enumerates them, computes dimension sequences indexed
 by arity or weight, and runs the linear-growth dichotomy check on the
 weight-indexed counts.
 
-Two engines compute dimensions.  ``brute`` explicitly builds every normal
-form below the top weight by composing smaller normal forms (sound because
-every submonomial of a normal form is normal, so only a root-anchored
-divisor can appear when a fresh root is added).  It keeps each weight
-level in buckets keyed by (root mask, arity), where the mask has one bit
-per distinct non-leaf relation child matching at the tree's root, found
-with ``matches_at_root`` on the built trees (its only root test), so the
-root check runs once per tuple of child buckets instead of once per
-candidate tree.  The top weight, which no heavier level takes as
+``enumerate_irr`` builds each weight level from the lighter ones and
+root-tests every candidate with ``matches_at_root`` against the relations
+rooted at its generator (sound because every submonomial of a normal form
+is normal, so only a root-anchored divisor can appear when a fresh root is
+added).  Two engines only count.  ``brute`` explicitly builds every normal
+form below the top weight by composing smaller normal forms, by the same
+argument, and walks buckets that ``enumerate_irr`` does not.  It keeps
+each weight level in buckets keyed by (root mask, arity), where the mask
+has one bit per distinct non-leaf relation child matching at the tree's
+root, found with ``matches_at_root`` on the built trees (its only root
+test), so the root check runs once per tuple of child buckets instead of
+once per candidate tree.  The top weight, which no heavier level takes as
 children, is counted from the accepted bucket tuples (the product of
 their sizes) and not built; no crown or grammar enters, so ``brute`` stays
-independent of ``dp``.  ``dp`` compiles the
-presentation once into a crown grammar, rules ``crown <- g(k_1..k_m)``
-whose crowns are the sets of relation subtrees matching at a tree's root
-(all a root-anchored relation match can see of a child), then counts over
-the rules with one graded convolution ``F_c[d] = sum over rules of
+independent of ``dp``.  ``dp`` compiles the presentation once into a crown
+grammar, rules ``crown <- g(k_1..k_m)`` whose crowns are the sets of
+relation subtrees matching at a tree's root (all a root-anchored relation
+match can see of a child), then counts over the rules with one graded
+convolution ``F_c[d] = sum over rules of
 sum_{d_1+..+d_m = d-deg g} prod F_{k_i}[d_i]`` (deg g = 1 by weight,
 arity(g)-1 by arity): an explicit algebraic system for the series.
 """
@@ -37,7 +40,7 @@ from math import lcm
 from operator import add, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .dims import ENGINES, DimSeries, FileSyntaxError, directives
+from .dims import ENGINES, DimSeries, FileSyntaxError, Frozen, directives
 from .order import TreeOrder
 from .trees import (
     LEAF,
@@ -72,7 +75,7 @@ class PresentationSyntaxError(FileSyntaxError, PresentationError):
     """A presentation file failed to parse; carries the offending line."""
 
 
-class MonomialOperadPresentation:
+class MonomialOperadPresentation(Frozen):
     """Alphabet plus a self-reduced set of forbidden tree monomials.
 
     Relations divisible by another relation are dropped at construction;
@@ -81,6 +84,7 @@ class MonomialOperadPresentation:
     """
 
     __slots__ = ("alphabet", "relations", "name", "_order")
+    _fields = ("alphabet", "relations", "name")
 
     def __init__(self, alphabet: Alphabet, relations: Iterable[TreeMonomial] = (),
                  name: Optional[str] = None) -> None:
@@ -104,9 +108,6 @@ class MonomialOperadPresentation:
         object.__setattr__(self, "relations", tuple(kept))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_order", order)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("MonomialOperadPresentation is immutable")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialOperadPresentation):
@@ -212,59 +213,6 @@ def _build_level(alphabet: Alphabet, groups: list, tests: dict, trees: list[dict
     return sizes, kept
 
 
-def _irr_levels(p: MonomialOperadPresentation, max_weight: int, max_arity: Optional[int] = None,
-                read_trees: bool = False) -> Iterator[tuple[list, Optional[dict]]]:
-    """Per weight 1..max_weight, the accepted groups ``(generator, child
-    buckets, arity, size)``, one bucket (weight, (mask, arity)) per slot,
-    whose child tuples from the buckets' trees give the level's normal
-    forms; and those normal forms in buckets keyed by (root mask, arity)
-    when the level is kept (else None).
-
-    Each distinct non-leaf child of a relation gets one bit, and a built
-    normal form's root mask holds the bits of those it matches at the root
-    (a leaf's mask is 0).  A relation rooted at g is then one required bit
-    per slot, and the root check runs once per bucket tuple, not once per
-    candidate tree.  A group's size is the product of its child buckets'
-    sizes, which every level records.
-
-    Only the trees of levels that a heavier level reads as children are
-    kept: levels 1..max_weight-2.  Level max_weight-1 is built and
-    root-tested one tree at a time, each tree adding 1 to its bucket's size
-    and then dropped, and the heaviest level is not built; its groups'
-    sizes count it.  A caller that reads every level's trees passes
-    ``read_trees``: then every level is built and kept, the heaviest without
-    root tests, since no level reads its masks.
-    """
-    bits: dict = {}
-    for r in p.relations:
-        for c in r.children:
-            if c is not LEAF:
-                bits.setdefault(c, 1 << len(bits))
-    roots = []
-    for g in p.alphabet.generators:
-        needs = [tuple(0 if c is LEAF else bits[c] for c in r.children)
-                 for r in p.relations if r.generator == g]
-        rels = [(need, max((i + 1 for i, b in enumerate(need) if b), default=0))
-                for need in needs]
-        roots.append((g, rels))
-    tests = {g: [(c, b) for c, b in bits.items() if c.generator == g]
-             for g in p.alphabet.generators}
-    sizes: list[dict] = [{(0, 1): 1}]
-    trees: list[Optional[dict]] = [{(0, 1): [LEAF]}]
-    for w in range(1, max_weight + 1):
-        groups = [(g, slots, arity, n) for g, rels in roots
-                  for slots, arity, n in _root_buckets(g.arity, rels, w - 1, sizes, max_arity)]
-        level = None
-        if read_trees or w < max_weight:
-            with _gc_paused():
-                level_sizes, level = _build_level(
-                    p.alphabet, groups, tests if w < max_weight else dict.fromkeys(tests, ()),
-                    trees, read_trees or w < max_weight - 1)
-            sizes.append(level_sizes)
-            trees.append(level)
-        yield groups, level
-
-
 _LEAF_ONLY = (LEAF,)
 
 
@@ -289,18 +237,26 @@ def _child_combos(nslots: int, weight: int, levels: list) -> Iterator[tuple]:
 def enumerate_irr(p: MonomialOperadPresentation, max_weight: int) -> Iterator[TreeMonomial]:
     """Stream every normal form of weight <= max_weight exactly once.
 
-    Deterministic order: by weight, then by the path-sequence order.  Every
-    level, the heaviest too, is built and kept as trees; a level's stream
-    is its buckets' trees sorted by that order, a total order on distinct
-    trees.
+    Deterministic order: by weight, then by the path-sequence order.  Level
+    w holds every ``g(k_1..k_m)`` over normal-form children of total weight
+    w - 1 that no relation rooted at g matches at the root (children are
+    normal, so only a root-anchored match can appear), sorted by that order.
     """
     if max_weight < 0:
         raise PresentationError("max_weight must be nonnegative")
     yield TreeMonomial.trivial(p.alphabet)
-    for _, buckets in _irr_levels(p, max_weight, read_trees=True):
+    rooted = [(g, [r for r in p.relations if r.generator == g]) for g in p.alphabet.generators]
+    levels: list[list] = [[]]
+    for w in range(1, max_weight + 1):
         with _gc_paused():
-            level = [t for trees in buckets.values() for t in trees]
+            level = []
+            for g, rels in rooted:
+                for kids in _child_combos(g.arity, w - 1, levels):
+                    t = _fast_node(p.alphabet, g, kids)
+                    if not any(matches_at_root(r, t) for r in rels):
+                        level.append(t)
             level.sort(key=p._order.key)
+        levels.append(level)
         yield from level
 
 
@@ -413,13 +369,52 @@ def _graded_counts(p: MonomialOperadPresentation, n: int, shift, coef=None,
 def _brute_counts(p: MonomialOperadPresentation, max_weight: int,
                   max_arity: Optional[int] = None) -> list[Counter]:
     """Nontrivial normal forms counted by arity, one Counter per weight
-    1..max_weight, each summed from its accepted groups' bucket sizes."""
+    1..max_weight, each summed from its accepted groups ``(generator, child
+    buckets, arity, size)``, one bucket (weight, (mask, arity)) per slot.
+
+    Each distinct non-leaf child of a relation gets one bit, and a built
+    normal form's root mask holds the bits of those it matches at the root
+    (a leaf's mask is 0).  A relation rooted at g is then one required bit
+    per slot, and the root check runs once per bucket tuple, not once per
+    candidate tree.  A group's size is the product of its child buckets'
+    sizes, which every built level records.
+
+    Only the trees of levels that a heavier level reads as children are
+    kept: levels 1..max_weight-2.  Level max_weight-1 is built and
+    root-tested one tree at a time, each tree adding 1 to its bucket's size
+    and then dropped, and the heaviest level is not built; its groups'
+    sizes count it.
+    """
+    bits: dict = {}
+    for r in p.relations:
+        for c in r.children:
+            if c is not LEAF:
+                bits.setdefault(c, 1 << len(bits))
+    roots = []
+    for g in p.alphabet.generators:
+        needs = [tuple(0 if c is LEAF else bits[c] for c in r.children)
+                 for r in p.relations if r.generator == g]
+        rels = [(need, max((i + 1 for i, b in enumerate(need) if b), default=0))
+                for need in needs]
+        roots.append((g, rels))
+    tests = {g: [(c, b) for c, b in bits.items() if c.generator == g]
+             for g in p.alphabet.generators}
+    sizes: list[dict] = [{(0, 1): 1}]
+    trees: list[Optional[dict]] = [{(0, 1): [LEAF]}]
     counts = []
-    for groups, _ in _irr_levels(p, max_weight, max_arity):
+    for w in range(1, max_weight + 1):
+        groups = [(g, slots, arity, n) for g, rels in roots
+                  for slots, arity, n in _root_buckets(g.arity, rels, w - 1, sizes, max_arity)]
         per_arity: Counter = Counter()
         for _, _, arity, n in groups:
             per_arity[arity] += n
         counts.append(per_arity)
+        if w < max_weight:
+            with _gc_paused():
+                level_sizes, level = _build_level(p.alphabet, groups, tests, trees,
+                                                  w < max_weight - 1)
+            sizes.append(level_sizes)
+            trees.append(level)
     return counts
 
 

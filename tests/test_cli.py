@@ -616,13 +616,13 @@ class TestCsvInput:
     def test_cell_reads_as_its_exact_value(self, cell, value):
         # the value Fraction(cell) gives, or the usage error its ValueError gives
         from oplab.cli import UsageError, _load_csv_coeffs
-        text = f"0,1\n1,{cell}\n"
+        lines = ["0,1\n", f"1,{cell}\n"]
         if value is None:
             with pytest.raises(UsageError, match=f"^line 2: no coefficient in '1,{cell}'$"):
-                _load_csv_coeffs(text, None)
+                _load_csv_coeffs(lines, None)
         else:
-            assert _load_csv_coeffs(text, None) == [1, value]
-            assert _load_csv_coeffs(text, 1) == [1]
+            assert _load_csv_coeffs(lines, None) == [1, value]
+            assert _load_csv_coeffs(lines, 1) == [1]
 
     @pytest.mark.parametrize("via", ["file", "stdin"])
     def test_max_truncates_csv(self, tmp_path, monkeypatch, via):

@@ -51,6 +51,12 @@ def binary_presentation(*literals, name=None):
     return MonomialOperadPresentation(BINARY, rels, name=name)
 
 
+def enumerated_by_weight(p, max_weight):
+    """Counts by weight of the normal forms ``enumerate_irr`` streams."""
+    counts = Counter(t.weight for t in enumerate_irr(p, max_weight))
+    return tuple(counts[w] for w in range(max_weight + 1))
+
+
 @pytest.fixture
 def fibonacci():
     return binary_presentation(SHUFFLE, CHAIN11, name="fibonacci")
@@ -159,7 +165,7 @@ class TestDimensions:
             assert dim_by_arity(p, 9, engine="brute").values == \
                 dim_by_arity(p, 9, engine="dp").values
             assert dim_by_weight(p, 8, engine="brute").values == \
-                dim_by_weight(p, 8, engine="dp").values
+                dim_by_weight(p, 8, engine="dp").values == enumerated_by_weight(p, 8)
 
     def test_engines_agree_with_mixed_arities(self):
         rng = random.Random(9)
@@ -330,14 +336,16 @@ class TestBruteBuckets:
         for _ in range(12):
             p = MonomialOperadPresentation(ab, rng.sample(pool, k=rng.randint(1, 5)))
             assert dim_by_arity(p, 9, engine="brute").values == dim_by_arity(p, 9).values
-            assert dim_by_weight(p, 5, engine="brute").values == dim_by_weight(p, 5).values
+            assert dim_by_weight(p, 5, engine="brute").values == dim_by_weight(p, 5).values == \
+                enumerated_by_weight(p, 5)
         ubc = Alphabet.of(u=1, b=2, c=3)
         pool = [t for t in all_monomials(ubc, 3) if t.weight >= 2]
         for _ in range(12):
             p = MonomialOperadPresentation(ubc, rng.sample(pool, k=rng.randint(1, 5)))
             assert dim_by_arity(p, 8, engine="brute", weight_cap=5).values == \
                 dim_by_arity(p, 8, weight_cap=5).values
-            assert dim_by_weight(p, 5, engine="brute").values == dim_by_weight(p, 5).values
+            assert dim_by_weight(p, 5, engine="brute").values == dim_by_weight(p, 5).values == \
+                enumerated_by_weight(p, 5)
 
     def test_relations_with_one_non_leaf_slot(self):
         ab = Alphabet.of(a=2, b=3)

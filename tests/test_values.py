@@ -7,10 +7,12 @@ import pickle
 import pytest
 
 from helpers import BINARY
+from oplab.algebra import MonomialAlgebraPresentation
 from oplab.branch import AvoidanceSystem, BranchError, BranchWord, parse_branch_word
 from oplab.dims import DimSeries
+from oplab.monomial import MonomialOperadPresentation
 from oplab.series import GkReport, RationalFit, RecurrenceCandidate, ZeroRunReport
-from oplab.trees import Alphabet, Generator, TreeError
+from oplab.trees import Alphabet, Generator, TreeError, parse_monomial
 
 
 def values():
@@ -26,6 +28,11 @@ def values():
         (lambda: AvoidanceSystem(BINARY, [parse_branch_word("a:1 a", BINARY)], {("a", 2): 1}),
          {"alphabet": BINARY, "forbidden": (parse_branch_word("a:1 a", BINARY),),
           "letter_caps": {("a", 2): 1}}),
+        (lambda: MonomialOperadPresentation(BINARY, [parse_monomial("a(*,a(*,*))", BINARY)], "r"),
+         {"alphabet": BINARY, "relations": (parse_monomial("a(*,a(*,*))", BINARY),),
+          "name": "r"}),
+        (lambda: MonomialAlgebraPresentation("xy", [("x", "y")], "xy"),
+         {"variables": ("x", "y"), "forbidden": (("x", "y"),), "name": "xy"}),
     ]
 
 
@@ -57,6 +64,17 @@ def test_copies_and_pickles_are_equal(make, fields):
     a = make()
     for other in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert other == a and hash(other) == hash(a)
+        for name, value in fields.items():
+            assert getattr(other, name) == value
+
+
+def test_presentations_compare_without_their_names():
+    # the sweep shares one verdict among equal presentations with distinct names
+    rel = parse_monomial("a(*,a(*,*))", BINARY)
+    p, q = (MonomialOperadPresentation(BINARY, [rel], name) for name in ("p", "q"))
+    assert p == q and hash(p) == hash(q) and p.name != q.name
+    a, b = (MonomialAlgebraPresentation("xy", [("x", "y")], name) for name in ("a", None))
+    assert a == b and hash(a) == hash(b) and a.name != b.name
 
 
 def test_hashes_are_the_field_tuples():
