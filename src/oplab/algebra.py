@@ -14,9 +14,10 @@ k-th roots; no floating point touches any dimension value.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, pairwise
-from math import isqrt
-from typing import Iterable, Optional, Sequence
+from itertools import accumulate, chain, count, repeat, tee
+from math import comb, isqrt
+from operator import add, sub
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .dims import DimSeries, FileSyntaxError, Frozen, directives
 
@@ -58,6 +59,16 @@ def floor_root(x: int, k: int) -> int:
     while (r + 1) ** k <= x:
         r += 1
     return r
+
+
+def _floor_powers(a: int, b: int, n: int) -> Iterator[int]:
+    """floor(i**(a/b)) for i = 0..n, as a lazy chain of C-level maps."""
+    powers = map(pow, range(n + 1), repeat(a))
+    if b == 1:
+        return powers
+    if b == 2:  # floor_root's own square-root case, without a Python call per value
+        return map(isqrt, powers)
+    return map(floor_root, powers, repeat(b))
 
 
 def floor_power(n: int, q: Fraction) -> int:
@@ -176,8 +187,9 @@ def _factor_automaton(a: MonomialAlgebraPresentation):
 # staircase intermediate-growth family
 # ---------------------------------------------------------------------------
 
-def warfield_dims(r, max_degree: int) -> DimSeries:
-    """Strictly increasing dims with growth exponent r, for 2 < r < 3.
+def warfield_values(r, max_degree: int) -> Iterator[int]:
+    """Strictly increasing dims with growth exponent r, for 2 < r < 3, as a
+    lazy iterator over degrees 0..max_degree.
 
     With q = (r-1)/2 the degree-n dimension is
     1 + n + (floor(n**q) - 1) * floor(n**q) / 2 (1 and 2 at n = 0 and 1);
@@ -189,9 +201,14 @@ def warfield_dims(r, max_degree: int) -> DimSeries:
     if max_degree < 0:
         raise AlgebraError("max_degree must be nonnegative")
     q = (r - 1) / 2
-    a, b = q.numerator, q.denominator
-    floors = (floor_root(n ** a, b) for n in range(max_degree + 1))
-    return DimSeries(tuple(1 + n + (fl - 1) * fl // 2 for n, fl in enumerate(floors)), "degree")
+    floors = _floor_powers(q.numerator, q.denominator, max_degree)
+    # (fl - 1) * fl / 2 is comb(fl, 2), also at fl = 0 and 1
+    return map(add, map(comb, floors, repeat(2)), count(1))
+
+
+def warfield_dims(r, max_degree: int) -> DimSeries:
+    """The values of :func:`warfield_values` as a degree-indexed DimSeries."""
+    return DimSeries(warfield_values(r, max_degree), "degree")
 
 
 def warfield_monomial_model(r, max_degree: int) -> MonomialAlgebraPresentation:
@@ -264,13 +281,18 @@ def sparse_gap_indicator(n: int) -> int:
         m += 1
 
 
-def example62_dims(max_degree: int) -> DimSeries:
-    """dims 1, 2, then 3 + indicator: the two-variable algebra whose third
-    basis family x2 x1^i x2 survives exactly off the gap intervals."""
+def example62_values(max_degree: int) -> Iterator[int]:
+    """dims 1, 2, then 3 + indicator, lazily, for degrees 0..max_degree: the
+    two-variable algebra whose third basis family x2 x1^i x2 survives exactly
+    off the gap intervals."""
     if max_degree < 2:
         raise AlgebraError("this preset needs max_degree >= 2")
-    values = [1, 2] + [3 + sparse_gap_indicator(n) for n in range(2, max_degree + 1)]
-    return DimSeries(tuple(values), "degree")
+    return chain((1, 2), map(add, repeat(3), map(sparse_gap_indicator, range(2, max_degree + 1))))
+
+
+def example62_dims(max_degree: int) -> DimSeries:
+    """The values of :func:`example62_values` as a degree-indexed DimSeries."""
+    return DimSeries(example62_values(max_degree), "degree")
 
 
 def example62_monomial_model(max_degree: int) -> MonomialAlgebraPresentation:
@@ -303,37 +325,47 @@ def partition_dims(max_degree: int) -> DimSeries:
     return DimSeries(tuple(table), "degree")
 
 
-def floor_power_dims(alpha, max_index: int) -> DimSeries:
+def floor_power_values(alpha, max_index: int) -> Iterator[int]:
     """values[n] = floor(n**alpha) - floor((n-1)**alpha) for n >= 2, with
     values[0] = 0 and values[1] = 1 (identity slot), so the partial sums
-    telescope to floor(n**alpha) exactly."""
+    telescope to floor(n**alpha) exactly; a lazy iterator over 0..max_index."""
     alpha = as_fraction(alpha)
     if alpha <= 0:
         raise AlgebraError("alpha must be positive")
     if max_index < 0:
         raise AlgebraError("max_index must be nonnegative")
-    a, b = alpha.numerator, alpha.denominator
-    floors = (floor_root(n ** a, b) for n in range(max_index + 1))
-    return DimSeries(tuple(cur - prev for prev, cur in pairwise(chain((0,), floors))), "arity")
+    floors, previous = tee(_floor_powers(alpha.numerator, alpha.denominator, max_index))
+    return map(sub, floors, chain((0,), previous))
+
+
+def floor_power_dims(alpha, max_index: int) -> DimSeries:
+    """The values of :func:`floor_power_values` as an arity-indexed DimSeries."""
+    return DimSeries(floor_power_values(alpha, max_index), "arity")
+
+
+def polynomial_ring_values(d: int, max_degree: int) -> Iterator[int]:
+    """Dims of a polynomial ring on d variables, C(n+d-1, d-1), lazily for
+    degrees 0..max_degree."""
+    if d < 1:
+        raise AlgebraError("need at least one variable")
+    return map(comb, range(d - 1, max_degree + d), repeat(d - 1))
 
 
 def polynomial_ring_dims(d: int, max_degree: int) -> DimSeries:
-    """Dims of a polynomial ring on d variables: C(n+d-1, d-1)."""
+    """The values of :func:`polynomial_ring_values` as a degree-indexed DimSeries."""
+    return DimSeries(polynomial_ring_values(d, max_degree), "degree")
+
+
+def free_algebra_values(d: int, max_degree: int) -> Iterator[int]:
+    """Dims of a free algebra on d variables, d**n, lazily for degrees 0..max_degree."""
     if d < 1:
         raise AlgebraError("need at least one variable")
-    values = []
-    c = 1
-    for n in range(max_degree + 1):
-        values.append(c)
-        c = c * (n + d) // (n + 1)
-    return DimSeries(tuple(values), "degree")
+    return map(pow, repeat(d), range(max_degree + 1))
 
 
 def free_algebra_dims(d: int, max_degree: int) -> DimSeries:
-    """Dims of a free algebra on d variables: d**n."""
-    if d < 1:
-        raise AlgebraError("need at least one variable")
-    return DimSeries(tuple(d ** n for n in range(max_degree + 1)), "degree")
+    """The values of :func:`free_algebra_values` as a degree-indexed DimSeries."""
+    return DimSeries(free_algebra_values(d, max_degree), "degree")
 
 
 def adjoin_polynomial_variables(dims: DimSeries, n: int) -> DimSeries:

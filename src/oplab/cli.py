@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import sys
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice, tee
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .dims import ENGINES, DimSeries, FileSyntaxError, as_dim_values, directives, log_of_int
+from .dims import ENGINES, DimSeries, FileSyntaxError, directives, log_of_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -57,9 +56,10 @@ def _size(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 class Preset(NamedTuple):
-    """``build(*params)`` gives a presentation, ``build(n, *params)`` dims up
-    to index n.  ``param`` (None: no parameter) parses the text after ``name:``
-    into build's last argument, raising ValueError or ZeroDivisionError if bad."""
+    """``build(*params)`` gives a presentation, ``build(n, *params)`` exact dims
+    up to at least index n, to be read once, and their index kind.  ``param``
+    (None: no parameter) parses the text after ``name:`` into build's last
+    argument, raising ValueError or ZeroDivisionError if bad."""
 
     name: str
     kind: str  # "presentation" | "dims"
@@ -112,25 +112,33 @@ def _free_operad(arity: int) -> MonomialOperadPresentation:
     return MonomialOperadPresentation(Alphabet.of(a=arity), (), name=f"free-operad:{arity}")
 
 
-def _algebra_family(family: str) -> Callable:
-    """A dims preset build ``(n, *params)`` that calls ``oplab.algebra.<family>(*params, n)``."""
+def _closed_form(family: str, index_kind: str) -> Callable:
+    """A dims preset build: ``oplab.algebra.<family>_values(*params, n)``, an iterator."""
     def build(n, *params):
         from . import algebra
 
-        return getattr(algebra, family)(*params, n)
+        return getattr(algebra, f"{family}_values")(*params, n), index_kind
     return build
 
 
-def _example62(n: int) -> DimSeries:
-    from .algebra import example62_dims
+def _partition(n: int) -> tuple[Sequence[int], str]:
+    from .algebra import partition_dims
 
-    return example62_dims(max(2, n))
+    dims = partition_dims(n)
+    return dims.values, dims.index_kind
 
 
-def _avoidance(n: int) -> DimSeries:
+def _example62(n: int) -> tuple[Iterable[int], str]:
+    from .algebra import example62_values
+
+    return example62_values(max(2, n)), "degree"
+
+
+def _avoidance(n: int) -> tuple[Sequence[int], str]:
     from .branch import closed_set_counts, example_at_most_one_index2
 
-    return closed_set_counts(example_at_most_one_index2(), n)
+    dims = closed_set_counts(example_at_most_one_index2(), n)
+    return dims.values, dims.index_kind
 
 
 CATALOG = {p.name.partition(":")[0]: p for p in (
@@ -154,31 +162,31 @@ CATALOG = {p.name.partition(":")[0]: p for p in (
            _example62),
     Preset("ex64-partition", "dims",
            "partition numbers p(n) (degree-indexed)",
-           _algebra_family("partition_dims")),
+           _partition),
     Preset("partition", "dims",
            "alias of ex64-partition",
-           _algebra_family("partition_dims")),
+           _partition),
     Preset("ex46-avoidance", "dims",
            "single-branched words with at most one index-2 letter; exactly h words at height h",
            _avoidance),
     Preset("ex34:<alpha>", "dims",
            "operad dims with partial sums floor(n^alpha) (arity-indexed)",
-           _algebra_family("floor_power_dims"), _POSITIVE),
+           _closed_form("floor_power", "arity"), _POSITIVE),
     Preset("floorpow:<alpha>", "dims",
            "alias of ex34:<alpha>",
-           _algebra_family("floor_power_dims"), _POSITIVE),
+           _closed_form("floor_power", "arity"), _POSITIVE),
     Preset("ex35:<r>", "dims",
            "staircase algebra dims with growth exponent r in (2,3) (degree-indexed)",
-           _algebra_family("warfield_dims"), _STAIRCASE),
+           _closed_form("warfield", "degree"), _STAIRCASE),
     Preset("warfield:<r>", "dims",
            "alias of ex35:<r>",
-           _algebra_family("warfield_dims"), _STAIRCASE),
+           _closed_form("warfield", "degree"), _STAIRCASE),
     Preset("polyring:<d>", "dims",
            "polynomial ring dims C(n+d-1, d-1) (degree-indexed)",
-           _algebra_family("polynomial_ring_dims"), _AT_LEAST_1),
+           _closed_form("polynomial_ring", "degree"), _AT_LEAST_1),
     Preset("free:<d>", "dims",
            "free algebra dims d^n (degree-indexed)",
-           _algebra_family("free_algebra_dims"), _AT_LEAST_1),
+           _closed_form("free_algebra", "degree"), _AT_LEAST_1),
     Preset("free-operad:<arity>", "presentation",
            "free operad on one generator of the given arity",
            _free_operad, _AT_LEAST_1),
@@ -204,14 +212,21 @@ def resolve_preset(spec: str) -> tuple[Preset, tuple]:
         raise UsageError(f"preset {base!r}: bad parameter {text!r}: {exc}") from None
 
 
-def preset_dims(spec: str, n: int) -> DimSeries:
-    """Dimension sequence of a preset from index 0 to at least n."""
+def preset_values(spec: str, n: int) -> tuple[Iterable[int], str, bool]:
+    """A preset's dims from index 0 to at least n, to be read once, their
+    index kind and whether they are exact."""
     preset, params = resolve_preset(spec)
     if preset.kind == "presentation":
         from . import monomial
 
-        return monomial.dim_by_arity(preset.build(*params), n)
-    return preset.build(n, *params)
+        dims = monomial.dim_by_arity(preset.build(*params), n)
+        return dims.values, dims.index_kind, dims.exact
+    return (*preset.build(n, *params), True)
+
+
+def preset_dims(spec: str, n: int) -> DimSeries:
+    """Dimension sequence of a preset from index 0 to at least n."""
+    return DimSeries(*preset_values(spec, n))
 
 
 def preset_presentation(spec: str) -> MonomialOperadPresentation:
@@ -246,8 +261,8 @@ def _load_file(path: str, parse: Callable, text: Optional[str] = None):
 
 
 def _load_csv_coeffs(lines: Iterable[str], stop: Optional[int]) -> list[Fraction | int]:
-    """Coefficients from the ``n,value`` rows of ``lines`` (stdin is read as
-    it streams), with n = 0, 1, 2, ... in order:
+    """Coefficients from the ``n,value`` rows of ``lines`` (stdin or an open
+    file, read as it streams), with n = 0, 1, 2, ... in order:
     an int where ``int`` reads the value, else a Fraction.  Every row is
     checked, and those from index ``stop`` on are then dropped in place.
 
@@ -307,47 +322,58 @@ def _get_presentation(args) -> tuple[MonomialOperadPresentation, str]:
     return preset_presentation(label), label
 
 
-def _series_source(args, n: Optional[int]) -> tuple[Sequence[Fraction | int], str, dict]:
-    """Coefficients, label and JSON metadata of --source or --preset.  A
-    preset, presentation or algebra file needs the max index n and gives the
-    exact integer dimensions 0..n, the DimSeries's own values tuple uncopied;
-    CSV (a file, or stdin by default) gives a list of its rows 0..n as
-    ints or Fractions, or of all of them when n is None.  The file's head
-    (first directive other than ``name``) tells CSV from the others.
+def _series_source(args, n: Optional[int]) -> tuple[Iterable[Fraction | int], int, str, dict]:
+    """Coefficients, their max index, label and JSON metadata of --source or
+    --preset.  A preset, presentation or algebra file needs the max index n
+    and gives the exact integer dimensions 0..n, to be read once (a closed
+    form is generated as it is read).  CSV (a file, or stdin by default),
+    read as it streams, gives a list of its rows 0..n as ints or Fractions,
+    or of all of them when n is None.  The file's head (up to the first
+    directive other than ``name``) tells CSV from the others.
     A --source that names neither a file nor a preset is a usage error."""
     from pathlib import Path
 
     source = _one_source(args, "source")
     stop = None if n is None else n + 1
     if source is None or source == "-":
-        return _load_csv_coeffs(sys.stdin, stop), "stdin", {}
+        coeffs = _load_csv_coeffs(sys.stdin, stop)
+        return coeffs, len(coeffs) - 1, "stdin", {}
     is_file = Path(source).exists()
     if not is_file and args.source and source.partition(":")[0] not in CATALOG:
         raise UsageError(f"{source!r} is neither a file nor a preset; run 'oplab preset-list'")
     if is_file:
-        text = _read_text(source)
-        keyword, rest = next(((keyword, rest) for _, _, keyword, rest in directives(text)
-                              if keyword != "name"), ("", ""))
-        if source.endswith(".csv") or keyword[:1].isdigit() or "," in keyword + rest:
-            return _load_csv_coeffs(io.StringIO(text), stop), source, {}
+        try:
+            fh = open(source)
+        except OSError as exc:
+            raise UsageError(f"cannot read {source}: {exc}") from None
+        with fh:  # the head is scanned on one copy of the lines, then read again
+            head, lines = tee(fh)
+            keyword, rest = next(((k, r) for line in head for _, _, k, r in directives(line)
+                                  if k != "name"), ("", ""))
+            del head  # or the copy would keep every line that is read after it
+            if source.endswith(".csv") or keyword[:1].isdigit() or "," in keyword + rest:
+                coeffs = _load_csv_coeffs(lines, stop)
+                return coeffs, len(coeffs) - 1, source, {}
+            text = "".join(lines)
     if n is None:
         raise UsageError(f"a max index is required for {'file' if is_file else 'preset'} sources")
     if not is_file:
-        dims = preset_dims(source, n)
-        meta = {"exact": dims.exact}
+        values, kind, exact = preset_values(source, n)
+        meta = {"exact": exact}
     elif keyword in ("var", "forbid"):
         from . import algebra
 
         dims = algebra.hilbert_dims(_load_file(source, algebra.parse_algebra, text), n)
-        meta = {}
+        values, kind, meta = dims.values, dims.index_kind, {}
     else:
         from . import monomial
 
         p = _load_file(source, monomial.parse_presentation, text)
         dims = monomial.dim_by_arity(p, n)
+        values, kind = dims.values, dims.index_kind
         meta = {"exact": dims.exact, "sha256": _presentation_hash(p)}
-    meta["index_kind"] = dims.index_kind
-    return dims.values[:n + 1], source, meta
+    meta["index_kind"] = kind
+    return islice(values, n + 1), n, source, meta
 
 
 def _presentation_hash(p: MonomialOperadPresentation) -> str:
@@ -371,15 +397,18 @@ def _write_json(out, payload: dict) -> None:
     out.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _write_values(out, emit: str, values: Sequence, report: dict,
+def _write_values(out, emit: str, values: Iterable, report: dict,
                   title: Optional[str] = None, columns: Sequence[str] = ("index", "dim")) -> None:
-    """Write exact values as CSV under ``columns`` with partial sums and their
-    log_n, as a gnuplot block headed by ``title`` (default: the report's
-    command and source), or as JSON: ``report`` plus truncation and values."""
+    """Write exact values, read once, as CSV under ``columns`` with partial
+    sums and their log_n, as a gnuplot block headed by ``title`` (default:
+    the report's command and source), or as JSON: ``report`` plus
+    truncation and values."""
     if emit == "json":
-        _write_json(out, dict(report, truncation=len(values) - 1, values=list(map(str, values))))
+        strs = list(map(str, values))
+        _write_json(out, dict(report, truncation=len(strs) - 1, values=strs))
         return
-    rows = enumerate(zip(values, accumulate(values)))
+    values, addends = tee(values)
+    rows = enumerate(zip(values, accumulate(addends)))
     if emit == "gnuplot":
         out.write(f"# {title or report['command'] + ' ' + report['source']}\n$data << EOD\n")
         out.writelines(f"{n} {v} {s}\n" for n, (v, s) in rows)
@@ -437,7 +466,7 @@ def cmd_grammar(args, out) -> int:
 
 
 def cmd_series(args, out) -> int:
-    coeffs, label, meta = _series_source(args, args.max)
+    coeffs, _n_max, label, meta = _series_source(args, args.max)
     _write_values(out, args.emit, coeffs, {"command": "series", "source": label, **meta},
                   columns=("n", "coeff"))
     return 0
@@ -446,12 +475,13 @@ def cmd_series(args, out) -> int:
 def cmd_gk(args, out) -> int:
     from . import series
 
-    coeffs, label, _meta = _series_source(args, args.N)
+    coeffs, n_max, label, _meta = _series_source(args, args.N)
     try:
-        coeffs = as_dim_values(coeffs)
-    except ValueError as exc:
+        report = series.gk_estimate(coeffs, n_max)
+    except series.SeriesError:
+        raise
+    except ValueError as exc:  # a value that is no dimension
         raise UsageError(f"growth estimation: {exc}") from None
-    report = series.gk_estimate(coeffs)
     if args.emit == "json":
         _write_json(out, {
             "command": "gk", "source": label, "n_max": report.n_max,
@@ -475,12 +505,12 @@ def cmd_gk(args, out) -> int:
 def cmd_fit(args, out) -> int:
     from . import series
 
-    coeffs, label, _meta = _series_source(args, args.max)
-    max_den, max_num = series.fit_bounds(len(coeffs) - 1, args.max_den, args.max_num)
+    coeffs, n_max, label, _meta = _series_source(args, args.max)
+    max_den, max_num = series.fit_bounds(n_max, args.max_den, args.max_num)
     fit = series.fit_rational(coeffs, max_den, max_num)
     if fit is None:
         out.write(f"no rational fit at bounds (den<={max_den}, num<={max_num}, "
-                  f"N={len(coeffs) - 1}) for {label}\n")
+                  f"N={n_max}) for {label}\n")
         return 0
     num = "[" + ", ".join(map(str, fit.numerator)) + "]"
     den = "[" + ", ".join(map(str, fit.denominator)) + "]"
@@ -492,11 +522,11 @@ def cmd_fit(args, out) -> int:
 def cmd_guess(args, out) -> int:
     from . import series
 
-    coeffs, label, _meta = _series_source(args, args.max)
+    coeffs, n_max, label, _meta = _series_source(args, args.max)
     cand = series.guess_holonomic(coeffs, args.max_order, args.max_degree)
     if cand is None:
         out.write(f"no recurrence found at bounds (R={args.max_order}, D={args.max_degree}, "
-                  f"N={len(coeffs) - 1}) for {label}\n")
+                  f"N={n_max}) for {label}\n")
         return 0
     polys = " ".join(f"p{i}={list(poly)}" for i, poly in enumerate(cand.polynomials))
     out.write(f"recurrence for {label}: order={cand.order} degree={cand.degree} {polys} "

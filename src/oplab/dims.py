@@ -112,13 +112,14 @@ class DimSeries(Frozen):
         return tuple(accumulate(self.values))
 
 
-def as_dim_values(dims: "DimSeries | Sequence[int]") -> tuple[int, ...]:
+def as_dim_values(dims: "DimSeries | Sequence[int]", offset: int = 0) -> tuple[int, ...]:
     """Coerce either a DimSeries or a plain sequence of nonnegative integral
     numbers (ints, or Fractions such as CSV gives) to a tuple of ints.
 
     A DimSeries gives its own values tuple, and a tuple of nonnegative ints
     is checked and returned as it is; any other sequence is checked and
-    copied once."""
+    copied once.  The error names the bad value's index, counted from
+    ``offset`` (the index of ``dims[0]`` when dims is a piece of a series)."""
     if isinstance(dims, DimSeries):
         return dims.values
     if type(dims) is tuple and set(map(type, dims)) <= {int}:
@@ -127,7 +128,7 @@ def as_dim_values(dims: "DimSeries | Sequence[int]") -> tuple[int, ...]:
         values = tuple(map(int, dims))
     if (values is not dims and any(map(ne, values, dims))) or min(values, default=0) < 0:
         bad = next(i for i, (v, d) in enumerate(zip(values, dims)) if v != d or v < 0)
-        raise ValueError(f"dimension {bad} is {dims[bad]}, not a nonnegative integer")
+        raise ValueError(f"dimension {offset + bad} is {dims[bad]}, not a nonnegative integer")
     return values
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterable, Optional, Sequence
 
 RANK_PRIME = 1073741789  # 2**30 - 35
 BLOCK_SLACK = 8  # rows past ncols in the block kernel_is_trivial reduces first
@@ -74,22 +75,27 @@ def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
     return len(_rref(mat, len(mat[0]) if mat else 0, p))
 
 
-def kernel_is_trivial(rows: Sequence[Sequence[int]]) -> bool:
+def kernel_is_trivial(rows: Iterable[Sequence[int]]) -> bool:
     """Exact certificate that an integer matrix has no rational null vector.
 
-    True exactly when the rank mod ``RANK_PRIME`` is full.  The first
-    ncols + ``BLOCK_SLACK`` rows are reduced first: a null vector of the
-    matrix is a null vector of every subset of its rows, so full column
-    rank of the block already decides True, and only a rank-deficient
-    block costs a reduction of every row.
+    True exactly when the rank mod ``RANK_PRIME`` is full.  ``rows`` may be
+    any iterable, a generator included: the first ncols + ``BLOCK_SLACK``
+    rows are pulled and reduced first.  A null vector of the matrix is a
+    null vector of every subset of its rows, so full column rank of the
+    block already decides True and no further row is pulled; only a
+    rank-deficient block costs the rest of the rows and a reduction of every
+    row.
     """
-    if not rows:
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
         return False
-    ncols = len(rows[0])
-    block = rows[:ncols + BLOCK_SLACK]
+    ncols = len(first)
+    block = [first, *islice(rows, ncols + BLOCK_SLACK - 1)]
     if rank_mod(block, RANK_PRIME) == ncols:
         return True
-    return len(block) < len(rows) and rank_mod(rows, RANK_PRIME) == ncols
+    rest = list(rows)
+    return bool(rest) and rank_mod(block + rest, RANK_PRIME) == ncols
 
 
 def nullspace(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:

@@ -1,13 +1,14 @@
 """Generating-series analysis: growth estimation, rational fitting,
 polynomial-coefficient recurrence guessing, and zero-run structure.
 
-The fitters take any sequence of exact numbers (a DimSeries, ints or
+The fitters take any iterable of exact numbers (a DimSeries, ints or
 Fractions) and convert it to Fractions once on entry.  The growth estimator
 takes nonnegative integers: a DimSeries or a tuple of ints is read in place,
-any other sequence is copied once into a tuple of ints, and of the partial
-sums it keeps only the logarithms on the tail window.  Every fit runs over
-exact rationals; the only floating point lives in the explicitly labelled
-growth estimators (logarithms of exact partial sums).
+any other sequence is copied once into a tuple of ints, and an iterable of
+known truncation is read as it streams; of the partial sums it keeps only
+the logarithms on the tail window.  Every fit runs over exact rationals;
+the only floating point lives in the explicitly labelled growth estimators
+(logarithms of exact partial sums).
 Absence results are "no candidate at these bounds", never a proof beyond
 them.  Both fitters first certify their top-bound matrix modulo a prime:
 when that decides, "none" is exact for the fitted rows; otherwise it means
@@ -21,13 +22,14 @@ from array import array
 from fractions import Fraction
 from itertools import accumulate, islice, pairwise
 from operator import mul, truediv
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .dims import DimSeries, as_dim_values, log_of_int
 from .linalg import clear_denominators, kernel_is_trivial, nullspace, scale_rows_to_int
 
 DEFAULT_HOLDOUT = 20
 TAIL_FRACTION = 1 / 3  # gk_estimate fits its slope on the last third of the window
+_CHUNK = 4096  # values gk_estimate holds at a time
 
 
 class SeriesError(ValueError):
@@ -95,22 +97,49 @@ class GkReport(NamedTuple):
     n_max: int
 
 
-def gk_estimate(dims: DimSeries | Sequence[int]) -> GkReport:
+def gk_estimate(dims: DimSeries | Iterable, truncation: Optional[int] = None) -> GkReport:
     """Estimate the growth exponent limsup log_n(sum of dims up to n).
 
-    Only the tail window's partial sums are formed, from one sum of the
-    values up to its start.  Sums never decrease, so the positive ones are a
-    suffix of the window; their logs and those of their indices are kept in
-    two float arrays, and nothing else of window length."""
-    values = as_dim_values(dims)
-    if len(values) < 8:
-        raise SeriesError("need at least 8 dimension values to estimate growth")
-    if not any(islice(values, 2, None)):
-        raise DegenerateSeriesError("series is zero beyond index 1")
-    n_max = len(values) - 1
+    ``dims`` is a DimSeries or a sequence of nonnegative integral numbers,
+    checked first as :func:`~oplab.dims.as_dim_values` checks it, or, with
+    its ``truncation`` given, any iterable of the values 0..truncation,
+    checked as it is read.  The values are read once, front to back, at most
+    ``_CHUNK`` at a time.  Of the partial sums only those at index 1, at the
+    window start and at the geometric test's anchors are kept.  Sums never
+    decrease, so the positive ones on the tail window are a suffix of it;
+    their logs and those of their indices go into two float arrays, and
+    nothing else of window length is held."""
+    check = truncation is not None
+    if not check:
+        dims = as_dim_values(dims)
+        truncation = len(dims) - 1
+    n_max = truncation
     start = max(2, n_max - int(n_max * TAIL_FRACTION))
-    tail_sums = accumulate(islice(values, start + 1, None), initial=sum(islice(values, start + 1)))
-    ys = array("d", map(log_of_int, filter(None, tail_sums)))
+    anchors = _anchors(n_max)
+    at = {}  # the partial sum at each cut below
+    ys = array("d")
+    values = iter(dims)
+    total = n = 0  # the sum of the values before index n
+    for cut in sorted({c for c in (1, start, n_max, *anchors) if c <= n_max}):
+        while n <= cut:
+            piece = tuple(islice(values, min(_CHUNK, cut + 1 - n)))
+            if not piece:
+                raise ValueError(f"expected {n_max + 1} dimension values, got {n}")
+            if check:
+                piece = as_dim_values(piece, n)
+            if n > start:
+                sums = accumulate(piece, initial=total)
+                next(sums)
+                ys.extend(map(log_of_int, filter(None, sums)))
+            total += sum(piece)
+            n += len(piece)
+        at[cut] = total
+        if cut == start and total:
+            ys.append(log_of_int(total))
+    if n_max < 7:
+        raise SeriesError("need at least 8 dimension values to estimate growth")
+    if total == at[1]:
+        raise DegenerateSeriesError("series is zero beyond index 1")
     k = len(ys)
     if k < 2:
         raise DegenerateSeriesError("partial sums vanish on the tail window")
@@ -123,23 +152,26 @@ def gk_estimate(dims: DimSeries | Sequence[int]) -> GkReport:
     slope = (k * sxy - sx * sy) / den if den else 0.0
     pointwise = ys[-1] / xs[-1]
     pointwise_max = max(map(truediv, ys, xs))
-    return GkReport(pointwise, slope, pointwise_max, _geometric(values),
+    return GkReport(pointwise, slope, pointwise_max, _geometric([at[a] for a in anchors]),
                     (start, n_max), n_max)
 
 
-def _geometric(values: Sequence[int]) -> bool:
-    """Do the doubling ratios S(2n)/S(n) keep growing?  (geometric test)"""
-    n_max = len(values) - 1
+def _anchors(n_max: int) -> list[int]:
+    """The geometric test's indices n0, 2 n0, 4 n0, ... <= n_max, from
+    n0 = max(2, n_max // 16)."""
     anchors = []
     n = max(2, n_max // 16)
-    while 2 * n <= n_max:
+    while n <= n_max:
         anchors.append(n)
         n *= 2
-    if len(anchors) < 2:
+    return anchors
+
+
+def _geometric(sums: Sequence[int]) -> bool:
+    """Do the doubling ratios S(2n)/S(n) keep growing?  (geometric test on
+    the partial sums at the anchors; False when fewer than three fit)"""
+    if len(sums) < 3:
         return False
-    # S at each anchor and at twice the last, each extending the one before
-    rest = iter(values)
-    sums = accumulate(sum(islice(rest, hi - lo)) for lo, hi in pairwise([-1, *anchors, n]))
     exps = []
     for lo, hi in pairwise(sums):
         if lo == 0:
@@ -205,15 +237,15 @@ def fit_rational(s: Iterable, max_den_degree: Optional[int] = None,
     usable = n_max - DEFAULT_HOLDOUT
     scaled = scale_rows_to_int([coeffs])[0]
 
-    def rows(d: int, nu: int) -> list[list[int]]:
-        return [[scaled[n - j] if n >= j else 0 for j in range(1, d + 1)] + [scaled[n]]
-                for n in range(nu + 1, usable + 1)]
+    def rows(d: int, nu: int) -> Iterator[list[int]]:
+        return ([scaled[n - j] if n >= j else 0 for j in range(1, d + 1)] + [scaled[n]]
+                for n in range(nu + 1, usable + 1))
 
-    if kernel_is_trivial(rows(max_den_degree, max_num_degree)):
+    if kernel_is_trivial(rows(max_den_degree, max_num_degree)):  # built only as far as read
         return None
     for d in range(max_den_degree + 1):
         for nu in range(max_num_degree + 1):
-            mat = rows(d, nu)
+            mat = list(rows(d, nu))
             if len(mat) < d or kernel_is_trivial(mat):  # fewer rows than unknowns: skipped
                 continue
             vec = next((v for v in nullspace(mat) if v[-1]), None)  # every free b_j zero
@@ -293,15 +325,15 @@ def guess_holonomic(s: Iterable, max_order: int,
     usable = n_max - DEFAULT_HOLDOUT
     scaled = scale_rows_to_int([coeffs])[0]
 
-    def rows(order: int, degree: int) -> list[list[int]]:
-        return [[scaled[n - i] * n ** k for i in range(order + 1) for k in range(degree + 1)]
-                for n in range(order, usable + 1)]
+    def rows(order: int, degree: int) -> Iterator[list[int]]:
+        return ([scaled[n - i] * n ** k for i in range(order + 1) for k in range(degree + 1)]
+                for n in range(order, usable + 1))
 
-    if kernel_is_trivial(rows(max_order, max_degree)):
+    if kernel_is_trivial(rows(max_order, max_degree)):  # built only as far as read
         return None
     for order in range(1, max_order + 1):
         for degree in range(max_degree + 1):
-            mat = rows(order, degree)
+            mat = list(rows(order, degree))
             if kernel_is_trivial(mat):
                 continue
             for vec in nullspace(mat):

@@ -595,6 +595,15 @@ class TestCsvInput:
         assert code == 0
         assert [l.split(",")[1] for l in out.splitlines()[1:]] == ["0", "1", "1"]
 
+    @pytest.mark.parametrize("name", ["fib.csv", "fib.txt"])
+    def test_rows_read_to_find_the_head_are_read_again(self, tmp_path, name):
+        # the head of fib.txt is its fourth line; every row counts from the first line
+        f = tmp_path / name
+        f.write_text("\n\n# the Fibonacci numbers\n0,0\n1,1\n2,1\n3,2\n")
+        code, out = invoke("series", "--source", str(f))
+        assert code == 0
+        assert [l.split(",")[1] for l in out.splitlines()[1:]] == ["0", "1", "1", "2"]
+
     @pytest.mark.parametrize("body, message", [
         ("n,coeff\n0,1\n1,oops\n", "line 3: no coefficient"),
         ("0,1\n1,1\n3,2\n", "line 3: expected index 2, got 3"),

@@ -2,16 +2,18 @@
 
 The oracle forms every partial sum, a list of (n, S) pairs on the tail
 window and a list of (log n, log S) pairs, and runs the geometric test on
-the full list of sums.  gk_estimate sums only the tail window; it must
-return a bit-identical GkReport, or raise the same error with the same
-message.
+the full list of sums.  gk_estimate reads its input once and sums only the
+tail window; on a sequence and on a one-shot iterator with its truncation
+alike, it must return a bit-identical GkReport, or raise the same error
+with the same message.
 """
 
+import io
 import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import ne
 
 import pytest
@@ -23,6 +25,16 @@ from oplab import (
     gk_estimate,
     polynomial_ring_dims,
     warfield_dims,
+)
+from oplab import cli
+from oplab.algebra import (
+    example62_dims,
+    example62_values,
+    floor_power,
+    floor_power_values,
+    free_algebra_values,
+    polynomial_ring_values,
+    warfield_values,
 )
 from oplab.dims import as_dim_values, log_of_int
 from oplab.series import TAIL_FRACTION, DegenerateSeriesError, GkReport, SeriesError
@@ -91,6 +103,17 @@ def outcome(estimate, dims):
 def assert_same(dims):
     expected = outcome(full_window_gk, dims)
     assert outcome(gk_estimate, dims) == expected
+    return expected
+
+
+def streamed(values):
+    """gk_estimate on a one-shot iterator over ``values`` and its truncation."""
+    return gk_estimate(iter(values), len(values) - 1)
+
+
+def assert_same_streamed(values):
+    expected = outcome(full_window_gk, values)
+    assert outcome(streamed, values) == expected
     return expected
 
 
@@ -174,6 +197,99 @@ class TestAgainstFullWindow:
             assert_same(wrap(values))
 
 
+CLOSED_FORMS = {  # name: (values iterator, the same values as a DimSeries), by truncation
+    "floorpow-3/2": (lambda n: floor_power_values("3/2", n), lambda n: floor_power_dims("3/2", n)),
+    "floorpow-1/2": (lambda n: floor_power_values("1/2", n), lambda n: floor_power_dims("1/2", n)),
+    "floorpow-5/3": (lambda n: floor_power_values("5/3", n), lambda n: floor_power_dims("5/3", n)),
+    "floorpow-7/2": (lambda n: floor_power_values("7/2", n), lambda n: floor_power_dims("7/2", n)),
+    "warfield-5/2": (lambda n: warfield_values("5/2", n), lambda n: warfield_dims("5/2", n)),
+    "warfield-8/3": (lambda n: warfield_values("8/3", n), lambda n: warfield_dims("8/3", n)),
+    "polyring-3": (lambda n: polynomial_ring_values(3, n), lambda n: polynomial_ring_dims(3, n)),
+    "polyring-1": (lambda n: polynomial_ring_values(1, n), lambda n: polynomial_ring_dims(1, n)),
+    "free-2": (lambda n: free_algebra_values(2, n), lambda n: free_algebra_dims(2, n)),
+    "ex62": (example62_values, example62_dims),
+}
+
+
+class TestStreamed:
+    def test_seeded_series(self):
+        outcomes = [assert_same_streamed(values) for values in SEEDED]
+        assert {kind for kind, _ in outcomes} == {"report", SeriesError, DegenerateSeriesError}
+
+    @pytest.mark.parametrize("values", EDGES)
+    def test_edges(self, values):
+        assert_same_streamed(values)
+
+    def test_value_errors_come_first(self):
+        # a bad value is reported before the window is found too short
+        assert outcome(streamed, [1, -2, 3]) == (ValueError, (
+            "dimension 1 is -2, not a nonnegative integer"))
+        assert outcome(streamed, [1, Fraction(5, 2)] + [1] * 20000) == (ValueError, (
+            "dimension 1 is 5/2, not a nonnegative integer"))
+        assert outcome(streamed, [1] * 20000 + [-1]) == (ValueError, (
+            "dimension 20000 is -1, not a nonnegative integer"))
+
+    @pytest.mark.parametrize("name, n", [
+        ("floorpow-3/2", 10 ** 5), ("floorpow-1/2", 5000), ("floorpow-5/3", 5000),
+        ("floorpow-7/2", 5000), ("warfield-5/2", 4000), ("warfield-8/3", 257),
+        ("polyring-3", 3000), ("polyring-1", 40), ("free-2", 1500), ("ex62", 3200),
+        ("floorpow-3/2", 7), ("free-2", 5)])
+    def test_closed_forms(self, name, n):
+        values, dims = CLOSED_FORMS[name]
+        expected = outcome(full_window_gk, dims(n))
+        assert outcome(lambda _: gk_estimate(values(n), n), None) == expected
+        assert expected[0] == ("report" if n > 6 else SeriesError)
+
+    def test_reads_each_value_once_and_no_further(self):
+        pulled = []
+        values = (pulled.append(n) or n % 7 for n in count())
+        report = gk_estimate(values, 1000)
+        assert pulled == list(range(1001))
+        assert report == gk_estimate([n % 7 for n in range(1001)])
+
+    def test_too_few_values(self):
+        with pytest.raises(ValueError, match="expected 101 dimension values, got 100"):
+            gk_estimate(iter(range(100)), 100)
+
+
+def _old_floor_power_values(alpha, n):
+    """The floor-power dims as they were built one value at a time."""
+    return [floor_power(i, Fraction(alpha)) - (floor_power(i - 1, Fraction(alpha)) if i else 0)
+            for i in range(n + 1)]
+
+
+def _old_warfield_values(r, n):
+    q = (Fraction(r) - 1) / 2
+    return [1 + i + (fl - 1) * fl // 2 for i, fl in ((i, floor_power(i, q)) for i in range(n + 1))]
+
+
+class TestValueGenerators:
+    @pytest.mark.parametrize("alpha", ["3/2", "1/2", "5/3", "7/2"])
+    def test_floor_power(self, alpha):
+        expected = _old_floor_power_values(alpha, 3000)
+        assert list(floor_power_values(alpha, 3000)) == expected
+        assert floor_power_dims(alpha, 3000).values == tuple(expected)
+
+    @pytest.mark.parametrize("r", ["5/2", "8/3"])
+    def test_warfield(self, r):
+        expected = _old_warfield_values(r, 3000)
+        assert list(warfield_values(r, 3000)) == expected
+        assert warfield_dims(r, 3000).values == tuple(expected)
+
+    def test_other_closed_forms(self):
+        assert list(polynomial_ring_values(3, 50)) == [math.comb(n + 2, 2) for n in range(51)]
+        assert list(free_algebra_values(3, 50)) == [3 ** n for n in range(51)]
+        # degrees 2..5 and 28..257 lie on the gap intervals
+        assert list(example62_values(300)) == [1, 2] + [3 + (not (2 <= n <= 5 or 28 <= n <= 257))
+                                                     for n in range(2, 301)]
+
+    def test_bad_parameters_raise_when_the_iterator_is_made(self):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            floor_power_values("-1", 10)
+        with pytest.raises(ValueError, match="strictly between 2 and 3"):
+            warfield_values("3", 10)
+
+
 class TestCopies:
     def test_a_tuple_of_ints_is_not_copied(self):
         values = floor_power_dims("3/2", 100).values
@@ -201,3 +317,39 @@ class TestCopies:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 10 ** 6
+
+
+def traced_peak(argv):
+    """Traced peak of one ``oplab`` run, after an untraced run for the imports."""
+    assert cli.run(argv, out=io.StringIO()) == 0
+    tracemalloc.start()
+    try:
+        assert cli.run(argv, out=io.StringIO()) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTracedPeaks:
+    # measured with CPython 3.11; the figures of the previous builds are in
+    # the comments, which the bounds must fail
+
+    def test_gk_on_a_closed_form_preset(self):
+        # about 0.64 MB; the 100001-value series alone is about 3 MB (3.7 MB
+        # when the preset built it as a DimSeries)
+        assert traced_peak(["gk", "--preset", "floorpow:3/2", "--N", "100000"]) < 1.5 * 10 ** 6
+
+    def test_top_bound_certificate_of_guess(self):
+        # about 0.32 MB with the first 57 rows of the top bound; 0.82 MB when
+        # all 275 rows of 49 big ints were built
+        argv = ["guess", "--preset", "ex64-partition", "--max", "300",
+                "--max-order", "6", "--max-degree", "6"]
+        assert traced_peak(argv) < 0.55 * 10 ** 6
+
+    def test_gk_on_a_csv_file(self, tmp_path):
+        # about 0.37 MB for the list of 20001 values; 2.8 MB when the file's
+        # text and an io.StringIO copy of it were held
+        path = tmp_path / "fp.csv"
+        with path.open("w") as fh:
+            assert cli.run(["series", "--preset", "floorpow:3/2", "--max", "20000"], out=fh) == 0
+        assert traced_peak(["gk", "--source", str(path)]) < 1.0 * 10 ** 6

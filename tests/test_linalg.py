@@ -47,6 +47,77 @@ def test_certificate_equals_full_modular_rank():
         assert kernel_is_trivial(m) == (rank_mod(m, RANK_PRIME) == cols)
 
 
+class Pulls:
+    """An iterator over the rows of a matrix that counts the rows pulled."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+        self.pulled = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        row = next(self.rows)
+        self.pulled += 1
+        return row
+
+
+def _random_rows(rng, count, cols, top=9):
+    return [[rng.randint(-top, top) for _ in range(cols)] for _ in range(count)]
+
+
+def _deficient_rows(rng, count, cols):
+    """``count`` rows in the span of at most cols - 1 random rows."""
+    basis = _random_rows(rng, rng.randint(0, cols - 1), cols)
+    rows = []
+    for _ in range(count):
+        weights = [rng.randint(-3, 3) for _ in basis]
+        rows.append([sum(w * b[j] for w, b in zip(weights, basis)) for j in range(cols)])
+    return rows
+
+
+def test_generator_and_list_give_the_same_answer():
+    rng = random.Random(2)
+    answers = set()
+    for _ in range(300):
+        cols = rng.randint(1, 6)
+        if rng.random() < 0.5:  # a rank-deficient block above the other rows
+            m = (_deficient_rows(rng, cols + BLOCK_SLACK, cols)
+                 + rng.choice([_random_rows, _deficient_rows])(rng, rng.randint(0, 8), cols))
+        else:
+            m = _random_rows(rng, rng.randint(1, cols + BLOCK_SLACK + 6), cols)
+        expected = rank_mod(m, RANK_PRIME) == cols
+        assert kernel_is_trivial(m) == expected
+        assert kernel_is_trivial(row for row in m) == expected
+        answers.add(expected)
+    assert answers == {True, False}
+    assert not kernel_is_trivial(iter([]))
+
+
+def test_a_certified_block_pulls_exactly_its_rows():
+    rng = random.Random(3)
+    for cols in (1, 4, 9, 30):
+        m = _random_rows(rng, cols + BLOCK_SLACK + 40, cols, top=99)
+        assert rank_mod(m[:cols + BLOCK_SLACK], RANK_PRIME) == cols
+        rows = Pulls(m)
+        assert kernel_is_trivial(rows)
+        assert rows.pulled == cols + BLOCK_SLACK
+
+
+def test_a_deficient_block_pulls_every_row():
+    rng = random.Random(4)
+    for cols in (2, 5, 9):
+        full = _random_rows(rng, cols + 3, cols, top=99)
+        assert rank_mod(full, RANK_PRIME) == cols
+        rows = Pulls(_deficient_rows(rng, cols + BLOCK_SLACK, cols) + full)
+        assert kernel_is_trivial(rows)
+        assert rows.pulled == 2 * cols + BLOCK_SLACK + 3
+        rows = Pulls(_deficient_rows(rng, cols + BLOCK_SLACK + 5, cols))
+        assert not kernel_is_trivial(rows)
+        assert rows.pulled == cols + BLOCK_SLACK + 5
+
+
 def test_nullspace_of_rank_deficient_matrix():
     assert nullspace([[1, 2, 3], [2, 4, 6]]) == [[-2, 1, 0], [-3, 0, 1]]
     assert nullspace([[0, 2], [0, 1]]) == [[1, 0]]
