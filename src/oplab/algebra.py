@@ -187,13 +187,14 @@ def _factor_automaton(a: MonomialAlgebraPresentation):
 # staircase intermediate-growth family
 # ---------------------------------------------------------------------------
 
-def warfield_values(r, max_degree: int) -> Iterator[int]:
-    """Strictly increasing dims with growth exponent r, for 2 < r < 3, as a
-    lazy iterator over degrees 0..max_degree.
+def warfield_dims(r, max_degree: int, stream: bool = False) -> DimSeries | Iterator[int]:
+    """Strictly increasing dims with growth exponent r, for 2 < r < 3.
 
     With q = (r-1)/2 the degree-n dimension is
     1 + n + (floor(n**q) - 1) * floor(n**q) / 2 (1 and 2 at n = 0 and 1);
     the partial sums grow like n**r.
+    With ``stream`` the values come as a lazy iterator, to be read once,
+    and no DimSeries is built.
     """
     r = as_fraction(r)
     if not Fraction(2) < r < Fraction(3):
@@ -203,12 +204,8 @@ def warfield_values(r, max_degree: int) -> Iterator[int]:
     q = (r - 1) / 2
     floors = _floor_powers(q.numerator, q.denominator, max_degree)
     # (fl - 1) * fl / 2 is comb(fl, 2), also at fl = 0 and 1
-    return map(add, map(comb, floors, repeat(2)), count(1))
-
-
-def warfield_dims(r, max_degree: int) -> DimSeries:
-    """The values of :func:`warfield_values` as a degree-indexed DimSeries."""
-    return DimSeries(warfield_values(r, max_degree), "degree")
+    values = map(add, map(comb, floors, repeat(2)), count(1))
+    return values if stream else DimSeries(values, "degree")
 
 
 def warfield_monomial_model(r, max_degree: int) -> MonomialAlgebraPresentation:
@@ -281,18 +278,15 @@ def sparse_gap_indicator(n: int) -> int:
         m += 1
 
 
-def example62_values(max_degree: int) -> Iterator[int]:
-    """dims 1, 2, then 3 + indicator, lazily, for degrees 0..max_degree: the
-    two-variable algebra whose third basis family x2 x1^i x2 survives exactly
-    off the gap intervals."""
+def example62_dims(max_degree: int, stream: bool = False) -> DimSeries | Iterator[int]:
+    """dims 1, 2, then 3 + indicator: the two-variable algebra whose third
+    basis family x2 x1^i x2 survives exactly off the gap intervals.
+    With ``stream`` the values come as a lazy iterator, to be read once,
+    and no DimSeries is built."""
     if max_degree < 2:
         raise AlgebraError("this preset needs max_degree >= 2")
-    return chain((1, 2), map(add, repeat(3), map(sparse_gap_indicator, range(2, max_degree + 1))))
-
-
-def example62_dims(max_degree: int) -> DimSeries:
-    """The values of :func:`example62_values` as a degree-indexed DimSeries."""
-    return DimSeries(example62_values(max_degree), "degree")
+    values = chain((1, 2), map(add, repeat(3), map(sparse_gap_indicator, range(2, max_degree + 1))))
+    return values if stream else DimSeries(values, "degree")
 
 
 def example62_monomial_model(max_degree: int) -> MonomialAlgebraPresentation:
@@ -325,47 +319,41 @@ def partition_dims(max_degree: int) -> DimSeries:
     return DimSeries(tuple(table), "degree")
 
 
-def floor_power_values(alpha, max_index: int) -> Iterator[int]:
+def floor_power_dims(alpha, max_index: int, stream: bool = False) -> DimSeries | Iterator[int]:
     """values[n] = floor(n**alpha) - floor((n-1)**alpha) for n >= 2, with
     values[0] = 0 and values[1] = 1 (identity slot), so the partial sums
-    telescope to floor(n**alpha) exactly; a lazy iterator over 0..max_index."""
+    telescope to floor(n**alpha) exactly.
+    With ``stream`` the values come as a lazy iterator, to be read once,
+    and no DimSeries is built."""
     alpha = as_fraction(alpha)
     if alpha <= 0:
         raise AlgebraError("alpha must be positive")
     if max_index < 0:
         raise AlgebraError("max_index must be nonnegative")
     floors, previous = tee(_floor_powers(alpha.numerator, alpha.denominator, max_index))
-    return map(sub, floors, chain((0,), previous))
+    values = map(sub, floors, chain((0,), previous))
+    return values if stream else DimSeries(values, "arity")
 
 
-def floor_power_dims(alpha, max_index: int) -> DimSeries:
-    """The values of :func:`floor_power_values` as an arity-indexed DimSeries."""
-    return DimSeries(floor_power_values(alpha, max_index), "arity")
-
-
-def polynomial_ring_values(d: int, max_degree: int) -> Iterator[int]:
-    """Dims of a polynomial ring on d variables, C(n+d-1, d-1), lazily for
-    degrees 0..max_degree."""
+def polynomial_ring_dims(d: int, max_degree: int,
+                         stream: bool = False) -> DimSeries | Iterator[int]:
+    """Dims of a polynomial ring on d variables: C(n+d-1, d-1).
+    With ``stream`` the values come as a lazy iterator, to be read once,
+    and no DimSeries is built."""
     if d < 1:
         raise AlgebraError("need at least one variable")
-    return map(comb, range(d - 1, max_degree + d), repeat(d - 1))
+    values = map(comb, range(d - 1, max_degree + d), repeat(d - 1))
+    return values if stream else DimSeries(values, "degree")
 
 
-def polynomial_ring_dims(d: int, max_degree: int) -> DimSeries:
-    """The values of :func:`polynomial_ring_values` as a degree-indexed DimSeries."""
-    return DimSeries(polynomial_ring_values(d, max_degree), "degree")
-
-
-def free_algebra_values(d: int, max_degree: int) -> Iterator[int]:
-    """Dims of a free algebra on d variables, d**n, lazily for degrees 0..max_degree."""
+def free_algebra_dims(d: int, max_degree: int, stream: bool = False) -> DimSeries | Iterator[int]:
+    """Dims of a free algebra on d variables: d**n.
+    With ``stream`` the values come as a lazy iterator, to be read once,
+    and no DimSeries is built."""
     if d < 1:
         raise AlgebraError("need at least one variable")
-    return map(pow, repeat(d), range(max_degree + 1))
-
-
-def free_algebra_dims(d: int, max_degree: int) -> DimSeries:
-    """The values of :func:`free_algebra_values` as a degree-indexed DimSeries."""
-    return DimSeries(free_algebra_values(d, max_degree), "degree")
+    values = map(pow, repeat(d), range(max_degree + 1))
+    return values if stream else DimSeries(values, "degree")
 
 
 def adjoin_polynomial_variables(dims: DimSeries, n: int) -> DimSeries:

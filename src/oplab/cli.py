@@ -56,10 +56,11 @@ def _size(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 class Preset(NamedTuple):
-    """``build(*params)`` gives a presentation, ``build(n, *params)`` exact dims
-    up to at least index n, to be read once, and their index kind.  ``param``
-    (None: no parameter) parses the text after ``name:`` into build's last
-    argument, raising ValueError or ZeroDivisionError if bad."""
+    """``build(*params)`` gives a presentation, ``build(n, *params)`` dims up
+    to at least index n: a DimSeries, or a closed form's values, generated as
+    they are read, with their index kind.  ``param`` (None: no parameter)
+    parses the text after ``name:`` into build's last argument, raising
+    ValueError or ZeroDivisionError if bad."""
 
     name: str
     kind: str  # "presentation" | "dims"
@@ -112,33 +113,36 @@ def _free_operad(arity: int) -> MonomialOperadPresentation:
     return MonomialOperadPresentation(Alphabet.of(a=arity), (), name=f"free-operad:{arity}")
 
 
-def _closed_form(family: str, index_kind: str) -> Callable:
-    """A dims preset build: ``oplab.algebra.<family>_values(*params, n)``, an iterator."""
+def _algebra_family(family: str) -> Callable:
+    """A dims preset build ``(n, *params)`` that calls ``oplab.algebra.<family>(*params, n)``."""
     def build(n, *params):
         from . import algebra
 
-        return getattr(algebra, f"{family}_values")(*params, n), index_kind
+        return getattr(algebra, family)(*params, n)
     return build
 
 
-def _partition(n: int) -> tuple[Sequence[int], str]:
-    from .algebra import partition_dims
+def _closed_form(family: str, index_kind: str) -> Callable:
+    """A dims preset build ``(n, *params)``: the values of
+    ``oplab.algebra.<family>(*params, n, stream=True)``, generated as they
+    are read, with their index kind."""
+    def build(n, *params):
+        from . import algebra
 
-    dims = partition_dims(n)
-    return dims.values, dims.index_kind
+        return getattr(algebra, family)(*params, n, stream=True), index_kind
+    return build
 
 
 def _example62(n: int) -> tuple[Iterable[int], str]:
-    from .algebra import example62_values
+    from .algebra import example62_dims
 
-    return example62_values(max(2, n)), "degree"
+    return example62_dims(max(2, n), stream=True), "degree"
 
 
-def _avoidance(n: int) -> tuple[Sequence[int], str]:
+def _avoidance(n: int) -> DimSeries:
     from .branch import closed_set_counts, example_at_most_one_index2
 
-    dims = closed_set_counts(example_at_most_one_index2(), n)
-    return dims.values, dims.index_kind
+    return closed_set_counts(example_at_most_one_index2(), n)
 
 
 CATALOG = {p.name.partition(":")[0]: p for p in (
@@ -162,31 +166,31 @@ CATALOG = {p.name.partition(":")[0]: p for p in (
            _example62),
     Preset("ex64-partition", "dims",
            "partition numbers p(n) (degree-indexed)",
-           _partition),
+           _algebra_family("partition_dims")),
     Preset("partition", "dims",
            "alias of ex64-partition",
-           _partition),
+           _algebra_family("partition_dims")),
     Preset("ex46-avoidance", "dims",
            "single-branched words with at most one index-2 letter; exactly h words at height h",
            _avoidance),
     Preset("ex34:<alpha>", "dims",
            "operad dims with partial sums floor(n^alpha) (arity-indexed)",
-           _closed_form("floor_power", "arity"), _POSITIVE),
+           _closed_form("floor_power_dims", "arity"), _POSITIVE),
     Preset("floorpow:<alpha>", "dims",
            "alias of ex34:<alpha>",
-           _closed_form("floor_power", "arity"), _POSITIVE),
+           _closed_form("floor_power_dims", "arity"), _POSITIVE),
     Preset("ex35:<r>", "dims",
            "staircase algebra dims with growth exponent r in (2,3) (degree-indexed)",
-           _closed_form("warfield", "degree"), _STAIRCASE),
+           _closed_form("warfield_dims", "degree"), _STAIRCASE),
     Preset("warfield:<r>", "dims",
            "alias of ex35:<r>",
-           _closed_form("warfield", "degree"), _STAIRCASE),
+           _closed_form("warfield_dims", "degree"), _STAIRCASE),
     Preset("polyring:<d>", "dims",
            "polynomial ring dims C(n+d-1, d-1) (degree-indexed)",
-           _closed_form("polynomial_ring", "degree"), _AT_LEAST_1),
+           _closed_form("polynomial_ring_dims", "degree"), _AT_LEAST_1),
     Preset("free:<d>", "dims",
            "free algebra dims d^n (degree-indexed)",
-           _closed_form("free_algebra", "degree"), _AT_LEAST_1),
+           _closed_form("free_algebra_dims", "degree"), _AT_LEAST_1),
     Preset("free-operad:<arity>", "presentation",
            "free operad on one generator of the given arity",
            _free_operad, _AT_LEAST_1),
@@ -212,21 +216,21 @@ def resolve_preset(spec: str) -> tuple[Preset, tuple]:
         raise UsageError(f"preset {base!r}: bad parameter {text!r}: {exc}") from None
 
 
-def preset_values(spec: str, n: int) -> tuple[Iterable[int], str, bool]:
-    """A preset's dims from index 0 to at least n, to be read once, their
-    index kind and whether they are exact."""
+def _preset_build(spec: str, n: int) -> DimSeries | tuple[Iterable[int], str]:
+    """A preset's dims from index 0 to at least n: a DimSeries, or a closed
+    form's values, to be read once, with their index kind."""
     preset, params = resolve_preset(spec)
     if preset.kind == "presentation":
         from . import monomial
 
-        dims = monomial.dim_by_arity(preset.build(*params), n)
-        return dims.values, dims.index_kind, dims.exact
-    return (*preset.build(n, *params), True)
+        return monomial.dim_by_arity(preset.build(*params), n)
+    return preset.build(n, *params)
 
 
 def preset_dims(spec: str, n: int) -> DimSeries:
     """Dimension sequence of a preset from index 0 to at least n."""
-    return DimSeries(*preset_values(spec, n))
+    dims = _preset_build(spec, n)
+    return dims if isinstance(dims, DimSeries) else DimSeries(*dims)
 
 
 def preset_presentation(spec: str) -> MonomialOperadPresentation:
@@ -245,7 +249,7 @@ def _read_text(path: str) -> str:
 
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
@@ -347,31 +351,35 @@ def _series_source(args, n: Optional[int]) -> tuple[Iterable[Fraction | int], in
         except OSError as exc:
             raise UsageError(f"cannot read {source}: {exc}") from None
         with fh:  # the head is scanned on one copy of the lines, then read again
-            head, lines = tee(fh)
-            keyword, rest = next(((k, r) for line in head for _, _, k, r in directives(line)
-                                  if k != "name"), ("", ""))
-            del head  # or the copy would keep every line that is read after it
-            if source.endswith(".csv") or keyword[:1].isdigit() or "," in keyword + rest:
-                coeffs = _load_csv_coeffs(lines, stop)
-                return coeffs, len(coeffs) - 1, source, {}
-            text = "".join(lines)
+            try:
+                head, lines = tee(fh)
+                keyword, rest = next(((k, r) for line in head for _, _, k, r in directives(line)
+                                      if k != "name"), ("", ""))
+                del head  # or the copy would keep every line that is read after it
+                if source.endswith(".csv") or keyword[:1].isdigit() or "," in keyword + rest:
+                    coeffs = _load_csv_coeffs(lines, stop)
+                    return coeffs, len(coeffs) - 1, source, {}
+                text = "".join(lines)
+            except UnicodeDecodeError:
+                _read_text(source)  # names the file and the bad byte's offset in it
+                raise
     if n is None:
         raise UsageError(f"a max index is required for {'file' if is_file else 'preset'} sources")
     if not is_file:
-        values, kind, exact = preset_values(source, n)
-        meta = {"exact": exact}
+        dims = _preset_build(source, n)
+        meta = {"exact": getattr(dims, "exact", True)}
     elif keyword in ("var", "forbid"):
         from . import algebra
 
         dims = algebra.hilbert_dims(_load_file(source, algebra.parse_algebra, text), n)
-        values, kind, meta = dims.values, dims.index_kind, {}
+        meta = {}
     else:
         from . import monomial
 
         p = _load_file(source, monomial.parse_presentation, text)
         dims = monomial.dim_by_arity(p, n)
-        values, kind = dims.values, dims.index_kind
         meta = {"exact": dims.exact, "sha256": _presentation_hash(p)}
+    values, kind = (dims.values, dims.index_kind) if isinstance(dims, DimSeries) else dims
     meta["index_kind"] = kind
     return islice(values, n + 1), n, source, meta
 

@@ -3,10 +3,9 @@ polynomial-coefficient recurrence guessing, and zero-run structure.
 
 The fitters take any iterable of exact numbers (a DimSeries, ints or
 Fractions) and convert it to Fractions once on entry.  The growth estimator
-takes nonnegative integers: a DimSeries or a tuple of ints is read in place,
-any other sequence is copied once into a tuple of ints, and an iterable of
-known truncation is read as it streams; of the partial sums it keeps only
-the logarithms on the tail window.  Every fit runs over exact rationals;
+takes nonnegative integers, a sequence or an iterable of known truncation,
+and reads them once as they stream, checking them piece by piece; of the
+partial sums it keeps only the logarithms on the tail window.  Every fit runs over exact rationals;
 the only floating point lives in the explicitly labelled growth estimators
 (logarithms of exact partial sums).
 Absence results are "no candidate at these bounds", never a proof beyond
@@ -100,20 +99,17 @@ class GkReport(NamedTuple):
 def gk_estimate(dims: DimSeries | Iterable, truncation: Optional[int] = None) -> GkReport:
     """Estimate the growth exponent limsup log_n(sum of dims up to n).
 
-    ``dims`` is a DimSeries or a sequence of nonnegative integral numbers,
-    checked first as :func:`~oplab.dims.as_dim_values` checks it, or, with
-    its ``truncation`` given, any iterable of the values 0..truncation,
-    checked as it is read.  The values are read once, front to back, at most
-    ``_CHUNK`` at a time.  Of the partial sums only those at index 1, at the
-    window start and at the geometric test's anchors are kept.  Sums never
-    decrease, so the positive ones on the tail window are a suffix of it;
-    their logs and those of their indices go into two float arrays, and
-    nothing else of window length is held."""
-    check = truncation is not None
-    if not check:
-        dims = as_dim_values(dims)
-        truncation = len(dims) - 1
-    n_max = truncation
+    ``dims`` is a DimSeries, a sequence of nonnegative integral numbers
+    (ints, or Fractions such as CSV gives) or, with its ``truncation`` given,
+    any iterable of the values 0..truncation.  The values are read once,
+    front to back, at most ``_CHUNK`` at a time, and checked as they are
+    read, as :func:`~oplab.dims.as_dim_values` checks them.  Of the partial
+    sums only those at index 1, at the window start and at the geometric
+    test's anchors are kept.  Sums never decrease, so the positive ones on
+    the tail window are a suffix of it; their logs and those of their
+    indices go into two float arrays, and nothing else of window length is
+    held."""
+    n_max = len(dims) - 1 if truncation is None else truncation
     start = max(2, n_max - int(n_max * TAIL_FRACTION))
     anchors = _anchors(n_max)
     at = {}  # the partial sum at each cut below
@@ -125,8 +121,7 @@ def gk_estimate(dims: DimSeries | Iterable, truncation: Optional[int] = None) ->
             piece = tuple(islice(values, min(_CHUNK, cut + 1 - n)))
             if not piece:
                 raise ValueError(f"expected {n_max + 1} dimension values, got {n}")
-            if check:
-                piece = as_dim_values(piece, n)
+            piece = as_dim_values(piece, n)
             if n > start:
                 sums = accumulate(piece, initial=total)
                 next(sums)

@@ -618,6 +618,18 @@ class TestCsvInput:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, head", [("bad.csv", b""), ("bad.txt", b"var x\n")])
+    def test_a_file_that_is_not_utf8_is_usage_error(self, tmp_path, capsys, name, head):
+        # the offset counts from the start of the file, past the first block read
+        f = tmp_path / name
+        f.write_bytes(head + "".join(f"{n},{n * n}\n" for n in range(3000)).encode()[:27000]
+                      + b"\xff\n")
+        code, _ = invoke("series", "--source", str(f), "--max", "10")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"oplab: usage error: cannot read {f}: 'utf-8' codec can't decode byte 0xff "
+            f"in position {len(head) + 27000}: invalid start byte\n")
+
     @pytest.mark.parametrize("cell, value", [
         ("5", 5), (" 7 ", 7), ("+5", 5), ("-3", -3), ("1_000", 1000), ("5.0", 5), ("1e3", 1000),
         ("3/1", 3), ("1/2", Fraction(1, 2)), ("", None), ("x", None),

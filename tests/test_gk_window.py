@@ -27,15 +27,7 @@ from oplab import (
     warfield_dims,
 )
 from oplab import cli
-from oplab.algebra import (
-    example62_dims,
-    example62_values,
-    floor_power,
-    floor_power_values,
-    free_algebra_values,
-    polynomial_ring_values,
-    warfield_values,
-)
+from oplab.algebra import example62_dims, floor_power
 from oplab.dims import as_dim_values, log_of_int
 from oplab.series import TAIL_FRACTION, DegenerateSeriesError, GkReport, SeriesError
 
@@ -197,17 +189,17 @@ class TestAgainstFullWindow:
             assert_same(wrap(values))
 
 
-CLOSED_FORMS = {  # name: (values iterator, the same values as a DimSeries), by truncation
-    "floorpow-3/2": (lambda n: floor_power_values("3/2", n), lambda n: floor_power_dims("3/2", n)),
-    "floorpow-1/2": (lambda n: floor_power_values("1/2", n), lambda n: floor_power_dims("1/2", n)),
-    "floorpow-5/3": (lambda n: floor_power_values("5/3", n), lambda n: floor_power_dims("5/3", n)),
-    "floorpow-7/2": (lambda n: floor_power_values("7/2", n), lambda n: floor_power_dims("7/2", n)),
-    "warfield-5/2": (lambda n: warfield_values("5/2", n), lambda n: warfield_dims("5/2", n)),
-    "warfield-8/3": (lambda n: warfield_values("8/3", n), lambda n: warfield_dims("8/3", n)),
-    "polyring-3": (lambda n: polynomial_ring_values(3, n), lambda n: polynomial_ring_dims(3, n)),
-    "polyring-1": (lambda n: polynomial_ring_values(1, n), lambda n: polynomial_ring_dims(1, n)),
-    "free-2": (lambda n: free_algebra_values(2, n), lambda n: free_algebra_dims(2, n)),
-    "ex62": (example62_values, example62_dims),
+CLOSED_FORMS = {  # name: (the *_dims function, its parameters before the truncation)
+    "floorpow-3/2": (floor_power_dims, "3/2"),
+    "floorpow-1/2": (floor_power_dims, "1/2"),
+    "floorpow-5/3": (floor_power_dims, "5/3"),
+    "floorpow-7/2": (floor_power_dims, "7/2"),
+    "warfield-5/2": (warfield_dims, "5/2"),
+    "warfield-8/3": (warfield_dims, "8/3"),
+    "polyring-3": (polynomial_ring_dims, 3),
+    "polyring-1": (polynomial_ring_dims, 1),
+    "free-2": (free_algebra_dims, 2),
+    "ex62": (example62_dims,),
 }
 
 
@@ -235,9 +227,9 @@ class TestStreamed:
         ("polyring-3", 3000), ("polyring-1", 40), ("free-2", 1500), ("ex62", 3200),
         ("floorpow-3/2", 7), ("free-2", 5)])
     def test_closed_forms(self, name, n):
-        values, dims = CLOSED_FORMS[name]
-        expected = outcome(full_window_gk, dims(n))
-        assert outcome(lambda _: gk_estimate(values(n), n), None) == expected
+        dims, *params = CLOSED_FORMS[name]
+        expected = outcome(full_window_gk, dims(*params, n))
+        assert outcome(lambda _: gk_estimate(dims(*params, n, stream=True), n), None) == expected
         assert expected[0] == ("report" if n > 6 else SeriesError)
 
     def test_reads_each_value_once_and_no_further(self):
@@ -263,31 +255,32 @@ def _old_warfield_values(r, n):
     return [1 + i + (fl - 1) * fl // 2 for i, fl in ((i, floor_power(i, q)) for i in range(n + 1))]
 
 
-class TestValueGenerators:
+class TestStreamedValues:
     @pytest.mark.parametrize("alpha", ["3/2", "1/2", "5/3", "7/2"])
     def test_floor_power(self, alpha):
         expected = _old_floor_power_values(alpha, 3000)
-        assert list(floor_power_values(alpha, 3000)) == expected
+        assert list(floor_power_dims(alpha, 3000, stream=True)) == expected
         assert floor_power_dims(alpha, 3000).values == tuple(expected)
 
     @pytest.mark.parametrize("r", ["5/2", "8/3"])
     def test_warfield(self, r):
         expected = _old_warfield_values(r, 3000)
-        assert list(warfield_values(r, 3000)) == expected
+        assert list(warfield_dims(r, 3000, stream=True)) == expected
         assert warfield_dims(r, 3000).values == tuple(expected)
 
     def test_other_closed_forms(self):
-        assert list(polynomial_ring_values(3, 50)) == [math.comb(n + 2, 2) for n in range(51)]
-        assert list(free_algebra_values(3, 50)) == [3 ** n for n in range(51)]
+        assert list(polynomial_ring_dims(3, 50, stream=True)) == [math.comb(n + 2, 2)
+                                                                  for n in range(51)]
+        assert list(free_algebra_dims(3, 50, stream=True)) == [3 ** n for n in range(51)]
         # degrees 2..5 and 28..257 lie on the gap intervals
-        assert list(example62_values(300)) == [1, 2] + [3 + (not (2 <= n <= 5 or 28 <= n <= 257))
-                                                     for n in range(2, 301)]
+        assert list(example62_dims(300, stream=True)) == [1, 2] + [
+            3 + (not (2 <= n <= 5 or 28 <= n <= 257)) for n in range(2, 301)]
 
     def test_bad_parameters_raise_when_the_iterator_is_made(self):
         with pytest.raises(ValueError, match="alpha must be positive"):
-            floor_power_values("-1", 10)
+            floor_power_dims("-1", 10, stream=True)
         with pytest.raises(ValueError, match="strictly between 2 and 3"):
-            warfield_values("3", 10)
+            warfield_dims("3", 10, stream=True)
 
 
 class TestCopies:

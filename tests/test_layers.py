@@ -32,9 +32,7 @@ SRC = LAUNCHER.parents[1] / "src"
 
 TRACED = [
     (["dims", "--preset", "ex53-1", "--max-arity", "20"], {"monomial.dp"}),
-    # a closed form such as floorpow streams its values into gk_estimate and
-    # builds no DimSeries; partition_dims still gives one
-    (["gk", "--preset", "ex64-partition", "--N", "200"], {"algebra.presets", "series.gk_estimate"}),
+    (["gk", "--preset", "floorpow:3/2", "--N", "200"], {"algebra.presets", "series.gk_estimate"}),
     (["series", "--preset", "ex46-avoidance", "--max", "20"], {"branch.closed_set_counts"}),
 ]
 
