@@ -347,11 +347,7 @@ def _series_source(args, n: Optional[int]) -> tuple[Iterable[Fraction | int], in
         raise UsageError(f"{source!r} is neither a file nor a preset; run 'oplab preset-list'")
     if is_file:
         try:
-            fh = open(source)
-        except OSError as exc:
-            raise UsageError(f"cannot read {source}: {exc}") from None
-        with fh:  # the head is scanned on one copy of the lines, then read again
-            try:
+            with open(source) as fh:  # the head is scanned on one copy of its lines, then reread
                 head, lines = tee(fh)
                 keyword, rest = next(((k, r) for line in head for _, _, k, r in directives(line)
                                       if k != "name"), ("", ""))
@@ -360,9 +356,9 @@ def _series_source(args, n: Optional[int]) -> tuple[Iterable[Fraction | int], in
                     coeffs = _load_csv_coeffs(lines, stop)
                     return coeffs, len(coeffs) - 1, source, {}
                 text = "".join(lines)
-            except UnicodeDecodeError:
-                _read_text(source)  # names the file and the bad byte's offset in it
-                raise
+        except (OSError, UnicodeDecodeError):
+            _read_text(source)  # the usage error naming the file (and a bad byte's offset in it)
+            raise
     if n is None:
         raise UsageError(f"a max index is required for {'file' if is_file else 'preset'} sources")
     if not is_file:
