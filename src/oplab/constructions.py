@@ -18,10 +18,13 @@ at the dimension level only.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .algebra import MonomialAlgebraPresentation
 from .dims import DimSeries
-from .monomial import MonomialOperadPresentation
-from .trees import Alphabet, Generator, TreeMonomial, compose
+
+if TYPE_CHECKING:
+    from .monomial import MonomialOperadPresentation
 
 
 class ConstructionError(ValueError):
@@ -59,6 +62,10 @@ def operadize(a: MonomialAlgebraPresentation) -> MonomialOperadPresentation:
     normal forms to be right-normal chains), plus the chain
     a o_{i1} a o_{i2} ... o_{ik} a for each forbidden word x_{i1}...x_{ik}.
     """
+    # the envelopes work on dims alone and should not load the operad engine
+    from .monomial import MonomialOperadPresentation
+    from .trees import Alphabet, Generator, TreeMonomial, compose
+
     d = len(a.variables)
     if d < 2:
         raise ConstructionError("operadization needs at least two variables")

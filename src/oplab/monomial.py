@@ -98,7 +98,7 @@ class MonomialOperadPresentation(Frozen):
                 raise AlphabetMismatchError("relation uses a different alphabet")
             rels.append(r)
         order = TreeOrder(alphabet)
-        rels = sorted(set(rels), key=lambda t: (t.weight, order.key(t)))
+        rels = order.by_weight(set(rels))
         kept: list[TreeMonomial] = []
         for r in rels:
             # a strictly smaller divisor sorts earlier, so one pass suffices
@@ -288,8 +288,7 @@ def compile_grammar(p: MonomialOperadPresentation,
     """
     # a relation heavier than max_weight matches no tree that light
     rels = [r for r in p.relations if max_weight is None or r.weight <= max_weight]
-    subtrees = sorted({t for r in rels for t in r.internal_nodes() if t is not r},
-                      key=lambda t: (t.weight, p._order.key(t)))
+    subtrees = p._order.by_weight({t for r in rels for t in r.internal_nodes() if t is not r})
     ids = {t: q for q, t in enumerate(subtrees)}
 
     def needs(t: TreeMonomial) -> list:  # (slot, subtree id) per non-leaf child

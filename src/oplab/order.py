@@ -9,6 +9,10 @@ alphabet's declaration order.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable
+
 from .trees import Alphabet, TreeMonomial, to_path_sequence
 
 
@@ -25,3 +29,15 @@ class TreeOrder:
         rank = self._rank
         words = to_path_sequence(t)
         return (len(words), tuple((len(w), tuple(rank[x] for x in w)) for w in words))
+
+    def by_weight(self, trees: Iterable[TreeMonomial]) -> list[TreeMonomial]:
+        """``trees`` sorted by (weight, key), computing keys only to order
+        trees of equal weight: a key costs O(h^2) on a tree h levels tall."""
+        weight = attrgetter("weight")
+        ordered = []
+        for _, group in groupby(sorted(trees, key=weight), weight):
+            group = list(group)
+            if len(group) > 1:
+                group.sort(key=self.key)
+            ordered += group
+        return ordered

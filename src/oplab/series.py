@@ -4,8 +4,9 @@ polynomial-coefficient recurrence guessing, and zero-run structure.
 The fitters take any iterable of exact numbers (a DimSeries, ints or
 Fractions) and convert it to Fractions once on entry.  The growth estimator
 takes nonnegative integers, a sequence or an iterable of known truncation,
-and reads them once as they stream, checking them piece by piece; of the
-partial sums it keeps only the logarithms on the tail window.  Every fit runs over exact rationals;
+and reads them once as they stream, checking them piece by piece; it folds
+the logarithms of the tail window's partial sums into running sums, so its
+memory does not grow with the window.  Every fit runs over exact rationals;
 the only floating point lives in the explicitly labelled growth estimators
 (logarithms of exact partial sums).
 Absence results are "no candidate at these bounds", never a proof beyond
@@ -17,7 +18,6 @@ that no candidate passed the holdout suffix, which no fitting step saw.
 from __future__ import annotations
 
 import math
-from array import array
 from fractions import Fraction
 from itertools import accumulate, islice, pairwise
 from operator import mul, truediv
@@ -96,6 +96,34 @@ class GkReport(NamedTuple):
     n_max: int
 
 
+class _TailFit:
+    """Running least-squares sums over the points (log n, log S(n)) of the
+    tail window, fed runs of consecutive indices in order.  Each sum is
+    carried as the start of the next run's ``sum``, so where ``sum`` adds
+    floats left to right the totals are those of one sum over the window."""
+
+    __slots__ = ("k", "sx", "sy", "sxx", "sxy", "ratio_max", "last")
+
+    def __init__(self) -> None:
+        self.k = 0
+        self.sx = self.sy = self.sxx = self.sxy = 0.0
+        self.ratio_max = -math.inf  # the largest y / x so far
+        self.last = None  # (y, x) of the last point
+
+    def add(self, first: int, ys: list[float]) -> None:
+        """Add the points (log n, ys[n - first]) for n = first, first + 1, ..."""
+        if not ys:
+            return
+        xs = list(map(math.log, range(first, first + len(ys))))
+        self.k += len(ys)
+        self.sx = sum(xs, self.sx)
+        self.sy = sum(ys, self.sy)
+        self.sxx = sum(map(mul, xs, xs), self.sxx)
+        self.sxy = sum(map(mul, xs, ys), self.sxy)
+        self.ratio_max = max(self.ratio_max, max(map(truediv, ys, xs)))
+        self.last = ys[-1], xs[-1]
+
+
 def gk_estimate(dims: DimSeries | Iterable, truncation: Optional[int] = None) -> GkReport:
     """Estimate the growth exponent limsup log_n(sum of dims up to n).
 
@@ -106,14 +134,21 @@ def gk_estimate(dims: DimSeries | Iterable, truncation: Optional[int] = None) ->
     read, as :func:`~oplab.dims.as_dim_values` checks them.  Of the partial
     sums only those at index 1, at the window start and at the geometric
     test's anchors are kept.  Sums never decrease, so the positive ones on
-    the tail window are a suffix of it; their logs and those of their
-    indices go into two float arrays, and nothing else of window length is
-    held."""
+    the tail window are a suffix of it; each piece's logs are folded into
+    running least-squares sums and dropped, so the memory held does not
+    grow with the window: one piece of values, or its logs and those of
+    their indices.
+
+    The running sums are bit-identical to sums over the whole window on
+    CPython up to 3.11, where ``sum`` adds floats left to right.  From 3.12
+    on, ``sum`` compensates its rounding within each call only, so the
+    slope can differ from one whole-window sum in its last bits (up to
+    about 1e-11 relative on the closed-form presets)."""
     n_max = len(dims) - 1 if truncation is None else truncation
     start = max(2, n_max - int(n_max * TAIL_FRACTION))
     anchors = _anchors(n_max)
     at = {}  # the partial sum at each cut below
-    ys = array("d")
+    fit = _TailFit()
     values = iter(dims)
     total = n = 0  # the sum of the values before index n
     for cut in sorted({c for c in (1, start, n_max, *anchors) if c <= n_max}):
@@ -122,32 +157,31 @@ def gk_estimate(dims: DimSeries | Iterable, truncation: Optional[int] = None) ->
             if not piece:
                 raise ValueError(f"expected {n_max + 1} dimension values, got {n}")
             piece = as_dim_values(piece, n)
-            if n > start:
-                sums = accumulate(piece, initial=total)
-                next(sums)
-                ys.extend(map(log_of_int, filter(None, sums)))
+            sums = accumulate(piece, initial=total)
+            next(sums)
+            low, n = n, n + len(piece)
             total += sum(piece)
-            n += len(piece)
+            # log_of_int calls math.log itself up to 900 bits, and the
+            # piece's last sum, now the total, is its largest
+            log = math.log if total.bit_length() <= 900 else log_of_int
+            ys = list(map(log, filter(None, sums))) if low > start else []
+            del piece, sums  # gone before fit.add builds the x values
+            fit.add(n - len(ys), ys)
+            del ys  # gone before the next piece is read
         at[cut] = total
         if cut == start and total:
-            ys.append(log_of_int(total))
+            fit.add(start, [log_of_int(total)])
     if n_max < 7:
         raise SeriesError("need at least 8 dimension values to estimate growth")
     if total == at[1]:
         raise DegenerateSeriesError("series is zero beyond index 1")
-    k = len(ys)
+    k = fit.k
     if k < 2:
         raise DegenerateSeriesError("partial sums vanish on the tail window")
-    xs = array("d", map(math.log, range(n_max + 1 - k, n_max + 1)))
-    sx = sum(xs)
-    sy = sum(ys)
-    sxx = sum(x * x for x in xs)
-    sxy = sum(map(mul, xs, ys))
-    den = k * sxx - sx * sx
-    slope = (k * sxy - sx * sy) / den if den else 0.0
-    pointwise = ys[-1] / xs[-1]
-    pointwise_max = max(map(truediv, ys, xs))
-    return GkReport(pointwise, slope, pointwise_max, _geometric([at[a] for a in anchors]),
+    den = k * fit.sxx - fit.sx * fit.sx
+    slope = (k * fit.sxy - fit.sx * fit.sy) / den if den else 0.0
+    y, x = fit.last
+    return GkReport(y / x, slope, fit.ratio_max, _geometric([at[a] for a in anchors]),
                     (start, n_max), n_max)
 
 

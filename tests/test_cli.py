@@ -789,6 +789,10 @@ class TestImportGraph:
           "oplab.constructions", "hashlib", "json"}),
         ("gk --preset floorpow:3/2 --N 50", {"oplab.series", "oplab.algebra"},
          {"oplab.monomial", "oplab.trees", "oplab.order", "oplab.constructions"}),
+        # the envelopes work on dims alone; only operadize builds a presentation
+        ("envelope --kind sym --preset ex64-partition --max-index 20",
+         {"oplab.constructions", "oplab.algebra"},
+         {"oplab.monomial", "oplab.trees", "oplab.order"}),
     ])
     def test_subcommand_imports_only_its_modules(self, argv, needed, unused):
         loaded = modules_loaded_by(

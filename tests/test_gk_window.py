@@ -26,7 +26,7 @@ from oplab import (
     polynomial_ring_dims,
     warfield_dims,
 )
-from oplab import cli
+from oplab import cli, series
 from oplab.algebra import example62_dims, floor_power
 from oplab.dims import as_dim_values, log_of_int
 from oplab.series import TAIL_FRACTION, DegenerateSeriesError, GkReport, SeriesError
@@ -244,6 +244,16 @@ class TestStreamed:
             gk_estimate(iter(range(100)), 100)
 
 
+class TestChunkBoundaries:
+    # tiny pieces put a piece boundary at every kind of index: the window
+    # start, the anchors, the first positive sum and the last value
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_seeded_series_and_edges(self, monkeypatch, chunk):
+        monkeypatch.setattr(series, "_CHUNK", chunk)
+        for values in SEEDED + EDGES:
+            assert_same_streamed(values)
+
+
 def _old_floor_power_values(alpha, n):
     """The floor-power dims as they were built one value at a time."""
     return [floor_power(i, Fraction(alpha)) - (floor_power(i - 1, Fraction(alpha)) if i else 0)
@@ -299,9 +309,9 @@ class TestCopies:
             as_dim_values((1, 2, -1, 3))
 
     def test_traced_peak_of_gk_estimate_at_1e5(self):
-        # The full-window formula peaks at about 10.9 MB here and the tail
-        # window at about 0.55 MB (CPython 3.11); 3 MB also fails a full
-        # list of the 100001 partial sums.
+        # The full-window formula peaks at about 10.9 MB here and
+        # gk_estimate at about 0.27 MB (CPython 3.11); 3 MB also fails a
+        # full list of the 100001 partial sums.
         dims = floor_power_dims("3/2", 10 ** 5)
         tracemalloc.start()
         try:
@@ -310,6 +320,21 @@ class TestCopies:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 10 ** 6
+
+    def test_traced_peak_of_gk_estimate_does_not_grow_with_n(self):
+        # About 0.27 and 0.30 MB (CPython 3.11): one piece of _CHUNK values,
+        # or its logs and those of their indices.  Keeping the logs of the
+        # whole tail window put the two peaks about 440 KB apart.
+        peaks = []
+        for n in (25_000, 100_000):
+            values = floor_power_dims("3/2", n, stream=True)
+            tracemalloc.start()
+            try:
+                gk_estimate(values, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 64 * 1024
 
 
 def traced_peak(argv):
@@ -328,8 +353,9 @@ class TestTracedPeaks:
     # the comments, which the bounds must fail
 
     def test_gk_on_a_closed_form_preset(self):
-        # about 0.64 MB; the 100001-value series alone is about 3 MB (3.7 MB
-        # when the preset built it as a DimSeries)
+        # about 0.36 MB (0.64 MB while the tail window's logs were kept);
+        # the 100001-value series alone is about 3 MB (3.7 MB when the
+        # preset built it as a DimSeries)
         assert traced_peak(["gk", "--preset", "floorpow:3/2", "--N", "100000"]) < 1.5 * 10 ** 6
 
     def test_top_bound_certificate_of_guess(self):

@@ -5,9 +5,20 @@ import random
 import pytest
 
 from helpers import FIG3, all_monomials
-from oplab import Alphabet, TreeOrder, compose, enumerate_irr, format_monomial, parse_monomial
+from oplab import (
+    Alphabet,
+    MonomialOperadPresentation,
+    TreeMonomial,
+    TreeOrder,
+    compose,
+    enumerate_irr,
+    format_monomial,
+    parse_monomial,
+)
 from oplab.cli import preset_presentation
+from oplab.monomial import compile_grammar
 
+BINARY = Alphabet.of(a=2)
 TWO_BINARY = Alphabet.of(a=2, b=2)
 
 
@@ -90,3 +101,33 @@ class TestTreeOrder:
             assert key(compose(t0, i, u)) > key(compose(t0p, i, u))
             j = rng.randint(1, u.arity)
             assert key(compose(u, j, t0)) > key(compose(u, j, t0p))
+
+
+def left_comb(alphabet, height):
+    """a(a(...a(*,*)...,*),*) with ``height`` vertices of the first generator."""
+    gen = TreeMonomial.node(alphabet, alphabet.generators[0].name)
+    comb = gen
+    for _ in range(height - 1):
+        comb = compose(gen, 1, comb)
+    return comb
+
+
+class TestByWeight:
+    def test_same_order_as_the_full_key(self):
+        order = TreeOrder(TWO_BINARY)
+        monomials = all_monomials(TWO_BINARY, 4)
+        random.Random(5).shuffle(monomials)
+        assert order.by_weight(monomials) == sorted(monomials, key=lambda t: (t.weight,
+                                                                              order.key(t)))
+
+    def test_a_tall_comb_needs_no_key(self, monkeypatch):
+        # every subtree of a comb has its own weight, so no tie needs a key
+        calls = []
+        key = TreeOrder.key
+        monkeypatch.setattr(TreeOrder, "key", lambda self, t: calls.append(t) or key(self, t))
+        comb = left_comb(BINARY, 60)
+        p = MonomialOperadPresentation(BINARY, [comb, left_comb(BINARY, 61)])
+        assert p.relations == (comb,)
+        grammar = compile_grammar(p, 62)
+        assert len(grammar.crowns) == 59
+        assert calls == []
