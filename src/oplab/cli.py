@@ -326,14 +326,16 @@ def _get_presentation(args) -> tuple[MonomialOperadPresentation, str]:
     return preset_presentation(label), label
 
 
-def _series_source(args, n: Optional[int]) -> tuple[Iterable[Fraction | int], int, str, dict]:
+def _series_source(args, n: Optional[int], digest: bool = False
+                   ) -> tuple[Iterable[Fraction | int], int, str, dict]:
     """Coefficients, their max index, label and JSON metadata of --source or
     --preset.  A preset, presentation or algebra file needs the max index n
     and gives the exact integer dimensions 0..n, to be read once (a closed
     form is generated as it is read).  CSV (a file, or stdin by default),
     read as it streams, gives a list of its rows 0..n as ints or Fractions,
     or of all of them when n is None.  The file's head (up to the first
-    directive other than ``name``) tells CSV from the others.
+    directive other than ``name``) tells CSV from the others.  With
+    ``digest``, a presentation file's metadata has its ``sha256``.
     A --source that names neither a file nor a preset is a usage error."""
     from pathlib import Path
 
@@ -374,18 +376,31 @@ def _series_source(args, n: Optional[int]) -> tuple[Iterable[Fraction | int], in
 
         p = _load_file(source, monomial.parse_presentation, text)
         dims = monomial.dim_by_arity(p, n)
-        meta = {"exact": dims.exact, "sha256": _presentation_hash(p)}
+        meta = {"exact": dims.exact}
+        if digest:
+            meta["sha256"] = _presentation_hash(p)
     values, kind = (dims.values, dims.index_kind) if isinstance(dims, DimSeries) else dims
     meta["index_kind"] = kind
     return islice(values, n + 1), n, source, meta
 
 
 def _presentation_hash(p: MonomialOperadPresentation) -> str:
-    import hashlib
-
     from .monomial import format_presentation
 
-    return hashlib.sha256(format_presentation(p).encode()).hexdigest()
+    return _sha256_hex(format_presentation(p))
+
+
+# SHA-256 from CPython's built-in module where there is one: importing
+# hashlib loads OpenSSL, about 3 MB
+def _sha256_hex(text: str) -> str:
+    try:
+        from _sha2 import sha256  # 3.12 on
+    except ImportError:
+        try:
+            from _sha256 import sha256  # up to 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode()).hexdigest()
 
 
 def _log_col(n: int, s: Fraction | int) -> str:
@@ -470,7 +485,7 @@ def cmd_grammar(args, out) -> int:
 
 
 def cmd_series(args, out) -> int:
-    coeffs, _n_max, label, meta = _series_source(args, args.max)
+    coeffs, _n_max, label, meta = _series_source(args, args.max, digest=args.emit == "json")
     _write_values(out, args.emit, coeffs, {"command": "series", "source": label, **meta},
                   columns=("n", "coeff"))
     return 0
@@ -583,7 +598,7 @@ def cmd_operadize(args, out) -> int:
         except OSError as exc:
             raise UsageError(f"cannot write {args.emit}: {exc}") from None
         out.write(f"wrote {args.emit} ({len(p.relations)} relations, "
-                  f"sha256={_presentation_hash(p)})\n")
+                  f"sha256={_sha256_hex(text)})\n")
     return 0
 
 

@@ -13,12 +13,17 @@ from pathlib import Path
 import pytest
 
 from oplab.algebra import MonomialAlgebraPresentation, format_algebra
-from oplab.cli import CATALOG, run, sweep_family
+from oplab.cli import CATALOG, _presentation_hash, preset_presentation, run, sweep_family
+from oplab.constructions import operadize
 from oplab.monomial import format_presentation
 
 # stdout of the gapcheck runs in TestGapcheck.test_reports_are_pinned when the
 # affine bound was still checked over Fractions
 GAPCHECK_SHA256 = "d203acd8467431e866066d5a40bfaf8e3d4fcf55be26069f00c728f4fd1d8a01"
+
+# the presentation digest of ex53-2 that `dims --emit json` printed when it
+# was taken with hashlib
+EX53_2_SHA256 = "21ec5441c4e9a8f93029a3cf71f42a509bf6bf56d68ec5fe06a8870bda2c6bcd"
 
 
 def invoke(*argv, stdin=None, monkeypatch=None):
@@ -337,6 +342,60 @@ class TestOperadizeCommand:
         code, text = invoke("operadize", "--algebra", str(alg), "--emit", str(emit))
         assert (code, text) == (1, "")
         assert f"oplab: usage error: cannot write {emit}: " in capsys.readouterr().err
+
+
+OPERADIZED = [  # (variables, forbidden words)
+    (("x1", "x2"), []), (("x1", "x2"), [("x1", "x1")]),
+    (("x1", "x2"), [("x2", "x1"), ("x2", "x2")]),
+    (("x0", "x1", "x2"), [("x0", "x1", "x2"), ("x2", "x2")]), ("wxyz", [tuple("wxyz")]),
+]
+
+
+class TestPresentationDigest:
+    @pytest.mark.parametrize("p", [
+        *(preset_presentation(name) for name, preset in sorted(CATALOG.items())
+          if preset.kind == "presentation" and preset.param is None),
+        *(preset_presentation(f"free-operad:{k}") for k in (1, 2, 3)),
+        *(p for _, p in sweep_family(3)[::6][:20]),
+        *(operadize(MonomialAlgebraPresentation(v, w)) for v, w in OPERADIZED),
+    ])
+    def test_equals_hashlib(self, p):
+        text = format_presentation(p)
+        assert _presentation_hash(p) == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_dims_digest_is_pinned(self):
+        code, text = invoke("dims", "--preset", "ex53-2", "--max-arity", "5", "--emit", "json")
+        assert code == 0
+        assert json.loads(text)["sha256"] == EX53_2_SHA256
+
+    def test_hashlib_fallback(self):
+        # without the built-in modules the digest comes from hashlib
+        out = child_stdout(
+            'import sys\nsys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
+            'from oplab.cli import _presentation_hash, preset_presentation\n'
+            'print(_presentation_hash(preset_presentation("ex53-2")), "hashlib" in sys.modules)')
+        assert out == f"{EX53_2_SHA256} True\n"
+
+    def test_operadize_digests_the_text_it_wrote(self, tmp_path):
+        alg = tmp_path / "alg.txt"
+        alg.write_text("var x1\nvar x2\nvar x3\nforbid x1 x2\nforbid x3 x3 x1\n")
+        out_file = tmp_path / "op.txt"
+        code, text = invoke("operadize", "--algebra", str(alg), "--emit", str(out_file))
+        assert code == 0
+        digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+        assert text == f"wrote {out_file} (5 relations, sha256={digest})\n"
+
+    def test_series_prints_the_digest_only_as_json(self, tmp_path, monkeypatch):
+        f = tmp_path / "p.txt"
+        f.write_text("generator a 2\nrelation a(a(*,*),a(*,*))\n")
+        calls = []
+        monkeypatch.setattr("oplab.cli._presentation_hash", lambda p: calls.append(p) or "d")
+        for argv in ("series --max 30", "series --max 30 --emit gnuplot", "gk --N 30",
+                     "fit --max 30", "guess --max 30 --max-order 1 --max-degree 1"):
+            assert invoke(*argv.split(), "--source", str(f))[0] == 0
+        assert calls == []
+        code, text = invoke("series", "--source", str(f), "--max", "5", "--emit", "json")
+        assert code == 0 and json.loads(text)["sha256"] == "d" and len(calls) == 1
 
 
 class TestEnvelope:
@@ -766,15 +825,19 @@ PUBLIC_NAMES = """
 REMOVED_NAMES = ("SeriesWindow", "PathSequence", "OperadDimProfile")
 
 
-def modules_loaded_by(code: str) -> set[str]:
-    """Modules a fresh interpreter loads while it runs ``code``."""
-    probe = ("import sys\n_before = set(sys.modules)\n" + code +
-             "\nprint(*sorted(set(sys.modules) - _before))")
+def child_stdout(code: str) -> str:
+    """Stdout of a fresh interpreter that runs ``code`` with oplab importable."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    return set(proc.stdout.split())
+    return proc.stdout
+
+
+def modules_loaded_by(code: str) -> set[str]:
+    """Modules a fresh interpreter loads while it runs ``code``."""
+    return set(child_stdout("import sys\n_before = set(sys.modules)\n" + code +
+                            "\nprint(*sorted(set(sys.modules) - _before))").split())
 
 
 class TestImportGraph:
@@ -800,6 +863,24 @@ class TestImportGraph:
             f"assert oplab.cli.run({argv.split()!r}, out=io.StringIO()) == 0")
         assert needed <= loaded
         assert not loaded & unused
+
+    # hashlib loads OpenSSL, about 3 MB, for the digest CPython has built in
+    @pytest.mark.parametrize("argv", [
+        "operadize --algebra {alg} --emit {op}",
+        "dims --preset ex53-2 --max-arity 10 --emit json",
+        "gapcheck --preset ex53-3 --max-weight 8 --emit json",
+        "series --source {op} --max 10 --emit json",
+    ])
+    def test_digests_load_no_hashlib(self, tmp_path, argv):
+        alg, op = tmp_path / "alg.txt", tmp_path / "op.txt"
+        alg.write_text("var x1\nvar x2\nforbid x1 x1\n")
+        op.write_text("generator a 2\nrelation a(a(*,*),a(*,*))\n")
+        argv = argv.format(alg=alg, op=op).split()
+        loaded = modules_loaded_by(
+            "import io, oplab.cli\nout = io.StringIO()\n"
+            f"assert oplab.cli.run({argv!r}, out=out) == 0 and 'sha256' in out.getvalue()")
+        assert "oplab.monomial" in loaded
+        assert not loaded & {"hashlib", "_hashlib"}
 
     # dataclasses imports inspect, ast, dis and tokenize; fractions imports
     # decimal and numbers: start-up pays for them only where they are used

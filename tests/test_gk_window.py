@@ -13,8 +13,9 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, count
-from operator import ne
+from operator import add, ne
 
 import pytest
 
@@ -53,10 +54,11 @@ def full_window_gk(dims):
         raise DegenerateSeriesError("partial sums vanish on the tail window")
     logs = [(math.log(n), log_of_int(s)) for n, s in window]
     k = len(logs)
-    sx = sum(x for x, _ in logs)
-    sy = sum(y for _, y in logs)
-    sxx = sum(x * x for x, _ in logs)
-    sxy = sum(x * y for x, y in logs)
+    # left to right, as CPython's sum did up to 3.11 (from 3.12 it compensates)
+    sx = reduce(add, (x for x, _ in logs), 0.0)
+    sy = reduce(add, (y for _, y in logs), 0.0)
+    sxx = reduce(add, (x * x for x, _ in logs), 0.0)
+    sxy = reduce(add, (x * y for x, y in logs), 0.0)
     den = k * sxx - sx * sx
     slope = (k * sxy - sx * sy) / den if den else 0.0
     pointwise = log_of_int(sums[n_max]) / math.log(n_max)
@@ -252,6 +254,19 @@ class TestChunkBoundaries:
         monkeypatch.setattr(series, "_CHUNK", chunk)
         for values in SEEDED + EDGES:
             assert_same_streamed(values)
+
+
+class TestLeftToRightSums:
+    def test_tail_fit_adds_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16, so left to right the sum is 0.0;
+        # a compensated sum, as CPython's sum is from 3.12 on, gives 1.0
+        fit = series._TailFit()
+        fit.add(2, [1e16, 1.0, -1e16])
+        assert fit.sy == 0.0
+
+    def test_floor_power_slope_is_pinned(self):
+        # the same bits on CPython 3.10 to 3.13
+        assert gk_estimate(floor_power_dims("3/2", 10 ** 5)).slope == 1.5000000312527793
 
 
 def _old_floor_power_values(alpha, n):
