@@ -326,16 +326,14 @@ def _get_presentation(args) -> tuple[MonomialOperadPresentation, str]:
     return preset_presentation(label), label
 
 
-def _series_source(args, n: Optional[int], digest: bool = False
-                   ) -> tuple[Iterable[Fraction | int], int, str, dict]:
+def _series_source(args, n: Optional[int]) -> tuple[Iterable[Fraction | int], int, str, dict]:
     """Coefficients, their max index, label and JSON metadata of --source or
     --preset.  A preset, presentation or algebra file needs the max index n
     and gives the exact integer dimensions 0..n, to be read once (a closed
     form is generated as it is read).  CSV (a file, or stdin by default),
     read as it streams, gives a list of its rows 0..n as ints or Fractions,
     or of all of them when n is None.  The file's head (up to the first
-    directive other than ``name``) tells CSV from the others.  With
-    ``digest``, a presentation file's metadata has its ``sha256``.
+    directive other than ``name``) tells CSV from the others.
     A --source that names neither a file nor a preset is a usage error."""
     from pathlib import Path
 
@@ -376,9 +374,7 @@ def _series_source(args, n: Optional[int], digest: bool = False
 
         p = _load_file(source, monomial.parse_presentation, text)
         dims = monomial.dim_by_arity(p, n)
-        meta = {"exact": dims.exact}
-        if digest:
-            meta["sha256"] = _presentation_hash(p)
+        meta = {"exact": dims.exact, "sha256": _presentation_hash(p)}
     values, kind = (dims.values, dims.index_kind) if isinstance(dims, DimSeries) else dims
     meta["index_kind"] = kind
     return islice(values, n + 1), n, source, meta
@@ -485,7 +481,7 @@ def cmd_grammar(args, out) -> int:
 
 
 def cmd_series(args, out) -> int:
-    coeffs, _n_max, label, meta = _series_source(args, args.max, digest=args.emit == "json")
+    coeffs, _n_max, label, meta = _series_source(args, args.max)
     _write_values(out, args.emit, coeffs, {"command": "series", "source": label, **meta},
                   columns=("n", "coeff"))
     return 0

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate, islice, pairwise
-from operator import add, mul, truediv
+from operator import mul, truediv
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .dims import DimSeries, as_dim_values, log_of_int
@@ -99,11 +98,9 @@ class GkReport(NamedTuple):
 
 class _TailFit:
     """Running least-squares sums over the points (log n, log S(n)) of the
-    tail window, fed runs of consecutive indices in order.  Each sum adds
-    left to right from the running total, so the totals are those of one
-    left-to-right sum over the window on every CPython (from 3.12 on,
-    ``sum`` compensates its rounding within each call, which a run's cut
-    would show in the last bits)."""
+    tail window, fed runs of consecutive indices in order.  Each sum is
+    carried as the start of the next run's ``sum``, so where ``sum`` adds
+    floats left to right the totals are those of one sum over the window."""
 
     __slots__ = ("k", "sx", "sy", "sxx", "sxy", "ratio_max", "last")
 
@@ -119,10 +116,10 @@ class _TailFit:
             return
         xs = list(map(math.log, range(first, first + len(ys))))
         self.k += len(ys)
-        self.sx = reduce(add, xs, self.sx)
-        self.sy = reduce(add, ys, self.sy)
-        self.sxx = reduce(add, map(mul, xs, xs), self.sxx)
-        self.sxy = reduce(add, map(mul, xs, ys), self.sxy)
+        self.sx = sum(xs, self.sx)
+        self.sy = sum(ys, self.sy)
+        self.sxx = sum(map(mul, xs, xs), self.sxx)
+        self.sxy = sum(map(mul, xs, ys), self.sxy)
         self.ratio_max = max(self.ratio_max, max(map(truediv, ys, xs)))
         self.last = ys[-1], xs[-1]
 
@@ -140,9 +137,13 @@ def gk_estimate(dims: DimSeries | Iterable, truncation: Optional[int] = None) ->
     the tail window are a suffix of it; each piece's logs are folded into
     running least-squares sums and dropped, so the memory held does not
     grow with the window: one piece of values, or its logs and those of
-    their indices.  The running sums add left to right, so the report is
-    that of one pass over the whole window, bit for bit, on every
-    CPython."""
+    their indices.
+
+    The running sums are bit-identical to sums over the whole window on
+    CPython up to 3.11, where ``sum`` adds floats left to right.  From 3.12
+    on, ``sum`` compensates its rounding within each call only, so the
+    slope can differ from one whole-window sum in its last bits (up to
+    about 1e-11 relative on the closed-form presets)."""
     n_max = len(dims) - 1 if truncation is None else truncation
     start = max(2, n_max - int(n_max * TAIL_FRACTION))
     anchors = _anchors(n_max)

@@ -5,17 +5,22 @@ window and a list of (log n, log S) pairs, and runs the geometric test on
 the full list of sums.  gk_estimate reads its input once and sums only the
 tail window; on a sequence and on a one-shot iterator with its truncation
 alike, it must return a bit-identical GkReport, or raise the same error
-with the same message.
+with the same message.  From CPython 3.12 on, ``sum`` compensates its
+rounding within each call, so gk_estimate's sums, taken a piece at a time,
+can differ from the oracle's one sum over the window in the last bits (the
+slope by up to 1.7e-10 relative, or by 2.5e-9 where a flat tail leaves it
+rounding noise around 0): there a report's floats need only agree to 1e-9
+relative or 1e-8 absolute.
 """
 
 import io
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate, count
-from operator import add, ne
+from operator import ne
 
 import pytest
 
@@ -54,11 +59,10 @@ def full_window_gk(dims):
         raise DegenerateSeriesError("partial sums vanish on the tail window")
     logs = [(math.log(n), log_of_int(s)) for n, s in window]
     k = len(logs)
-    # left to right, as CPython's sum did up to 3.11 (from 3.12 it compensates)
-    sx = reduce(add, (x for x, _ in logs), 0.0)
-    sy = reduce(add, (y for _, y in logs), 0.0)
-    sxx = reduce(add, (x * x for x, _ in logs), 0.0)
-    sxy = reduce(add, (x * y for x, y in logs), 0.0)
+    sx = sum(x for x, _ in logs)
+    sy = sum(y for _, y in logs)
+    sxx = sum(x * x for x, _ in logs)
+    sxy = sum(x * y for x, y in logs)
     den = k * sxx - sx * sx
     slope = (k * sxy - sx * sy) / den if den else 0.0
     pointwise = log_of_int(sums[n_max]) / math.log(n_max)
@@ -87,16 +91,35 @@ def full_sums_geometric(sums):
 
 
 def outcome(estimate, dims):
-    """The report with every float as its exact repr, or the error raised."""
+    """The report, or the error raised."""
     try:
-        return "report", repr(estimate(dims))
+        return "report", estimate(dims)
     except ValueError as exc:
         return type(exc), str(exc)
 
 
+SUM_COMPENSATES = sys.version_info >= (3, 12)
+FLOATS = ("pointwise", "slope", "pointwise_max")
+
+
+def assert_matches(got, expected):
+    """The same error, or the same report: every float as its exact repr,
+    or, where ``sum`` compensates, within 1e-9 relative or 1e-8 absolute."""
+    if got[0] != "report" or expected[0] != "report":
+        assert got == expected
+    elif SUM_COMPENSATES:
+        zeroed = dict.fromkeys(FLOATS, 0.0)
+        assert got[1]._replace(**zeroed) == expected[1]._replace(**zeroed)
+        for name in FLOATS:
+            assert math.isclose(getattr(got[1], name), getattr(expected[1], name),
+                                rel_tol=1e-9, abs_tol=1e-8), name
+    else:
+        assert repr(got[1]) == repr(expected[1])
+
+
 def assert_same(dims):
     expected = outcome(full_window_gk, dims)
-    assert outcome(gk_estimate, dims) == expected
+    assert_matches(outcome(gk_estimate, dims), expected)
     return expected
 
 
@@ -107,7 +130,7 @@ def streamed(values):
 
 def assert_same_streamed(values):
     expected = outcome(full_window_gk, values)
-    assert outcome(streamed, values) == expected
+    assert_matches(outcome(streamed, values), expected)
     return expected
 
 
@@ -180,7 +203,7 @@ class TestAgainstFullWindow:
     def test_seeded_series(self):
         outcomes = [assert_same(values) for values in SEEDED]
         assert {kind for kind, _ in outcomes} == {"report", SeriesError, DegenerateSeriesError}
-        flags = {"exp_flag=True" in text for kind, text in outcomes if kind == "report"}
+        flags = {report.exp_flag for kind, report in outcomes if kind == "report"}
         assert flags == {True, False}
 
     @pytest.mark.parametrize("wrap", [
@@ -231,7 +254,8 @@ class TestStreamed:
     def test_closed_forms(self, name, n):
         dims, *params = CLOSED_FORMS[name]
         expected = outcome(full_window_gk, dims(*params, n))
-        assert outcome(lambda _: gk_estimate(dims(*params, n, stream=True), n), None) == expected
+        assert_matches(outcome(lambda _: gk_estimate(dims(*params, n, stream=True), n), None),
+                       expected)
         assert expected[0] == ("report" if n > 6 else SeriesError)
 
     def test_reads_each_value_once_and_no_further(self):
@@ -254,19 +278,6 @@ class TestChunkBoundaries:
         monkeypatch.setattr(series, "_CHUNK", chunk)
         for values in SEEDED + EDGES:
             assert_same_streamed(values)
-
-
-class TestLeftToRightSums:
-    def test_tail_fit_adds_left_to_right(self):
-        # 1e16 + 1.0 rounds back to 1e16, so left to right the sum is 0.0;
-        # a compensated sum, as CPython's sum is from 3.12 on, gives 1.0
-        fit = series._TailFit()
-        fit.add(2, [1e16, 1.0, -1e16])
-        assert fit.sy == 0.0
-
-    def test_floor_power_slope_is_pinned(self):
-        # the same bits on CPython 3.10 to 3.13
-        assert gk_estimate(floor_power_dims("3/2", 10 ** 5)).slope == 1.5000000312527793
 
 
 def _old_floor_power_values(alpha, n):
