@@ -109,13 +109,8 @@ class MonomialAlgebraPresentation(Frozen):
         object.__setattr__(self, "forbidden", tuple(kept))
         object.__setattr__(self, "name", name)
 
-    def __eq__(self, other):
-        if not isinstance(other, MonomialAlgebraPresentation):
-            return NotImplemented
-        return self.variables == other.variables and self.forbidden == other.forbidden
-
-    def __hash__(self):
-        return hash((self.variables, self.forbidden))
+    def _key(self):  # without the name
+        return self.variables, self.forbidden
 
     def __repr__(self):
         label = self.name or "algebra"

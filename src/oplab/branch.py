@@ -63,16 +63,6 @@ class BranchWord(Frozen):
                     f"index {i} at position {pos + 1} out of range 1..{g.arity}")
         object.__setattr__(self, "letters", letters)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash((self.letters,))
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -250,16 +240,8 @@ class AvoidanceSystem(Frozen):
                 raise BranchError("letter caps must be nonnegative")
         object.__setattr__(self, "letter_caps", caps)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alphabet, self.forbidden, self.letter_caps) == (
-            other.alphabet, other.forbidden, other.letter_caps)
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.forbidden, tuple(sorted(self.letter_caps.items()))))
+    def _key(self):  # the caps dict, whatever its insertion order
+        return self.alphabet, self.forbidden, tuple(sorted(self.letter_caps.items()))
 
 
 def example_at_most_one_index2() -> AvoidanceSystem:

@@ -37,9 +37,10 @@ class Frozen:
 
     A subclass lists its fields, in constructor order, in ``_fields`` and
     stores them in ``__init__`` with ``object.__setattr__``; afterwards
-    assignment and deletion raise AttributeError.  It defines its own
-    ``__eq__`` (identity first) and ``__hash__`` (the tuple of its fields,
-    unless it says otherwise).
+    assignment and deletion raise AttributeError.  Two values are equal when
+    they are the same object, or of the same class with equal ``_key()``,
+    and the hash is that of ``_key()``: the tuple of the fields, unless a
+    subclass overrides ``_key`` to leave a field out or normalise one.
     """
 
     __slots__ = ()
@@ -51,8 +52,21 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __reduce__(self):
-        return self.__class__, tuple(getattr(self, f) for f in self._fields)
+    def _key(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):  # every field, whatever a subclass's _key leaves out
+        return self.__class__, Frozen._key(self)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -64,8 +78,8 @@ class DimSeries(Frozen):
 
     ``values[i]`` is the dimension at index ``i``, where the index counts
     arity, weight, or degree according to ``index_kind``.  ``exact`` is False
-    when the counts had to be weight-capped (a unary generator makes
-    arity-indexed counts infinite without a cap).
+    when the counts had to be weight-capped (with a unary generator an
+    arity class can be infinite, and the engine does not yet decide when).
     """
 
     __slots__ = _fields = ("values", "index_kind", "exact")
@@ -81,17 +95,6 @@ class DimSeries(Frozen):
             raise ValueError("dimensions must be ints")
         if values and min(values) < 0:
             raise ValueError("dimensions must be nonnegative")
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.values, self.index_kind, self.exact) == (
-            other.values, other.index_kind, other.exact)
-
-    def __hash__(self) -> int:
-        return hash((self.values, self.index_kind, self.exact))
 
     @property
     def truncation(self) -> int:
@@ -112,16 +115,14 @@ class DimSeries(Frozen):
         return tuple(accumulate(self.values))
 
 
-def as_dim_values(dims: "DimSeries | Sequence[int]", offset: int = 0) -> tuple[int, ...]:
-    """Coerce either a DimSeries or a plain sequence of nonnegative integral
-    numbers (ints, or Fractions such as CSV gives) to a tuple of ints.
+def as_dim_values(dims: Sequence[int], offset: int = 0) -> tuple[int, ...]:
+    """Coerce a sequence of nonnegative integral numbers (ints, or Fractions
+    such as CSV gives) to a tuple of ints.
 
-    A DimSeries gives its own values tuple, and a tuple of nonnegative ints
-    is checked and returned as it is; any other sequence is checked and
-    copied once.  The error names the bad value's index, counted from
-    ``offset`` (the index of ``dims[0]`` when dims is a piece of a series)."""
-    if isinstance(dims, DimSeries):
-        return dims.values
+    A tuple of nonnegative ints is checked and returned as it is; any other
+    sequence is checked and copied once.  The error names the bad value's
+    index, counted from ``offset`` (the index of ``dims[0]`` when dims is a
+    piece of a series)."""
     if type(dims) is tuple and set(map(type, dims)) <= {int}:
         values = dims
     else:

@@ -68,7 +68,8 @@ class PresentationError(ValueError):
 
 
 class CompletenessError(PresentationError):
-    """Arity-indexed counts need a weight cap when unary generators exist."""
+    """Arity-indexed counts need a weight cap when unary generators exist,
+    since an arity class can then be infinite."""
 
 
 class PresentationSyntaxError(FileSyntaxError, PresentationError):
@@ -109,13 +110,8 @@ class MonomialOperadPresentation(Frozen):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_order", order)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MonomialOperadPresentation):
-            return NotImplemented
-        return self.alphabet == other.alphabet and self.relations == other.relations
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.relations))
+    def _key(self):  # without the name: equal presentations share one verdict
+        return self.alphabet, self.relations
 
     @property
     def max_relation_height(self) -> int:
@@ -428,9 +424,10 @@ def dim_by_arity(p: MonomialOperadPresentation, max_arity: int, engine: str = "d
     """Count normal forms by arity up to ``max_arity``.
 
     Without unary generators the weight of an arity-n monomial is at most
-    n-1, so the counts are exact.  With a unary generator every arity class
-    is infinite; the caller must pass ``weight_cap`` and the result is
-    flagged inexact.
+    n-1, so the counts are exact.  With a unary generator an arity class can
+    be infinite, and the engine does not yet decide whether one is; the
+    caller must pass ``weight_cap`` and the result is flagged inexact, even
+    when the cap is large enough to give the exact counts.
     """
     if max_arity < 0:
         raise PresentationError("max_arity must be nonnegative")

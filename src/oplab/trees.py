@@ -64,8 +64,9 @@ class Generator(Frozen):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "arity", arity)
 
-    # identity first: the trees of one alphabet share its generator objects.
-    # The tree walks test ``!=``, so it is written out, not derived from ``==``.
+    # Frozen's rule, written out without ``_key`` tuples: the tree walks test
+    # ``!=`` on every node.  Identity first: the trees of one alphabet share
+    # its generator objects.
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
@@ -126,22 +127,8 @@ class Alphabet(Frozen):
     def max_arity(self) -> int:
         return max(g.arity for g in self.generators)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.generators == other.generators
-
-    def __ne__(self, other: object) -> bool:
-        if self is other:
-            return False
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.generators != other.generators
-
-    def __hash__(self) -> int:
-        return hash(self.generators)
+    def _key(self):
+        return self.generators
 
 
 #: Marker for a leaf position in a node's child tuple.
@@ -237,6 +224,12 @@ class TreeMonomial:
                 return False
             stack += zip(a.children, b.children)
         return True
+
+    def __reduce__(self):
+        # rebuilt through the constructor: the cached hash differs between
+        # processes (str names, and None leaves up to CPython 3.11), so it
+        # must not travel with a pickle
+        return self.__class__, (self.alphabet, self.generator, self.children)
 
     def __hash__(self) -> int:
         try:

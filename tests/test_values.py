@@ -2,17 +2,36 @@
 and hashing by value, immutability, validation messages, repr and copies."""
 
 import copy
+import importlib
+import itertools
+import os
 import pickle
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oplab
 from helpers import BINARY
 from oplab.algebra import MonomialAlgebraPresentation
 from oplab.branch import AvoidanceSystem, BranchError, BranchWord, parse_branch_word
-from oplab.dims import DimSeries
+from oplab.dims import DimSeries, Frozen
 from oplab.monomial import MonomialOperadPresentation
 from oplab.series import GkReport, RationalFit, RecurrenceCandidate, ZeroRunReport
 from oplab.trees import Alphabet, Generator, TreeError, parse_monomial
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+TWO_GENERATORS = Alphabet.of(a=2, b=2)
+
+
+def caps_in_turn():
+    """Equal avoidance systems whose caps are inserted in the opposite order
+    on every other call."""
+    orders = itertools.cycle(({("a", 1): 0, ("a", 2): 1}, {("a", 2): 1, ("a", 1): 0}))
+    return lambda: AvoidanceSystem(BINARY, (), next(orders))
 
 
 def values():
@@ -33,6 +52,35 @@ def values():
           "name": "r"}),
         (lambda: MonomialAlgebraPresentation("xy", [("x", "y")], "xy"),
          {"variables": ("x", "y"), "forbidden": (("x", "y"),), "name": "xy"}),
+        (caps_in_turn(),
+         {"alphabet": BINARY, "forbidden": (), "letter_caps": {("a", 1): 0, ("a", 2): 1}}),
+    ]
+
+
+def one_field_apart():
+    """Pairs of values of one class that differ in exactly one compared field."""
+    word = parse_branch_word("a:1 a", BINARY)
+    rel = "a(*,a(*,*))"
+    return [
+        (Generator("a", 2), Generator("b", 2)),
+        (Generator("a", 2), Generator("a", 3)),
+        (Alphabet.of(a=2, u=1), Alphabet.of(u=1, a=2)),
+        (DimSeries([1, 1, 2], "arity"), DimSeries([1, 1, 3], "arity")),
+        (DimSeries([1, 1, 2], "arity"), DimSeries([1, 1, 2], "weight")),
+        (DimSeries([1, 1, 2], "arity"), DimSeries([1, 1, 2], "arity", False)),
+        (parse_branch_word("a:1 a", BINARY), parse_branch_word("a:2 a", BINARY)),
+        (AvoidanceSystem(BINARY, [word]), AvoidanceSystem(TWO_GENERATORS, [word])),
+        (AvoidanceSystem(BINARY, [word]), AvoidanceSystem(BINARY, [])),
+        (AvoidanceSystem(BINARY, [word], {("a", 2): 1}),
+         AvoidanceSystem(BINARY, [word], {("a", 2): 2})),
+        (MonomialOperadPresentation(BINARY, [parse_monomial(rel, BINARY)]),
+         MonomialOperadPresentation(TWO_GENERATORS, [parse_monomial(rel, TWO_GENERATORS)])),
+        (MonomialOperadPresentation(BINARY, [parse_monomial(rel, BINARY)]),
+         MonomialOperadPresentation(BINARY, [parse_monomial("a(a(*,*),*)", BINARY)])),
+        (MonomialAlgebraPresentation("xy", [("x", "y")]),
+         MonomialAlgebraPresentation("xyz", [("x", "y")])),
+        (MonomialAlgebraPresentation("xy", [("x", "y")]),
+         MonomialAlgebraPresentation("xy", [("y", "x")])),
     ]
 
 
@@ -45,6 +93,28 @@ def test_equal_values_from_distinct_objects(make, fields):
     for name, value in fields.items():
         assert getattr(a, name) == value
     assert a != object() and a != tuple(fields.values())
+
+
+@pytest.mark.parametrize("a, b", one_field_apart())
+def test_values_one_field_apart_are_unequal(a, b):
+    assert a != b and b != a and not a == b
+
+
+def test_equality_is_defined_only_in_frozen():
+    # one rule for every value class; Generator writes its own out, since
+    # the tree walks test ``!=`` on it
+    for info in pkgutil.iter_modules(oplab.__path__, "oplab."):
+        importlib.import_module(info.name)
+    classes, todo = [], Frozen.__subclasses__()
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo += cls.__subclasses__()
+    assert {Generator, Alphabet, DimSeries, BranchWord, AvoidanceSystem,
+            MonomialOperadPresentation, MonomialAlgebraPresentation} <= set(classes)
+    for cls in classes:
+        if cls.__module__.startswith("oplab.") and cls is not Generator:
+            assert not {"__eq__", "__ne__", "__hash__"} & set(vars(cls)), cls
 
 
 @pytest.mark.parametrize("make, fields", values())
@@ -66,6 +136,23 @@ def test_copies_and_pickles_are_equal(make, fields):
         assert other == a and hash(other) == hash(a)
         for name, value in fields.items():
             assert getattr(other, name) == value
+
+
+def test_pickles_carry_no_hash_between_processes():
+    # a tree caches its hash, which differs from process to process
+    build = ("import pickle, sys\nfrom oplab.cli import preset_presentation\n"
+             "p = preset_presentation('ex53-2')\nhash(p)\n")
+
+    def child(seed, code, data=None):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        return subprocess.run([sys.executable, "-c", build + code], input=data, env=env,
+                              capture_output=True, check=True).stdout
+
+    data = child(1, "sys.stdout.buffer.write(pickle.dumps(p))")
+    out = child(2, "q = pickle.loads(sys.stdin.buffer.read())\n"
+                   "print(q == p, hash(q) == hash(p), q.relations[0] == p.relations[0])", data)
+    assert out.split() == [b"True"] * 3
 
 
 def test_presentations_compare_without_their_names():
