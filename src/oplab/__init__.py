@@ -2,9 +2,10 @@
 
 Core pieces: tree monomials and grafting (:mod:`oplab.trees`), the sort key
 of relations and normal forms (:mod:`oplab.order`), monomial-operad
-presentations with two enumeration engines (:mod:`oplab.monomial`),
-single-branched words and periodicity (:mod:`oplab.branch`), graded
-monomial algebras (:mod:`oplab.algebra`), algebra-to-operad constructions
+presentations with two enumeration engines (:mod:`oplab.monomial`; the
+``brute`` oracle is :mod:`oplab.brute`), single-branched words and
+periodicity (:mod:`oplab.branch`), graded monomial algebras
+(:mod:`oplab.algebra`), algebra-to-operad constructions
 (:mod:`oplab.constructions`), and generating-series analysis
 (:mod:`oplab.series`).  The ``oplab`` console script exposes all pipelines.
 
@@ -79,8 +80,8 @@ _EXPORTS = {
         "to_path_sequence",
     ),
 }
-_SUBMODULES = ("algebra", "branch", "constructions", "dims", "linalg", "monomial",
-               "order", "series", "trees")
+_SUBMODULES = ("algebra", "branch", "brute", "constructions", "dims", "linalg",
+               "monomial", "order", "series", "trees")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_HOME)

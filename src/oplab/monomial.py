@@ -11,31 +11,20 @@ weight-indexed counts.
 root-tests every candidate with ``matches_at_root`` against the relations
 rooted at its generator (sound because every submonomial of a normal form
 is normal, so only a root-anchored divisor can appear when a fresh root is
-added).  Two engines only count.  ``brute`` explicitly builds every normal
-form below the top weight by composing smaller normal forms, by the same
-argument, and walks buckets that ``enumerate_irr`` does not.  It keeps
-each weight level in buckets keyed by (root mask, arity), where the mask
-has one bit per distinct non-leaf relation child matching at the tree's
-root, found with ``matches_at_root`` on the built trees (its only root
-test), so the root check runs once per tuple of child buckets instead of
-once per candidate tree.  The top weight, which no heavier level takes as
-children, is counted from the accepted bucket tuples (the product of
-their sizes) and not built; no crown or grammar enters, so ``brute`` stays
-independent of ``dp``.  ``dp`` compiles the presentation once into a crown
-grammar, rules ``crown <- g(k_1..k_m)`` whose crowns are the sets of
-relation subtrees matching at a tree's root (all a root-anchored relation
-match can see of a child), then counts over the rules with one graded
-convolution ``F_c[d] = sum over rules of
-sum_{d_1+..+d_m = d-deg g} prod F_{k_i}[d_i]`` (deg g = 1 by weight,
-arity(g)-1 by arity): an explicit algebraic system for the series.
+added).  Two engines only count.  ``brute``, the independent oracle in
+:mod:`oplab.brute`, builds the normal forms below the top weight.  ``dp``
+compiles the presentation once into a crown grammar, rules ``crown <-
+g(k_1..k_m)`` whose crowns are the sets of relation subtrees matching at a
+tree's root (all a root-anchored relation match can see of a child), then
+counts over the rules with one graded convolution ``F_c[d] = sum over
+rules of sum_{d_1+..+d_m = d-deg g} prod F_{k_i}[d_i]`` (deg g = 1 by
+weight, arity(g)-1 by arity): an explicit algebraic system for the series.
 """
 
 from __future__ import annotations
 
 import gc
-from collections import Counter
 from contextlib import contextmanager
-from itertools import product
 from math import lcm
 from operator import add, mul
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -130,43 +119,6 @@ def is_normal_form(p: MonomialOperadPresentation, t: TreeMonomial) -> bool:
     return not any(divides(r, t) for r in p.relations)
 
 
-def _root_buckets(nslots: int, rels: list, weight: int, sizes: list[dict],
-                  max_arity: Optional[int]) -> list[tuple]:
-    """Bucket tuples, one bucket per child slot and of total weight
-    ``weight``, over which no relation in ``rels`` matches at the root: each
-    as its buckets' (weight, (mask, arity)) keys, the arity its trees share
-    and their number, the product of the bucket sizes in ``sizes``.
-
-    A relation is (one required mask per slot, slots up to its last
-    non-leaf child); a child fits a slot when its mask holds the required
-    bits, so the relations alive after a slot are those every earlier child
-    fits, and one whose remaining slots are all leaves rejects every
-    completion.
-    """
-    out: list[tuple] = []
-    acc: list[tuple] = []
-
-    def rec(slot: int, remaining: int, arity: int, count: int, alive: list) -> None:
-        rest = nslots - slot - 1
-        for w1 in range(remaining + 1) if rest else (remaining,):
-            for key, n in sizes[w1].items():
-                mask, a = key
-                if max_arity is not None and arity + a + rest > max_arity:
-                    continue
-                still = [(need, end) for need, end in alive if need[slot] & mask == need[slot]]
-                if any(end <= slot + 1 for _, end in still):
-                    continue
-                acc.append((w1, key))
-                if rest:
-                    rec(slot + 1, remaining - w1, arity + a, count * n, still)
-                else:
-                    out.append((tuple(acc), arity + a, count * n))
-                acc.pop()
-
-    rec(0, weight, 0, 1, rels)
-    return out
-
-
 @contextmanager
 def _gc_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector, then restore its state: the trees
@@ -178,35 +130,6 @@ def _gc_paused() -> Iterator[None]:
     finally:
         if enabled:
             gc.enable()
-
-
-def _build_level(alphabet: Alphabet, groups: list, tests: dict, trees: list[dict],
-                 keep: bool) -> tuple[dict, Optional[dict]]:
-    """Build the normal forms of the accepted groups, whose child buckets
-    are read from ``trees``, and sort them into buckets keyed by (root mask,
-    arity), where the mask holds the bits in ``tests[g]`` of the relation
-    children matching at the root.  Returns each bucket's size, and with
-    ``keep`` its trees; otherwise each tree is dropped once counted.
-
-    Children are normal forms, so only a root-anchored relation match needs
-    checking; every tree is distinct because (root label, child tuple)
-    determines it.
-    """
-    sizes: dict = {}
-    kept: Optional[dict] = {} if keep else None
-    for g, slots, arity, _ in groups:
-        root_tests = tests[g]
-        for children in product(*[trees[w][key] for w, key in slots]):
-            t = _fast_node(alphabet, g, children)
-            mask = 0
-            for pattern, bit in root_tests:
-                if matches_at_root(pattern, t):
-                    mask |= bit
-            key = mask, arity
-            sizes[key] = sizes.get(key, 0) + 1
-            if kept is not None:
-                kept.setdefault(key, []).append(t)
-    return sizes, kept
 
 
 _LEAF_ONLY = (LEAF,)
@@ -361,58 +284,6 @@ def _graded_counts(p: MonomialOperadPresentation, n: int, shift, coef=None,
     return [sum((f[d] for f in series), zero) for d in range(n + 1)]
 
 
-def _brute_counts(p: MonomialOperadPresentation, max_weight: int,
-                  max_arity: Optional[int] = None) -> list[Counter]:
-    """Nontrivial normal forms counted by arity, one Counter per weight
-    1..max_weight, each summed from its accepted groups ``(generator, child
-    buckets, arity, size)``, one bucket (weight, (mask, arity)) per slot.
-
-    Each distinct non-leaf child of a relation gets one bit, and a built
-    normal form's root mask holds the bits of those it matches at the root
-    (a leaf's mask is 0).  A relation rooted at g is then one required bit
-    per slot, and the root check runs once per bucket tuple, not once per
-    candidate tree.  A group's size is the product of its child buckets'
-    sizes, which every built level records.
-
-    Only the trees of levels that a heavier level reads as children are
-    kept: levels 1..max_weight-2.  Level max_weight-1 is built and
-    root-tested one tree at a time, each tree adding 1 to its bucket's size
-    and then dropped, and the heaviest level is not built; its groups'
-    sizes count it.
-    """
-    bits: dict = {}
-    for r in p.relations:
-        for c in r.children:
-            if c is not LEAF:
-                bits.setdefault(c, 1 << len(bits))
-    roots = []
-    for g in p.alphabet.generators:
-        needs = [tuple(0 if c is LEAF else bits[c] for c in r.children)
-                 for r in p.relations if r.generator == g]
-        rels = [(need, max((i + 1 for i, b in enumerate(need) if b), default=0))
-                for need in needs]
-        roots.append((g, rels))
-    tests = {g: [(c, b) for c, b in bits.items() if c.generator == g]
-             for g in p.alphabet.generators}
-    sizes: list[dict] = [{(0, 1): 1}]
-    trees: list[Optional[dict]] = [{(0, 1): [LEAF]}]
-    counts = []
-    for w in range(1, max_weight + 1):
-        groups = [(g, slots, arity, n) for g, rels in roots
-                  for slots, arity, n in _root_buckets(g.arity, rels, w - 1, sizes, max_arity)]
-        per_arity: Counter = Counter()
-        for _, _, arity, n in groups:
-            per_arity[arity] += n
-        counts.append(per_arity)
-        if w < max_weight:
-            with _gc_paused():
-                level_sizes, level = _build_level(p.alphabet, groups, tests, trees,
-                                                  w < max_weight - 1)
-            sizes.append(level_sizes)
-            trees.append(level)
-    return counts
-
-
 def _engine(engine: str) -> str:
     if engine not in ENGINES:
         raise PresentationError(f"unknown engine {engine!r}; pick one of {ENGINES}")
@@ -443,6 +314,8 @@ def dim_by_arity(p: MonomialOperadPresentation, max_arity: int, engine: str = "d
         exact = max_weight >= full
     # nontrivial[e]: nontrivial normal forms of arity e+1
     if _engine(engine) == "brute":
+        from .brute import _brute_counts
+
         nontrivial = [0] * max_arity
         for per_arity in _brute_counts(p, max_weight, max_arity):
             for n, c in per_arity.items():
@@ -465,6 +338,8 @@ def dim_by_weight(p: MonomialOperadPresentation, max_weight: int,
     if max_weight < 0:
         raise PresentationError("max_weight must be nonnegative")
     if _engine(engine) == "brute":
+        from .brute import _brute_counts
+
         nontrivial = [0] + [sum(per_arity.values()) for per_arity in _brute_counts(p, max_weight)]
     else:
         nontrivial = _graded_counts(p, max_weight, lambda g: 1)

@@ -838,13 +838,18 @@ class TestImportGraph:
     @pytest.mark.parametrize("argv, needed, unused", [
         ("dims --preset ex53-1 --max-arity 10", {"oplab.monomial"},
          {"oplab.series", "oplab.linalg", "oplab.algebra", "oplab.branch",
-          "oplab.constructions", "hashlib", "json"}),
+          "oplab.constructions", "oplab.brute", "hashlib", "json"}),
         ("gk --preset floorpow:3/2 --N 50", {"oplab.series", "oplab.algebra"},
          {"oplab.monomial", "oplab.trees", "oplab.order", "oplab.constructions"}),
         # the envelopes work on dims alone; only operadize builds a presentation
         ("envelope --kind sym --preset ex64-partition --max-index 20",
          {"oplab.constructions", "oplab.algebra"},
          {"oplab.monomial", "oplab.trees", "oplab.order"}),
+        # only the brute engine loads the oracle's module
+        ("dims --engine brute --preset ex53-2 --max-arity 9", {"oplab.monomial", "oplab.brute"},
+         set()),
+        ("sweep --relation-weight 2 --horizon 10", {"oplab.monomial"}, {"oplab.brute"}),
+        ("gapcheck --preset ex53-3 --max-weight 8", {"oplab.monomial"}, {"oplab.brute"}),
     ])
     def test_subcommand_imports_only_its_modules(self, argv, needed, unused):
         loaded = modules_loaded_by(

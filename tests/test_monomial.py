@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-import oplab.monomial
+import oplab.brute
 from helpers import BINARY, UNARY_BINARY, all_monomials
 from oplab import (
     Alphabet,
@@ -277,23 +277,24 @@ class TestBruteBuckets:
         return tuple(counts[w] for w in range(max_weight + 1))
 
     def test_top_level_is_counted_not_built(self, monkeypatch):
-        # only weights 1..11 are built as children of a heavier level:
-        # C_1 + ... + C_11 = 82499 trees, not the 290511 up to C_12
+        # only weights 1..11 are built as children of a heavier level, and
+        # weight 10 twice (once to count it, once to feed weight 11):
+        # C_1 + ... + C_11 + C_10 = 82499 + 16796 trees, not the 290511 up to C_12
         built = []
-        fast_node = oplab.monomial._fast_node
+        fast_node = oplab.brute._fast_node
 
         def counted(*args):
             built.append(None)
             return fast_node(*args)
 
-        monkeypatch.setattr(oplab.monomial, "_fast_node", counted)
+        monkeypatch.setattr(oplab.brute, "_fast_node", counted)
         free = MonomialOperadPresentation(BINARY, ())
         catalan = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
         assert dim_by_arity(free, 13, engine="brute").values == (0, *catalan)
-        assert len(built) == 82499
+        assert len(built) == 99295
         built.clear()
         assert dim_by_weight(free, 12, engine="brute").values == catalan
-        assert len(built) == 82499
+        assert len(built) == 99295
 
     def test_traced_peak_keeps_no_tree_of_the_second_heaviest_level(self):
         # Keeping the 58786 trees of weight 11 peaks at about 12.6 MiB here,
@@ -307,6 +308,21 @@ class TestBruteBuckets:
             tracemalloc.stop()
         assert dims.values[-1] == 208012
         assert peak < 7 * 2 ** 20
+
+    def test_traced_peak_keeps_no_tree_of_the_third_heaviest_level(self):
+        # Keeping levels 1..W-3 peaks at about 1.04 MiB on the free operad
+        # and 1.53 MiB on ex53-2 here, keeping level W-2 too at 3.56 and
+        # 2.52 MiB (CPython 3.11).
+        for p, n, bound in ((MonomialOperadPresentation(BINARY, ()), 13, 1.5 * 2 ** 20),
+                            (binary_presentation(SHUFFLE, CHAIN11), 22, 2 * 2 ** 20)):
+            tracemalloc.start()
+            try:
+                dims = dim_by_arity(p, n, engine="brute")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert dims.values == dim_by_arity(p, n).values
+            assert peak < bound, (p, peak)
 
     def test_counted_top_level_matches_the_naive_filter(self):
         rng = random.Random(37)
