@@ -1,28 +1,35 @@
 """The ``brute`` engine: normal forms counted by building them.
 
 ``brute`` is the independent oracle for ``dp``.  It explicitly builds every
-normal form below the top weight by composing smaller normal forms (sound
+normal form below the top weight W by composing smaller normal forms (sound
 because every submonomial of a normal form is normal, so only a
-root-anchored divisor can appear when a fresh root is added).  It keeps
-each weight level in buckets keyed by (root mask, arity), where the mask
-has one bit per distinct non-leaf relation child matching at the tree's
-root, found with ``matches_at_root`` on the built trees (its only
-per-tree root test), so the root check runs once per tuple of child
-buckets instead of once per candidate tree.  A relation child whose
-children are all leaves matches at every root with its label, by
-``matches_at_root``'s own rule that leaf positions impose no constraint,
-so its bit comes from the generator.  The top weight, which no heavier
-level takes as children, is counted from the accepted bucket tuples (the
-product of their sizes) and not built; no crown or grammar enters, so
-``brute`` stays independent of ``dp``.
+root-anchored divisor can appear when a fresh root is added), and builds
+each of them exactly once.  Each weight level is counted in buckets keyed
+by (root mask, arity), where the mask has one bit per distinct non-leaf
+relation child matching at the tree's root, found with ``matches_at_root``
+on the built trees (its only per-tree root test), so the root check runs
+once per tuple of child buckets instead of once per candidate tree.  A
+relation child whose children are all leaves matches at every root with
+its label, by ``matches_at_root``'s own rule that leaf positions impose no
+constraint, so its bit comes from the generator.
+
+Only the light levels 1..S-1 keep their trees, S chosen from the input
+(see ``_brute_counts``).  Levels S..W-1 are walked depth first, at most
+W-S levels deep: each tree is counted into its bucket, hung at once as a
+child into every heavier group below W that reads its bucket, and
+dropped.  With S > (W-2)//2 a group below W reads at most one walked
+tree, since two would weigh more than W-2, so hanging one tree in one
+slot next to kept buckets builds every tree of the walked levels.  The
+top weight, which no heavier level takes as children, is counted from the
+accepted bucket tuples (the product of their sizes) and not built; no
+crown or grammar enters, so ``brute`` stays independent of ``dp``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import product
-from operator import itemgetter
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .monomial import _gc_paused
 from .trees import LEAF, _fast_node, matches_at_root
@@ -30,8 +37,6 @@ from .trees import LEAF, _fast_node, matches_at_root
 if TYPE_CHECKING:
     from .monomial import MonomialOperadPresentation
     from .trees import Alphabet
-
-_bucket = itemgetter(0)
 
 
 def _root_buckets(nslots: int, rels: list, weight: int, sizes: list[dict],
@@ -45,30 +50,31 @@ def _root_buckets(nslots: int, rels: list, weight: int, sizes: list[dict],
     non-leaf child); a child fits a slot when its mask holds the required
     bits, so the relations alive after a slot are those every earlier child
     fits, and one whose remaining slots are all leaves rejects every
-    completion.
+    completion.  The tuples grow one slot at a time, in order.
     """
-    out: list[tuple] = []
-    acc: list[tuple] = []
-
-    def rec(slot: int, remaining: int, arity: int, count: int, alive: list) -> None:
+    partial: list[tuple] = [((), weight, 0, 1, rels)]
+    for slot in range(nslots):
         rest = nslots - slot - 1
-        for w1 in range(remaining + 1) if rest else (remaining,):
-            for key, n in sizes[w1].items():
-                mask, a = key
-                if max_arity is not None and arity + a + rest > max_arity:
-                    continue
-                still = [(need, end) for need, end in alive if need[slot] & mask == need[slot]]
-                if any(end <= slot + 1 for _, end in still):
-                    continue
-                acc.append((w1, key))
-                if rest:
-                    rec(slot + 1, remaining - w1, arity + a, count * n, still)
-                else:
-                    out.append((tuple(acc), arity + a, count * n))
-                acc.pop()
+        grown = []
+        for acc, remaining, arity, count, alive in partial:
+            for w1 in range(remaining + 1) if rest else (remaining,):
+                for key, n in sizes[w1].items():
+                    mask, a = key
+                    if max_arity is not None and arity + a + rest > max_arity:
+                        continue
+                    still = [(need, end) for need, end in alive if need[slot] & mask == need[slot]]
+                    if any(end <= slot + 1 for _, end in still):
+                        continue
+                    grown.append(((*acc, (w1, key)), remaining - w1, arity + a, count * n, still))
+        partial = grown
+    return [(acc, arity, count) for acc, _, arity, count, _ in partial]
 
-    rec(0, weight, 0, 1, rels)
-    return out
+
+def _groups(roots: list, weight: int, sizes: list[dict], max_arity: Optional[int]) -> list:
+    """The accepted groups ``(generator, child buckets, arity, size)`` of
+    level ``weight`` over the bucket sizes in ``sizes``."""
+    return [(g, slots, arity, n) for g, rels in roots
+            for slots, arity, n in _root_buckets(g.arity, rels, weight - 1, sizes, max_arity)]
 
 
 def _mask(base: int, root_tests: list, t) -> int:
@@ -80,69 +86,116 @@ def _mask(base: int, root_tests: list, t) -> int:
     return base
 
 
-def _level(alphabet: Alphabet, groups: list, tests: dict, trees: list) -> Iterator[tuple]:
-    """(bucket key, tree) for each normal form of the accepted groups, whose
-    child buckets are read from ``trees``; the key is (root mask, arity),
-    and ``tests[g]`` holds the base mask and root tests of a g-rooted tree.
+def _by_arity(level: dict) -> Counter:
+    """Tree counts by arity of a level's (mask, arity) bucket sizes."""
+    per_arity: Counter = Counter()
+    for (_, arity), n in level.items():
+        per_arity[arity] += n
+    return per_arity
 
-    Children are normal forms, so only a root-anchored relation match needs
-    checking; every tree is distinct because (root label, child tuple)
-    determines it.
+
+def _hangers(roots: list, tests: dict, trees: list, sizes: list[dict], wkey: tuple,
+             top: int, max_arity: Optional[int]) -> list[tuple]:
+    """The groups of levels weight+1..top-1 that read bucket ``key`` of level
+    ``weight``, ``wkey`` = (weight, *key): each as (generator, base mask,
+    root tests, the kept children before and after the bucket's slot,
+    arity, level).
+
+    They are found by ``_root_buckets`` over that one bucket and the kept
+    buckets ``sizes`` light enough to sit beside it, so they pass the same
+    acceptance rule as every other group.
     """
-    for g, slots, arity, _ in groups:
-        base, root_tests = tests[g]
-        for children in product(*[trees[w][key] for w, key in slots]):
-            t = _fast_node(alphabet, g, children)
-            yield (_mask(base, root_tests, t), arity), t
+    weight, key = wkey[0], wkey[1:]
+    out = []
+    for heavier in range(weight + 1, top):
+        light = heavier - weight  # the other slots weigh less, all kept
+        view = [sizes[w] if w < light else {} for w in range(heavier)]
+        view[weight] = {key: 1}
+        for g, slots, arity, _ in _groups(roots, heavier, view, max_arity):
+            i = next((i for i, (w, _) in enumerate(slots) if w == weight), None)
+            if i is not None:
+                pools = [trees[w][k] for w, k in slots[:i] + slots[i + 1:]]
+                combos = [(kids[:i], kids[i:]) for kids in product(*pools)]
+                out.append((g, *tests[g], combos, arity, heavier))
+    return out
 
 
-def _hung_sizes(alphabet: Alphabet, groups: list, lighter: list, tests: dict,
-                trees: list) -> Counter:
-    """Bucket sizes of the level whose accepted groups are ``groups``, when
-    the level just below it, whose groups are ``lighter``, kept no trees.
+def _walk(alphabet: Alphabet, roots: list, tests: dict, trees: list, sizes: list[dict],
+          groups: list, top: int, max_arity: Optional[int]) -> list[dict]:
+    """Bucket sizes of the levels S..top-1, S = len(trees), built depth first
+    from the kept levels' trees (bucket key -> trees) and bucket sizes;
+    ``groups`` are level S's.
 
-    A group reads that level in at most one slot, and then every other
-    slot is a leaf, since the child weights sum to its weight.  Such groups
-    are collected by the bucket they read, with the leaves before and after
-    that slot; the lighter level is rebuilt once, and each rebuilt tree
-    hangs in every slot that reads its bucket.
+    Each level's groups over kept buckets alone are built directly.  Every
+    other tree of these levels reads exactly one walked child, so a walked
+    tree below level top-1 is counted, then hung into every group that
+    reads its bucket (``_hangers``, looked up on the bucket's first tree),
+    and the trees this builds wait on a stack: the walk is at most top-S
+    levels deep, and it holds only the trees hung from the ones on its
+    path.  Level top-1 is only counted.
     """
-    heavy = len(trees) - 1  # the lighter level's weight
-    hung: dict = {}
-    rest = []
-    for g, slots, arity, n in groups:
-        i = next((i for i, (w, _) in enumerate(slots) if w == heavy), None)
-        if i is None:
-            rest.append((g, slots, arity, n))
-        else:
-            hung.setdefault(slots[i][1], []).append(
-                (g, tests[g], (LEAF,) * i, (LEAF,) * (len(slots) - i - 1), arity))
-    sizes = Counter(map(_bucket, _level(alphabet, rest, tests, trees)))
-    for key, t in _level(alphabet, lighter, tests, trees):
-        for g, (base, root_tests), before, after, arity in hung.get(key, ()):
-            u = _fast_node(alphabet, g, (*before, t, *after))
-            sizes[_mask(base, root_tests, u), arity] += 1
-    return sizes
+    start = len(trees)
+    view = sizes + [{}] * (top - start)  # the walked levels' buckets empty
+    walked: dict = {}  # (weight, mask, arity) -> [trees, hangers]
+    last: dict = {}  # level top-1's bucket sizes
+    stack: list = []
+    for w in range(start, top):
+        for g, slots, arity, _ in groups if w == start else _groups(roots, w, view, max_arity):
+            base, root_tests = tests[g]
+            for children in product(*[trees[sw][key] for sw, key in slots]):
+                t = _fast_node(alphabet, g, children)
+                if w == top - 1:
+                    key = _mask(base, root_tests, t), arity
+                    last[key] = last.get(key, 0) + 1
+                    continue
+                stack.append((t, (w, _mask(base, root_tests, t), arity)))
+                while stack:
+                    t, wkey = stack.pop()
+                    entry = walked.get(wkey)
+                    if entry is None:
+                        entry = walked[wkey] = [
+                            0, _hangers(roots, tests, trees, sizes, wkey, top, max_arity)]
+                    entry[0] += 1
+                    for g2, base2, tests2, combos, arity2, heavier in entry[1]:
+                        if heavier == top - 1:
+                            for before, after in combos:
+                                u = _fast_node(alphabet, g2, (*before, t, *after))
+                                key = _mask(base2, tests2, u), arity2
+                                last[key] = last.get(key, 0) + 1
+                        else:
+                            for before, after in combos:
+                                u = _fast_node(alphabet, g2, (*before, t, *after))
+                                stack.append((u, (heavier, _mask(base2, tests2, u), arity2)))
+    levels: list[dict] = [{} for _ in range(start, top - 1)] + [last]
+    for (w, *key), (n, _) in walked.items():
+        levels[w - start][tuple(key)] = n
+    return levels
 
 
 def _brute_counts(p: MonomialOperadPresentation, max_weight: int,
                   max_arity: Optional[int] = None) -> list[Counter]:
     """Nontrivial normal forms counted by arity, one Counter per weight
-    1..max_weight, each summed from its accepted groups ``(generator, child
-    buckets, arity, size)``, one bucket (weight, (mask, arity)) per slot.
+    1..max_weight: below the top weight from the bucket sizes of the built
+    trees, and at it from its accepted groups ``(generator, child buckets,
+    arity, size)``, one bucket (weight, (mask, arity)) per slot.
 
     Each distinct non-leaf child of a relation gets one bit, and a built
     normal form's root mask holds the bits of those it matches at the root
     (a leaf's mask is 0).  A relation rooted at g is then one required bit
     per slot, and the root check runs once per bucket tuple, not once per
     candidate tree.  A group's size is the product of its child buckets'
-    sizes, which every built level records.
+    sizes.
 
-    With a top weight W, only levels 1..W-3 keep their trees.  Level W-2 is
-    built and counted one tree at a time, then rebuilt once into the groups
-    of level W-1 that read it (see ``_hung_sizes``); level W-1 is counted
-    one tree at a time, and level W is not built: its groups' sizes count
-    it.
+    With a top weight W, levels 1..S-1 keep their trees, each tree of
+    levels S..W-1 is built exactly once and dropped (see ``_walk``), and
+    level W is not built: its groups' sizes count it.  S > (W-2)//2, so a
+    group below W reads at most one walked tree, in one slot, and kept
+    buckets in the others.  S is the first level above (W-2)//2 whose tree
+    count, the sum of its groups' sizes, exceeds (W-1-S) times the bucket
+    keys kept so far: each walked bucket costs a ``_root_buckets`` lookup
+    over the kept keys for each of the W-1-S heavier levels, so a level of
+    few trees is cheaper to keep than to walk.  Level W-1 is walked
+    whenever it holds a tree.
     """
     bits: dict = {}
     for r in p.relations:
@@ -160,31 +213,29 @@ def _brute_counts(p: MonomialOperadPresentation, max_weight: int,
         # a child of weight 1 has only leaves below it: it matches every g root
         tests[g] = (sum(b for c, b in bits.items() if c.generator == g and c.weight == 1),
                     [(c, b) for c, b in bits.items() if c.generator == g and c.weight > 1])
+    top = max_weight
     sizes: list[dict] = [{(0, 1): 1}]
-    trees: list[Optional[dict]] = [{(0, 1): [LEAF]}]
-    counts = []
-    lighter: list = []
-    for w in range(1, max_weight + 1):
-        groups = [(g, slots, arity, n) for g, rels in roots
-                  for slots, arity, n in _root_buckets(g.arity, rels, w - 1, sizes, max_arity)]
+    trees: list[dict] = [{(0, 1): [LEAF]}]
+    keys = 1
+    with _gc_paused():
+        for w in range(1, top):
+            groups = _groups(roots, w, sizes, max_arity)
+            if w > (top - 2) // 2 and sum(n for *_, n in groups) > (top - 1 - w) * keys:
+                sizes += _walk(p.alphabet, roots, tests, trees, sizes, groups, top, max_arity)
+                break
+            kept: dict = {}
+            for g, slots, arity, _ in groups:
+                base, root_tests = tests[g]
+                for children in product(*[trees[sw][key] for sw, key in slots]):
+                    t = _fast_node(p.alphabet, g, children)
+                    kept.setdefault((_mask(base, root_tests, t), arity), []).append(t)
+            sizes.append({key: len(ts) for key, ts in kept.items()})
+            trees.append(kept)
+            keys += len(kept)
+    counts = [_by_arity(level) for level in sizes[1:]]
+    if top >= 1:
         per_arity: Counter = Counter()
-        for _, _, arity, n in groups:
+        for _, _, arity, n in _groups(roots, top, sizes, max_arity):
             per_arity[arity] += n
         counts.append(per_arity)
-        if w == max_weight:
-            break
-        kept: Optional[dict] = None
-        with _gc_paused():
-            if w < max_weight - 2:
-                kept = {}
-                for key, t in _level(p.alphabet, groups, tests, trees):
-                    kept.setdefault(key, []).append(t)
-                level: dict = {key: len(ts) for key, ts in kept.items()}
-            elif w == max_weight - 1 and w > 1:
-                level = _hung_sizes(p.alphabet, groups, lighter, tests, trees)
-            else:  # level W-2, or level 1 = W-1, whose children are leaves
-                level = Counter(map(_bucket, _level(p.alphabet, groups, tests, trees)))
-        sizes.append(level)
-        trees.append(kept)
-        lighter = groups
     return counts

@@ -277,9 +277,9 @@ class TestBruteBuckets:
         return tuple(counts[w] for w in range(max_weight + 1))
 
     def test_top_level_is_counted_not_built(self, monkeypatch):
-        # only weights 1..11 are built as children of a heavier level, and
-        # weight 10 twice (once to count it, once to feed weight 11):
-        # C_1 + ... + C_11 + C_10 = 82499 + 16796 trees, not the 290511 up to C_12
+        # every normal form below the top weight is built exactly once:
+        # C_1 + ... + C_11 = 82499 trees on the free operad, not the 290511
+        # up to C_12, and on ex53-2 the 28655 normal forms of weights 1..20
         built = []
         fast_node = oplab.brute._fast_node
 
@@ -291,30 +291,24 @@ class TestBruteBuckets:
         free = MonomialOperadPresentation(BINARY, ())
         catalan = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
         assert dim_by_arity(free, 13, engine="brute").values == (0, *catalan)
-        assert len(built) == 99295
+        assert len(built) == 82499
         built.clear()
         assert dim_by_weight(free, 12, engine="brute").values == catalan
-        assert len(built) == 99295
-
-    def test_traced_peak_keeps_no_tree_of_the_second_heaviest_level(self):
-        # Keeping the 58786 trees of weight 11 peaks at about 12.6 MiB here,
-        # counting them one at a time at about 3.6 MiB (CPython 3.11).
-        free = MonomialOperadPresentation(BINARY, ())
-        tracemalloc.start()
-        try:
-            dims = dim_by_arity(free, 13, engine="brute")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert dims.values[-1] == 208012
-        assert peak < 7 * 2 ** 20
+        assert len(built) == 82499
+        built.clear()
+        ex53_2 = binary_presentation(SHUFFLE, CHAIN11)
+        assert dim_by_arity(ex53_2, 22, engine="brute").values == dim_by_arity(ex53_2, 22).values
+        assert len(built) == sum(dim_by_weight(ex53_2, 20).values[1:]) == 28655
 
     def test_traced_peak_keeps_no_tree_of_the_third_heaviest_level(self):
-        # Keeping levels 1..W-3 peaks at about 1.04 MiB on the free operad
-        # and 1.53 MiB on ex53-2 here, keeping level W-2 too at 3.56 and
-        # 2.52 MiB (CPython 3.11).
-        for p, n, bound in ((MonomialOperadPresentation(BINARY, ()), 13, 1.5 * 2 ** 20),
-                            (binary_presentation(SHUFFLE, CHAIN11), 22, 2 * 2 ** 20)):
+        # Only levels below about half the top weight keep their trees:
+        # about 0.04 MiB on the free operad at arity 13, 0.07 and 0.05 MiB
+        # on ex53-2 at arities 22 and 24, where keeping every level below
+        # W-2 peaked at 1.06, 1.53 and 4.2 MiB (CPython 3.11).
+        free = MonomialOperadPresentation(BINARY, ())
+        ex53_2 = binary_presentation(SHUFFLE, CHAIN11)
+        for p, n, bound in ((free, 13, 0.25 * 2 ** 20), (ex53_2, 22, 0.25 * 2 ** 20),
+                            (ex53_2, 24, 0.5 * 2 ** 20)):
             tracemalloc.start()
             try:
                 dims = dim_by_arity(p, n, engine="brute")
@@ -322,7 +316,24 @@ class TestBruteBuckets:
             finally:
                 tracemalloc.stop()
             assert dims.values == dim_by_arity(p, n).values
-            assert peak < bound, (p, peak)
+            assert peak < bound, (p, n, peak)
+
+    def test_leaves_no_cyclic_garbage(self):
+        # a cycle would wait for the collector, which the walk pauses
+        ex53_2 = binary_presentation(SHUFFLE, CHAIN11)
+        ab = Alphabet.of(a=2, b=3)
+        mixed = MonomialOperadPresentation(ab, [parse_monomial("b(*,a(*,*),*)", ab),
+                                                parse_monomial("a(*,b(*,*,*))", ab)])
+        gc.disable()
+        try:
+            gc.collect()
+            for run in (lambda: dim_by_arity(ex53_2, 22, engine="brute"),
+                        lambda: dim_by_arity(mixed, 12, engine="brute"),
+                        lambda: dim_by_weight(mixed, 7, engine="brute")):
+                run()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_counted_top_level_matches_the_naive_filter(self):
         rng = random.Random(37)
