@@ -285,12 +285,6 @@ def closed_set_counts(system: AvoidanceSystem, max_height: int) -> DimSeries:
     for h in range(1, max_height + 1):
         # words of height h: a state of h-1 meaningful letters plus a final letter
         total = 0
-        for (window, _counts), cnt in states.items():
-            free = sum(1 for g in system.alphabet.generators if not completes(window, g))
-            total += cnt * free
-        values.append(total)
-        if h == max_height:
-            break
         new_states: dict[tuple, int] = {}
         for (window, counts), cnt in states.items():
             for g in system.alphabet.generators:
@@ -298,7 +292,8 @@ def closed_set_counts(system: AvoidanceSystem, max_height: int) -> DimSeries:
                 # completion test is the same for meaningful and final letters
                 if completes(window, g):
                     continue
-                for idx in range(1, g.arity + 1):
+                total += cnt
+                for idx in range(1, g.arity + 1) if h < max_height else ():
                     ci = cap_index.get((g.name, idx))
                     new_counts = counts
                     if ci is not None:
@@ -308,6 +303,7 @@ def closed_set_counts(system: AvoidanceSystem, max_height: int) -> DimSeries:
                     new_window = (window + ((g, idx),))[-window_len:] if window_len else ()
                     key = (new_window, new_counts)
                     new_states[key] = new_states.get(key, 0) + cnt
+        values.append(total)
         states = new_states
     return DimSeries(tuple(values), "weight")
 

@@ -13,13 +13,15 @@ relation child whose children are all leaves matches at every root with
 its label, by ``matches_at_root``'s own rule that leaf positions impose no
 constraint, so its bit comes from the generator.
 
-Only the light levels 1..S-1 keep their trees, S chosen from the input
-(see ``_brute_counts``).  Levels S..W-1 are walked depth first, at most
-W-S levels deep: each tree is counted into its bucket, hung at once as a
-child into every heavier group below W that reads its bucket, and
-dropped.  With S > (W-2)//2 a group below W reads at most one walked
-tree, since two would weigh more than W-2, so hanging one tree in one
-slot next to kept buckets builds every tree of the walked levels.  The
+One loop runs over the levels 1..W-1 and builds each level's groups over
+the kept buckets.  Only the light levels 1..S-1 keep their trees, S
+chosen from the input (see ``_brute_counts``); from level S on each tree
+is walked depth first, at most W-S levels deep: it is counted into its
+bucket, hung at once as a child into every heavier group below W that
+reads its bucket, and dropped.  With S > (W-2)//2 a group below W reads
+at most one walked tree, since two would weigh more than W-2, so hanging
+one tree in one slot next to kept buckets builds every tree of the walked
+levels; a tree of level W-1 has no such group and is only counted.  The
 top weight, which no heavier level takes as children, is counted from the
 accepted bucket tuples (the product of their sizes) and not built; no
 crown or grammar enters, so ``brute`` stays independent of ``dp``.
@@ -36,7 +38,6 @@ from .trees import LEAF, _fast_node, matches_at_root
 
 if TYPE_CHECKING:
     from .monomial import MonomialOperadPresentation
-    from .trees import Alphabet
 
 
 def _root_buckets(nslots: int, rels: list, weight: int, sizes: list[dict],
@@ -120,58 +121,6 @@ def _hangers(roots: list, tests: dict, trees: list, sizes: list[dict], wkey: tup
     return out
 
 
-def _walk(alphabet: Alphabet, roots: list, tests: dict, trees: list, sizes: list[dict],
-          groups: list, top: int, max_arity: Optional[int]) -> list[dict]:
-    """Bucket sizes of the levels S..top-1, S = len(trees), built depth first
-    from the kept levels' trees (bucket key -> trees) and bucket sizes;
-    ``groups`` are level S's.
-
-    Each level's groups over kept buckets alone are built directly.  Every
-    other tree of these levels reads exactly one walked child, so a walked
-    tree below level top-1 is counted, then hung into every group that
-    reads its bucket (``_hangers``, looked up on the bucket's first tree),
-    and the trees this builds wait on a stack: the walk is at most top-S
-    levels deep, and it holds only the trees hung from the ones on its
-    path.  Level top-1 is only counted.
-    """
-    start = len(trees)
-    view = sizes + [{}] * (top - start)  # the walked levels' buckets empty
-    walked: dict = {}  # (weight, mask, arity) -> [trees, hangers]
-    last: dict = {}  # level top-1's bucket sizes
-    stack: list = []
-    for w in range(start, top):
-        for g, slots, arity, _ in groups if w == start else _groups(roots, w, view, max_arity):
-            base, root_tests = tests[g]
-            for children in product(*[trees[sw][key] for sw, key in slots]):
-                t = _fast_node(alphabet, g, children)
-                if w == top - 1:
-                    key = _mask(base, root_tests, t), arity
-                    last[key] = last.get(key, 0) + 1
-                    continue
-                stack.append((t, (w, _mask(base, root_tests, t), arity)))
-                while stack:
-                    t, wkey = stack.pop()
-                    entry = walked.get(wkey)
-                    if entry is None:
-                        entry = walked[wkey] = [
-                            0, _hangers(roots, tests, trees, sizes, wkey, top, max_arity)]
-                    entry[0] += 1
-                    for g2, base2, tests2, combos, arity2, heavier in entry[1]:
-                        if heavier == top - 1:
-                            for before, after in combos:
-                                u = _fast_node(alphabet, g2, (*before, t, *after))
-                                key = _mask(base2, tests2, u), arity2
-                                last[key] = last.get(key, 0) + 1
-                        else:
-                            for before, after in combos:
-                                u = _fast_node(alphabet, g2, (*before, t, *after))
-                                stack.append((u, (heavier, _mask(base2, tests2, u), arity2)))
-    levels: list[dict] = [{} for _ in range(start, top - 1)] + [last]
-    for (w, *key), (n, _) in walked.items():
-        levels[w - start][tuple(key)] = n
-    return levels
-
-
 def _brute_counts(p: MonomialOperadPresentation, max_weight: int,
                   max_arity: Optional[int] = None) -> list[Counter]:
     """Nontrivial normal forms counted by arity, one Counter per weight
@@ -186,9 +135,15 @@ def _brute_counts(p: MonomialOperadPresentation, max_weight: int,
     candidate tree.  A group's size is the product of its child buckets'
     sizes.
 
-    With a top weight W, levels 1..S-1 keep their trees, each tree of
-    levels S..W-1 is built exactly once and dropped (see ``_walk``), and
-    level W is not built: its groups' sizes count it.  S > (W-2)//2, so a
+    With a top weight W, one loop runs over the levels 1..W-1 and builds
+    each level's groups over the kept buckets.  Levels 1..S-1 keep their
+    trees; each tree of levels S..W-1 goes onto one depth-first stack,
+    which counts it into its bucket, hangs it into every heavier group
+    below W that reads its bucket (``_hangers``, looked up on the bucket's
+    first tree, none at level W-1) and drops it.  So every tree below W is
+    built exactly once, and the stack holds only the trees hung from the
+    ones on the walk's path, at most W-S levels deep.  Level W is not
+    built: its groups' sizes count it.  S > (W-2)//2, so a
     group below W reads at most one walked tree, in one slot, and kept
     buckets in the others.  S is the first level above (W-2)//2 whose tree
     count, the sum of its groups' sizes, exceeds (W-1-S) times the bucket
@@ -217,21 +172,41 @@ def _brute_counts(p: MonomialOperadPresentation, max_weight: int,
     sizes: list[dict] = [{(0, 1): 1}]
     trees: list[dict] = [{(0, 1): [LEAF]}]
     keys = 1
+    walk = False
+    walked: dict = {}  # (weight, mask, arity) -> [tree count, hangers]
+    stack: list = []
     with _gc_paused():
         for w in range(1, top):
             groups = _groups(roots, w, sizes, max_arity)
-            if w > (top - 2) // 2 and sum(n for *_, n in groups) > (top - 1 - w) * keys:
-                sizes += _walk(p.alphabet, roots, tests, trees, sizes, groups, top, max_arity)
-                break
+            walk = walk or (w > (top - 2) // 2
+                            and sum(n for *_, n in groups) > (top - 1 - w) * keys)
             kept: dict = {}
             for g, slots, arity, _ in groups:
                 base, root_tests = tests[g]
                 for children in product(*[trees[sw][key] for sw, key in slots]):
                     t = _fast_node(p.alphabet, g, children)
-                    kept.setdefault((_mask(base, root_tests, t), arity), []).append(t)
+                    key = _mask(base, root_tests, t), arity
+                    if not walk:
+                        kept.setdefault(key, []).append(t)
+                        continue
+                    stack.append((t, (w, *key)))
+                    while stack:
+                        t, wkey = stack.pop()
+                        entry = walked.get(wkey)
+                        if entry is None:
+                            entry = walked[wkey] = [
+                                0, _hangers(roots, tests, trees, sizes, wkey, top, max_arity)]
+                        entry[0] += 1
+                        for g2, base2, tests2, combos, arity2, heavier in entry[1]:
+                            for before, after in combos:
+                                u = _fast_node(p.alphabet, g2, (*before, t, *after))
+                                stack.append((u, (heavier, _mask(base2, tests2, u), arity2)))
+            # a walked level's buckets stay empty here, so only kept ones are read
             sizes.append({key: len(ts) for key, ts in kept.items()})
             trees.append(kept)
             keys += len(kept)
+    for (w, *key), (n, _) in walked.items():
+        sizes[w][tuple(key)] = n
     counts = [_by_arity(level) for level in sizes[1:]]
     if top >= 1:
         per_arity: Counter = Counter()

@@ -135,22 +135,16 @@ def _gc_paused() -> Iterator[None]:
 _LEAF_ONLY = (LEAF,)
 
 
-def _child_combos(nslots: int, weight: int, levels: list) -> Iterator[tuple]:
-    """All slot tuples of total weight: a slot holds LEAF (weight 0) or an
-    entry of ``levels[w1]`` (weight w1 >= 1)."""
-
-    def rec(slot: int, remaining: int, acc: list) -> Iterator[tuple]:
-        rest = nslots - slot - 1
-        for w1 in range(remaining + 1) if rest else (remaining,):
-            for m in levels[w1] if w1 else _LEAF_ONLY:
-                acc.append(m)
-                if rest:
-                    yield from rec(slot + 1, remaining - w1, acc)
-                else:
-                    yield tuple(acc)
-                acc.pop()
-
-    yield from rec(0, weight, [])
+def _child_combos(nslots: int, weight: int, levels: list, acc: tuple = ()) -> Iterator[tuple]:
+    """All slot tuples of total weight after the filled slots ``acc``: a slot
+    holds LEAF (weight 0) or an entry of ``levels[w1]`` (weight w1 >= 1)."""
+    rest = nslots - len(acc) - 1
+    for w1 in range(weight + 1) if rest else (weight,):
+        for m in levels[w1] if w1 else _LEAF_ONLY:
+            if rest:
+                yield from _child_combos(nslots, weight - w1, levels, (*acc, m))
+            else:
+                yield (*acc, m)
 
 
 def enumerate_irr(p: MonomialOperadPresentation, max_weight: int) -> Iterator[TreeMonomial]:

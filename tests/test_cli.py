@@ -125,6 +125,18 @@ class TestGrammar:
         assert text.endswith("\nK1 [a(*,*)] = a(*,*) + a(*,K1) + a(K1,*)\n")
         assert invoke("grammar", "--presentation", str(f)) == (code, text)
 
+    def test_mixed_arity_rules_are_pinned(self, tmp_path):
+        # a ternary generator beside a binary one shows the slot order of the rules
+        f = tmp_path / "p.txt"
+        f.write_text("generator a 2\ngenerator b 3\n"
+                     "relation b(*,a(*,*),*)\nrelation a(*,b(*,*,*))\n")
+        code, text = invoke("grammar", "--presentation", str(f))
+        assert code == 0
+        assert text.startswith("# crowns=2 rules=24\n")
+        assert "\nK1 [a(*,*)] = a(*,*) + a(*,K1) + a(K1,*) + a(K2,*) + a(K1,K1) + a(K2,K1)\n" in text
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "d396cd21700edcca6e1b2e88d4819bf1d2c231fb00e5ce78708a329fc0d5353b"
+
     def test_free_operad_has_one_crown(self):
         code, text = invoke("grammar", "--preset", "free-operad:2")
         assert code == 0

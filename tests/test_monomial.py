@@ -319,7 +319,8 @@ class TestBruteBuckets:
             assert peak < bound, (p, n, peak)
 
     def test_leaves_no_cyclic_garbage(self):
-        # a cycle would wait for the collector, which the walk pauses
+        # a cycle would wait for the collector, which the walk pauses; the
+        # last two runs go through _child_combos, as enumerate_irr and dp do
         ex53_2 = binary_presentation(SHUFFLE, CHAIN11)
         ab = Alphabet.of(a=2, b=3)
         mixed = MonomialOperadPresentation(ab, [parse_monomial("b(*,a(*,*),*)", ab),
@@ -329,7 +330,9 @@ class TestBruteBuckets:
             gc.collect()
             for run in (lambda: dim_by_arity(ex53_2, 22, engine="brute"),
                         lambda: dim_by_arity(mixed, 12, engine="brute"),
-                        lambda: dim_by_weight(mixed, 7, engine="brute")):
+                        lambda: dim_by_weight(mixed, 7, engine="brute"),
+                        lambda: list(enumerate_irr(mixed, 6)),
+                        lambda: dim_by_arity(mixed, 12)):
                 run()
                 assert gc.collect() == 0
         finally:
