@@ -6,23 +6,21 @@ as a word of (generator, index) letters; the final letter carries no
 composition index, so it is stored with a dummy index of 1 to keep equality
 well defined.  Height equals weight equals the letter count.
 
-Periodicity is shift-repetition of the letter word.  A local period only
-has to hold inside the word; a (global) period must survive every periodic
-extension, which happens exactly when the minimal period divides it.
+One occurrence rule serves periods and factors: every letter of a factor
+but its last must be equal, and the last (a dummy index) matches on its
+generator only.  A local period p holds when the suffix after p letters
+occurs at the start, a factor is contained when it occurs anywhere, and a
+(global) period, one that survives every periodic extension, is exactly a
+multiple of the minimal period.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Mapping, Optional
 
 from .dims import DimSeries, Frozen
-from .trees import (
-    LEAF,
-    Alphabet,
-    Generator,
-    TreeMonomial,
-    TreeError,
-)
+from .trees import LEAF, Alphabet, Generator, TreeMonomial
 
 
 class BranchError(ValueError):
@@ -66,18 +64,6 @@ class BranchWord(Frozen):
     def __len__(self) -> int:
         return len(self.letters)
 
-    @property
-    def height(self) -> int:
-        return len(self.letters)
-
-    def generator_at(self, k: int) -> Generator:
-        """1-based letter access."""
-        return self.letters[k - 1][0]
-
-    def index_at(self, k: int) -> int:
-        """1-based index access; only positions 1..n-1 are meaningful."""
-        return self.letters[k - 1][1]
-
     def factor(self, start: int, stop: int) -> "BranchWord":
         """The submonomial spanning letters start..stop (1-based, inclusive)."""
         if not 1 <= start <= stop <= len(self.letters):
@@ -108,42 +94,42 @@ def to_branch_word(t: TreeMonomial) -> BranchWord:
 
 def from_branch_word(w: BranchWord, alphabet: Alphabet) -> TreeMonomial:
     """Rebuild the right-normal monomial encoded by ``w``."""
-    t = TreeMonomial.trivial(alphabet)
+    t = LEAF
     for g, i in reversed(w.letters):
-        node = TreeMonomial.node(alphabet, g.name)
-        if not t.is_trivial:
-            children = list(node.children)
-            children[i - 1] = t
-            node = TreeMonomial(alphabet, node.generator, children)
-        t = node
-    return t
+        g = alphabet[g.name]
+        children = [LEAF] * g.arity
+        children[i - 1] = t  # the last letter's dummy slot gets a leaf
+        t = TreeMonomial(alphabet, g, children)
+    return TreeMonomial.trivial(alphabet) if t is LEAF else t
+
+
+def _occurs_at(letters: tuple, factor: tuple, start: int) -> bool:
+    """Does ``factor`` occur in ``letters`` at 0-based offset ``start``?
+
+    Every letter of ``factor`` but the last must equal the letter at its
+    offset; the last one matches on its generator only (its index is a dummy).
+    """
+    last = len(factor) - 1
+    return (letters[start:start + last] == factor[:last]
+            and letters[start + last][0] == factor[last][0])
 
 
 def is_local_period(w: BranchWord, p: int) -> bool:
-    """Shift-repetition inside the word: letters repeat with shift p.
+    """Shift-repetition inside the word: the suffix after ``p`` letters
+    occurs at the start.
 
-    Generators must agree on positions 1..n-p and composition indices on
+    So generators agree on positions 1..n-p and composition indices on
     positions 1..n-p-1 (the final index is a dummy).
     """
     n = len(w)
     if not 1 <= p < n:
         raise BranchError(f"local period {p} out of range 1..{n - 1}")
-    for j in range(1, n - p + 1):
-        if w.generator_at(j) != w.generator_at(j + p):
-            return False
-    for j in range(1, n - p):
-        if w.index_at(j) != w.index_at(j + p):
-            return False
-    return True
+    return _occurs_at(w.letters, w.letters[p:], 0)
 
 
 def minimal_period(w: BranchWord) -> Optional[int]:
     """The smallest local period, or None when the word is aperiodic."""
-    n = len(w)
-    for p in range(1, n):
-        if is_local_period(w, p):
-            return p
-    return None
+    return next((p for p in range(1, len(w)) if is_local_period(w, p)), None)
 
 
 def extend(w: BranchWord, m: int, l: int) -> BranchWord:
@@ -157,11 +143,7 @@ def extend(w: BranchWord, m: int, l: int) -> BranchWord:
         raise BranchError("extension needs m >= -1")
     if l < len(w):
         raise BranchError("extension needs l >= len(w)")
-    letters = []
-    for q in range(-m, l + 1):
-        r = (q - 1) % p + 1
-        letters.append((w.generator_at(r), w.index_at(r)))
-    return BranchWord(tuple(letters))
+    return BranchWord(w.letters[(q - 1) % p] for q in range(-m, l + 1))
 
 
 def is_period(w: BranchWord, p: int) -> bool:
@@ -189,22 +171,10 @@ def contains_factor(w: BranchWord, f: BranchWord) -> bool:
     The final letter of ``f`` matches on generator only, mirroring the dummy
     index convention.
     """
-    k = len(f)
-    if k == 0:
+    if not f.letters:
         raise BranchError("the empty word is a factor of everything; refuse it")
-    n = len(w)
-    for s in range(1, n - k + 2):
-        ok = True
-        for r in range(k):
-            if w.generator_at(s + r) != f.generator_at(r + 1):
-                ok = False
-                break
-            if r < k - 1 and w.index_at(s + r) != f.index_at(r + 1):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return any(_occurs_at(w.letters, f.letters, s)
+               for s in range(len(w) - len(f) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +228,10 @@ def closed_set_counts(system: AvoidanceSystem, max_height: int) -> DimSeries:
 
     State = (window of recent meaningful letters, capped letter counts);
     the final letter of a word matches forbidden factors on generator only.
+    ``completes`` writes that rule out again on purpose instead of calling
+    ``_occurs_at``: ``enumerate_avoiding_words`` checks every word through
+    ``contains_factor`` and is the oracle these counts are tested against,
+    so the two keep separate match code.
     """
     if max_height < 0:
         raise BranchError("max_height must be nonnegative")
@@ -313,30 +287,20 @@ def enumerate_avoiding_words(system: AvoidanceSystem, height: int) -> Iterable[B
     if height == 0:
         yield BranchWord(())
         return
-
-    def rec(prefix: list[tuple[Generator, int]]) -> Iterable[BranchWord]:
-        if len(prefix) == height - 1:
-            for g in system.alphabet.generators:
-                w = BranchWord(tuple(prefix) + ((g, 1),))
-                if _word_allowed(system, w):
-                    yield w
-            return
-        for g in system.alphabet.generators:
-            for idx in range(1, g.arity + 1):
-                prefix.append((g, idx))
-                yield from rec(prefix)
-                prefix.pop()
-
-    yield from rec([])
+    gens = system.alphabet.generators
+    letters = [(g, idx) for g in gens for idx in range(1, g.arity + 1)]
+    for prefix in product(letters, repeat=height - 1):
+        for g in gens:
+            w = BranchWord(prefix + ((g, 1),))
+            if _word_allowed(system, w):
+                yield w
 
 
 def _word_allowed(system: AvoidanceSystem, w: BranchWord) -> bool:
-    for f in system.forbidden:
-        if len(f) <= len(w) and contains_factor(w, f):
-            return False
+    if any(contains_factor(w, f) for f in system.forbidden):
+        return False
     for (name, idx), cap in system.letter_caps.items():
-        uses = sum(1 for k in range(1, len(w))
-                   if w.generator_at(k).name == name and w.index_at(k) == idx)
+        uses = sum(1 for g, i in w.letters[:-1] if g.name == name and i == idx)
         if uses > cap:
             return False
     return True

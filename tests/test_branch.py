@@ -1,5 +1,7 @@
 """Single-branched words: periods, extensions, avoidance counting."""
 
+import gc
+import itertools
 import random
 
 import pytest
@@ -142,6 +144,37 @@ class TestPeriods:
         assert minimal_period(w) == 2
 
 
+    def test_predicates_match_positional_definitions_to_height_6(self):
+        # every letter sequence over {a:2, b:1}: p = n-1, one-letter factors
+        # and factors longer than the word included
+        mixed = Alphabet.of(a=2, b=1)
+        letters = [(g, i) for g in mixed.generators for i in range(1, g.arity + 1)]
+        words = [BranchWord(raw) for h in range(7)
+                 for raw in itertools.product(letters, repeat=h)]
+        assert len(words) == 1093
+        factors = [f for f in words if 1 <= len(f) <= 3]
+
+        def gen(w, k):  # 1-based
+            return w.letters[k - 1][0]
+
+        def idx(w, k):
+            return w.letters[k - 1][1]
+
+        for w in words:
+            n = len(w)
+            periods = [p for p in range(1, n)
+                       if all(gen(w, j) == gen(w, j + p) for j in range(1, n - p + 1))
+                       and all(idx(w, j) == idx(w, j + p) for j in range(1, n - p))]
+            assert [p for p in range(1, n) if is_local_period(w, p)] == periods
+            assert minimal_period(w) == (periods[0] if periods else None)
+            for f in factors:
+                k = len(f)
+                occurs = any(all(gen(w, s + r) == gen(f, r + 1) for r in range(k))
+                             and all(idx(w, s + r) == idx(f, r + 1) for r in range(k - 1))
+                             for s in range(1, n - k + 2))
+                assert contains_factor(w, f) == occurs
+
+
 class TestExtensions:
     def test_extension_shape(self, periodic_word):
         e = extend(periodic_word, 0, 9)
@@ -248,6 +281,15 @@ class TestAvoidance:
                 bound = (d - 1) ** 3
                 assert all(counts[h] <= bound for h in range(d, 41))
         assert found == 20
+
+    def test_enumeration_leaves_no_cyclic_garbage(self):
+        gc.disable()
+        try:
+            gc.collect()
+            assert sum(1 for _ in enumerate_avoiding_words(example_at_most_one_index2(), 6)) == 6
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_factor_closure(self):
         # avoiding sets are closed under taking factors (submonomials)
