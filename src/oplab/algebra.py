@@ -13,13 +13,15 @@ k-th roots; no floating point touches any dimension value.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, chain, count, repeat, tee
 from math import comb, isqrt
 from operator import add, sub
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .dims import DimSeries, FileSyntaxError, Frozen, directives
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Word = tuple[str, ...]
 
@@ -34,6 +36,8 @@ class AlgebraSyntaxError(FileSyntaxError, AlgebraError):
 
 def as_fraction(x) -> Fraction:
     """Exact coercion; floats go through their decimal literal."""
+    from fractions import Fraction
+
     if isinstance(x, float):
         return Fraction(str(x))
     return Fraction(x)
@@ -73,6 +77,8 @@ def _floor_powers(a: int, b: int, n: int) -> Iterator[int]:
 
 def floor_power(n: int, q: Fraction) -> int:
     """floor(n**q) for n >= 0 and rational q > 0, in exact integer arithmetic."""
+    from fractions import Fraction
+
     if n < 0:
         raise AlgebraError("floor_power needs n >= 0")
     q = Fraction(q)
@@ -192,7 +198,7 @@ def warfield_dims(r, max_degree: int, stream: bool = False) -> DimSeries | Itera
     and no DimSeries is built.
     """
     r = as_fraction(r)
-    if not Fraction(2) < r < Fraction(3):
+    if not 2 < r < 3:
         raise AlgebraError(f"growth exponent must lie strictly between 2 and 3, got {r}")
     if max_degree < 0:
         raise AlgebraError("max_degree must be nonnegative")
@@ -213,7 +219,7 @@ def warfield_monomial_model(r, max_degree: int) -> MonomialAlgebraPresentation:
     ``max_degree``.
     """
     r = as_fraction(r)
-    if not Fraction(2) < r < Fraction(3):
+    if not 2 < r < 3:
         raise AlgebraError(f"growth exponent must lie strictly between 2 and 3, got {r}")
     q = (r - 1) / 2
     a, b = q.numerator, q.denominator

@@ -554,21 +554,24 @@ def cmd_gapcheck(args, out) -> int:
 
     p, label = _get_presentation(args)
     report = monomial.gap_dichotomy_check(p, args.max_weight)
+    # the line (A*n + B)/D, its a = A/D and b = B/D written as Fractions write them
+    fit = report.affine_fit and [monomial.format_ratio(num, report.affine_fit[2])
+                                 for num in report.affine_fit[:2]]
     if args.emit == "json":
         _write_json(out, {
             "command": "gapcheck", "source": label, "horizon": args.max_weight,
             "criterion_d": report.criterion_d, "growth_class": report.growth_class,
             "weight_counts": list(report.weight_counts.values),
             "partial_sums": list(report.partial_sums.values),
-            "affine_fit": report.affine_fit and list(map(str, report.affine_fit)),
+            "affine_fit": fit,
             "first_violation": report.first_violation,
             "sha256": _presentation_hash(p),
         })
         return 0
     out.write(f"# criterion_d={report.criterion_d if report.criterion_d is not None else 'none'}\n")
     out.write(f"# growth_class={report.growth_class}\n")
-    if report.affine_fit is not None:
-        a, b = report.affine_fit
+    if fit is not None:
+        a, b = fit
         out.write(f"# affine_fit=a:{a},b:{b}\n")
         out.write(f"# first_violation="
                   f"{report.first_violation if report.first_violation is not None else 'none'}\n")

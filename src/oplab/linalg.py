@@ -17,9 +17,11 @@ rational elimination that finds no null vector.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 RANK_PRIME = 1073741789  # 2**30 - 35
 BLOCK_SLACK = 8  # rows past ncols in the block kernel_is_trivial reduces first
@@ -61,6 +63,8 @@ def _rref(mat: list[list], ncols: int, p: Optional[int] = None) -> list[int]:
 
 def scale_rows_to_int(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
     """Clear denominators row by row (row scaling preserves the kernel)."""
+    from fractions import Fraction
+
     out = []
     for row in rows:
         fracs = [Fraction(x) for x in row]
@@ -100,6 +104,8 @@ def kernel_is_trivial(rows: Iterable[Sequence[int]]) -> bool:
 
 def nullspace(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
     """Basis of the rational kernel, from a reduced row echelon form."""
+    from fractions import Fraction
+
     mat = [[Fraction(x) for x in row] for row in rows]
     if not mat:
         return []
@@ -118,6 +124,8 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
 def solve(rows: Sequence[Sequence[Fraction | int]],
           rhs: Sequence[Fraction | int]) -> Optional[list[Fraction]]:
     """One exact solution of A x = b (free variables zero), or None."""
+    from fractions import Fraction
+
     mat = [[Fraction(x) for x in row] + [Fraction(b)]
            for row, b in zip(rows, rhs)]
     if not mat:

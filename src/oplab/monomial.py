@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from math import lcm
+from math import gcd
 from operator import add, mul
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .dims import ENGINES, DimSeries, FileSyntaxError, Frozen, directives
 from .order import TreeOrder
@@ -43,9 +43,6 @@ from .trees import (
     matches_at_root,
     parse_monomial,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 GROWTH_BOUNDED = "bounded"
 GROWTH_LINEAR = "linear"
@@ -349,22 +346,23 @@ class GapDichotomyReport(NamedTuple):
 
     ``criterion_d`` is the first d >= 3 whose weight-d count is <= d-3, if
     any; when present the partial sums must stay under an affine bound
-    fitted on the tail (``affine_fit`` = (a, b), ``first_violation`` = first
-    index exceeding the fit by more than max(5, 10%), expected None).
+    fitted on the tail (``affine_fit`` = (A, B, D), the line
+    y = (A*n + B)/D with D > 0; ``first_violation`` = first index exceeding
+    the fit by more than max(5, 10%), expected None).
     """
 
     criterion_d: Optional[int]
     growth_class: str
     weight_counts: DimSeries
     partial_sums: DimSeries
-    affine_fit: Optional[tuple[Fraction, Fraction]]
+    affine_fit: Optional[tuple[int, int, int]]
     first_violation: Optional[int]
 
 
-def _affine_fit(points: list[tuple[int, int]]) -> tuple[Fraction, Fraction]:
-    """Exact least-squares line through integer points."""
-    from fractions import Fraction
-
+def _affine_fit(points: list[tuple[int, int]]) -> tuple[int, int, int]:
+    """Exact least-squares line through integer points, as integers (A, B, D)
+    with y = (A*n + B)/D and D > 0: slope (k*sxy - sx*sy)/den and offset
+    (sy - slope*sx)/k over the common denominator k*den."""
     k = len(points)
     sx = sum(x for x, _ in points)
     sy = sum(y for _, y in points)
@@ -372,10 +370,17 @@ def _affine_fit(points: list[tuple[int, int]]) -> tuple[Fraction, Fraction]:
     sxy = sum(x * y for x, y in points)
     den = k * sxx - sx * sx
     if den == 0:
-        return Fraction(0), Fraction(sy, k)
-    a = Fraction(k * sxy - sx * sy, den)
-    b = (Fraction(sy) - a * sx) / k
-    return a, b
+        return 0, sy, k
+    num = k * sxy - sx * sy
+    return k * num, sy * den - num * sx, k * den
+
+
+def format_ratio(num: int, den: int) -> str:
+    """num/den (den > 0) in lowest terms, written as ``str(Fraction(num, den))``
+    writes it: ``-3/4``, or ``5`` when the denominator is 1."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def gap_dichotomy_check(p: MonomialOperadPresentation, max_weight: int) -> GapDichotomyReport:
@@ -401,18 +406,16 @@ def gap_dichotomy_check(p: MonomialOperadPresentation, max_weight: int) -> GapDi
         return GapDichotomyReport(None, GROWTH_SUPERLINEAR, wc, DimSeries(sums, "weight"), None, None)
 
     growth = GROWTH_BOUNDED if wc[max_weight] == 0 else GROWTH_LINEAR
-    a, b = _affine_fit([(n, sums[n]) for n in range(2 * max_weight // 3, max_weight + 1)])
+    fit = _affine_fit([(n, sums[n]) for n in range(2 * max_weight // 3, max_weight + 1)])
     return GapDichotomyReport(criterion_d, growth, wc, DimSeries(sums, "weight"),
-                              (a, b), _first_violation(sums, a, b))
+                              fit, _first_violation(sums, *fit))
 
 
-def _first_violation(sums: Sequence[int], a: Fraction, b: Fraction) -> Optional[int]:
-    """The first n with sums[n] - (a*n + b) > max(5, |a*n + b|/10), or None;
-    both sides are scaled by 10*r, r = lcm of the denominators, to integers."""
-    r = lcm(a.denominator, b.denominator)
-    slope, offset = int(a * r), int(b * r)
-    return next((n for n, s in enumerate(sums) if 10 * (s * r - slope * n - offset)
-                 > max(50 * r, abs(slope * n + offset))), None)
+def _first_violation(sums: Sequence[int], a: int, b: int, d: int) -> Optional[int]:
+    """The first n with sums[n] - (a*n + b)/d > max(5, |a*n + b|/(10*d)), or
+    None (d > 0); both sides are scaled by 10*d to integers."""
+    return next((n for n, s in enumerate(sums) if 10 * (s * d - a * n - b)
+                 > max(50 * d, abs(a * n + b))), None)
 
 
 # ---------------------------------------------------------------------------

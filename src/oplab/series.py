@@ -18,13 +18,15 @@ that no candidate passed the holdout suffix, which no fitting step saw.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate, islice, pairwise
 from operator import mul, truediv
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .dims import DimSeries, as_dim_values, log_of_int
 from .linalg import clear_denominators, kernel_is_trivial, nullspace, scale_rows_to_int
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_HOLDOUT = 20
 TAIL_FRACTION = 1 / 3  # gk_estimate fits its slope on the last third of the window
@@ -46,11 +48,15 @@ class WindowTooShortError(SeriesError):
 def _exact(s: Iterable) -> tuple[Fraction, ...]:
     """The coefficients c_0..c_N as exact rationals; a float becomes the
     rational it stores exactly."""
+    from fractions import Fraction
+
     return tuple(Fraction(c) for c in s)
 
 
 def series_shift(s: Iterable) -> tuple[Fraction, ...]:
     """Multiply by z, keeping the truncation window."""
+    from fractions import Fraction
+
     coeffs = _exact(s)
     return ((Fraction(0),) + coeffs)[:len(coeffs)]
 
@@ -63,6 +69,8 @@ def series_derivative(s: Iterable) -> tuple[Fraction, ...]:
 def series_mul(a: Iterable, b: Iterable,
                truncation: Optional[int] = None) -> tuple[Fraction, ...]:
     """Cauchy product truncated to the shorter window (or to ``truncation``)."""
+    from fractions import Fraction
+
     a, b = _exact(a), _exact(b)
     n = min(len(a), len(b)) - 1 if truncation is None else truncation
     out = [Fraction(0)] * (n + 1)
@@ -254,6 +262,8 @@ def fit_rational(s: Iterable, max_den_degree: Optional[int] = None,
     are scanned, denominator degree first, and a candidate must also make
     den * series vanish on the holdout suffix; None means that none did.
     """
+    from fractions import Fraction
+
     coeffs = _exact(s)
     n_max = len(coeffs) - 1
     max_den_degree, max_num_degree = fit_bounds(n_max, max_den_degree, max_num_degree)
@@ -289,6 +299,8 @@ def fit_rational(s: Iterable, max_den_degree: Optional[int] = None,
 
 def expand_rational(fit: RationalFit, truncation: int) -> tuple[Fraction, ...]:
     """Power-series expansion of num/den up to the given truncation."""
+    from fractions import Fraction
+
     num, den = fit.numerator, fit.denominator
     if not den or den[0] == 0:
         raise SeriesError("denominator must have nonzero constant term")
@@ -319,6 +331,8 @@ class RecurrenceCandidate(NamedTuple):
     fit_window: tuple[int, int]
 
     def residual(self, coeffs: Sequence[Fraction], n: int) -> Fraction:
+        from fractions import Fraction
+
         acc = Fraction(0)
         for i, poly in enumerate(self.polynomials):
             pn = sum(Fraction(c) * n ** k for k, c in enumerate(poly))

@@ -440,30 +440,22 @@ def submonomials(t: TreeMonomial, weight: Optional[int] = None) -> set[TreeMonom
     return out
 
 
-def _anchored_submonomials(node: TreeMonomial, cap: int) -> list[TreeMonomial]:
-    """All submonomials anchored at ``node`` with weight <= cap."""
-    if cap < 1:
-        return []
-    results: list[TreeMonomial] = []
-    slots = node.children
-
-    def fill(k: int, used: int, acc: list[Optional[TreeMonomial]]) -> None:
-        if k == len(slots):
-            results.append(TreeMonomial(node.alphabet, node.generator, tuple(acc)))
-            return
-        acc.append(LEAF)
-        fill(k + 1, used, acc)
-        acc.pop()
-        c = slots[k]
-        if c is not LEAF:
-            for sub in _anchored_submonomials(c, cap - used):
-                if used + sub.weight <= cap:
-                    acc.append(sub)
-                    fill(k + 1, used + sub.weight, acc)
-                    acc.pop()
-
-    fill(0, 1, [])
-    return results
+def _anchored_submonomials(node: TreeMonomial, cap: int, used: int = 1,
+                           acc: tuple = ()) -> Iterator[TreeMonomial]:
+    """All submonomials anchored at ``node`` with weight <= cap, after the
+    filled slots ``acc``, which with the root weigh ``used``: each slot holds
+    LEAF first, then each submonomial anchored at its child that fits."""
+    if used > cap:
+        return
+    k = len(acc)
+    if k == len(node.children):
+        yield TreeMonomial(node.alphabet, node.generator, acc)
+        return
+    yield from _anchored_submonomials(node, cap, used, (*acc, LEAF))
+    c = node.children[k]
+    if c is not LEAF:
+        for sub in _anchored_submonomials(c, cap - used):
+            yield from _anchored_submonomials(node, cap, used + sub.weight, (*acc, sub))
 
 
 def format_monomial(t: TreeMonomial) -> str:

@@ -897,19 +897,28 @@ class TestImportGraph:
         (None, False),
         ("dims --preset ex53-1 --max-arity 10", False),
         ("dims --preset ex53-1 --max-arity 10 --engine brute", False),
-        ("sweep --relation-weight 2 --horizon 10", True),
+        ("sweep --relation-weight 2 --horizon 10", False),
+        ("gapcheck --preset ex53-3 --max-weight 8", False),
+        ("gapcheck --preset ex53-3 --max-weight 8 --emit json", False),
+        ("operadize --algebra {alg} --emit -", False),
+        ("envelope --kind sym --preset ex64-partition --max-index 20", False),
+        ("series --source {alg} --max 10", False),
         ("gk --preset floorpow:3/2 --N 50", True),
         ("guess --preset fibonacci --max 60 --max-order 2 --max-degree 1", True),
     ])
-    def test_no_dataclasses_and_fractions_only_for_rationals(self, argv, fractions_allowed):
+    def test_no_dataclasses_and_fractions_only_for_rationals(self, tmp_path, argv,
+                                                            fractions_allowed):
         code = "import io, oplab.cli\n"
         if argv:
-            code += f"assert oplab.cli.run({argv.split()!r}, out=io.StringIO()) == 0"
+            alg = tmp_path / "alg.txt"
+            alg.write_text("var x1\nvar x2\nforbid x1 x2 x1\nforbid x2 x2\n")
+            argv = argv.format(alg=alg).split()
+            code += f"assert oplab.cli.run({argv!r}, out=io.StringIO()) == 0"
         loaded = modules_loaded_by(code)
         assert "oplab.cli" in loaded
         assert not loaded & {"dataclasses", "inspect"}
         if not fractions_allowed:
-            assert "fractions" not in loaded
+            assert not loaded & {"fractions", "decimal", "numbers"}
 
     def test_every_public_name_resolves(self):
         import oplab

@@ -34,9 +34,11 @@ from oplab.monomial import (
     CompletenessError,
     PresentationError,
     PresentationSyntaxError,
+    _affine_fit,
     _first_violation,
     compile_grammar,
     format_presentation,
+    format_ratio,
     parse_presentation,
 )
 
@@ -466,15 +468,52 @@ class TestGapDichotomy:
         for _ in range(2000):
             a = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
             b = Fraction(rng.randint(-300, 300), rng.randint(1, 12))
+            # the line as (A*n + B)/D, D any common denominator
+            d = a.denominator * b.denominator * rng.randint(1, 3)
             sums = [rng.randint(0, 120) for _ in range(rng.randint(1, 25))]
             expected = reference(sums, a, b)
-            assert _first_violation(sums, a, b) == expected, (sums, a, b)
+            assert _first_violation(sums, int(a * d), int(b * d), d) == expected, (sums, a, b, d)
             seen.add(expected is None)
         assert seen == {True, False}
         # the boundary itself is no violation: 5 over, and 10% over a bound of 60
-        assert _first_violation([5, 66], Fraction(60), Fraction(0)) is None
-        assert _first_violation([6, 66], Fraction(60), Fraction(0)) == 0
-        assert _first_violation([5, 67], Fraction(60), Fraction(0)) == 1
+        for d in (1, 3):
+            assert _first_violation([5, 66], 60 * d, 0, d) is None
+            assert _first_violation([6, 66], 60 * d, 0, d) == 0
+            assert _first_violation([5, 67], 60 * d, 0, d) == 1
+
+    def test_integer_fit_matches_the_fraction_fit(self):
+        # the least-squares line over Fractions, as gapcheck computed it first
+        def reference(points):
+            k = len(points)
+            sx = sum(x for x, _ in points)
+            sy = sum(y for _, y in points)
+            den = k * sum(x * x for x, _ in points) - sx * sx
+            if den == 0:
+                return Fraction(0), Fraction(sy, k)
+            a = Fraction(k * sum(x * y for x, y in points) - sx * sy, den)
+            return a, (sy - a * sx) / k
+
+        rng = random.Random(26)
+        seen = set()
+        for _ in range(3000):
+            lo = rng.randint(-5, 30)
+            xs = ([lo] * rng.randint(1, 4) if rng.random() < 0.05
+                  else [rng.randint(lo, lo + 12) for _ in range(rng.randint(1, 12))])
+            points = [(x, rng.randint(-200, 200)) for x in xs]
+            a, b = reference(points)
+            big_a, big_b, d = _affine_fit(points)
+            assert d > 0 and (Fraction(big_a, d), Fraction(big_b, d)) == (a, b), points
+            # the normal equations hold exactly for the residuals D*y - (A*x + B)
+            residuals = [d * y - big_a * x - big_b for x, y in points]
+            assert sum(residuals) == 0
+            assert sum(x * r for (x, _), r in zip(points, residuals)) == 0
+            assert (format_ratio(big_a, d), format_ratio(big_b, d)) == (str(a), str(b))
+            seen |= {("a<0", a < 0), ("a integral", a.denominator == 1),
+                     ("b<0", b < 0), ("b integral", b.denominator == 1)}
+        assert len(seen) == 8  # negative and not, integral and not, for slope and offset
+        for num in range(-30, 31):
+            for den in range(1, 13):
+                assert format_ratio(num, den) == str(Fraction(num, den))
 
 
 class TestPresentationFiles:

@@ -1,5 +1,6 @@
 """Tree monomials: grafting, path sequences, divisibility, submonomials."""
 
+import gc
 import random
 import re
 
@@ -327,3 +328,16 @@ class TestSubmonomials:
         subs = submonomials(t)
         assert all(divides(s, t) for s in subs)
         assert len({(s.weight, s) for s in subs}) == len(subs)
+
+    def test_leaves_no_cyclic_garbage(self):
+        # a helper that calls itself through its own closure cell leaves a
+        # cycle per call for the collector
+        t = parse_monomial("a(a(b(*),*),a(*,b(*)))", Alphabet.of(a=2, b=1))
+        gc.disable()
+        try:
+            gc.collect()
+            for weight in (None, 2, 3):
+                assert submonomials(t, weight)
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
