@@ -1,11 +1,14 @@
 """Connected graded monomial algebras and closed-form dimension presets.
 
-Hilbert dimensions of a monomial algebra are computed with the standard
-factor-avoidance automaton (states are proper prefixes of the forbidden
-words), in exact integer arithmetic.  The closed-form presets cover the
-example algebras used throughout: polynomial rings, free algebras, the
-intermediate-growth staircase family, the gap-supported slow-growth
-algebra, the partition-function algebra, and floor-power dimension data.
+Hilbert dimensions of a monomial algebra are counted, in exact integer
+arithmetic, on one Aho-Corasick word automaton (:func:`word_automaton`,
+whose states are the prefixes of the forbidden words, at most one more
+than their total length) by one walk (:func:`count_words`);
+:mod:`oplab.branch` counts single-branched avoidance on the same two.
+The closed-form presets cover the example algebras used throughout:
+polynomial rings, free algebras, the intermediate-growth staircase family,
+the gap-supported slow-growth algebra, the partition-function algebra, and
+floor-power dimension data.
 
 Floor powers ``floor(n**q)`` for rational q are evaluated via exact integer
 k-th roots; no floating point touches any dimension value.
@@ -13,10 +16,10 @@ k-th roots; no floating point touches any dimension value.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, count, repeat, tee
+from itertools import accumulate, chain, count, islice, repeat, tee
 from math import comb, isqrt
 from operator import add, sub
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .dims import DimSeries, FileSyntaxError, Frozen, directives
 
@@ -106,13 +109,14 @@ class MonomialAlgebraPresentation(Frozen):
             if not set(w) <= varset:
                 raise AlgebraError(f"forbidden word {w!r} uses unknown variables")
             words.append(w)
-        words = sorted(set(words), key=lambda w: (len(w), w))
-        kept: list[Word] = []
-        for w in words:
-            if not any(_is_factor(s, w) for s in kept):
-                kept.append(w)
+        char = {v: chr(i) for i, v in enumerate(variables)}  # factors become substrings
+        kept: dict[str, Word] = {}
+        for w in sorted(set(words), key=lambda w: (len(w), w)):
+            text = "".join(map(char.__getitem__, w))
+            if not any(s in text for s in kept):
+                kept[text] = w
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "forbidden", tuple(kept))
+        object.__setattr__(self, "forbidden", tuple(kept.values()))
         object.__setattr__(self, "name", name)
 
     def _key(self):  # without the name
@@ -123,65 +127,86 @@ class MonomialAlgebraPresentation(Frozen):
         return f"<{label} on {','.join(self.variables)} with {len(self.forbidden)} forbidden words>"
 
 
-def _is_factor(f: Word, w: Word) -> bool:
-    k = len(f)
-    return any(w[s:s + k] == f for s in range(len(w) - k + 1))
-
-
 def word_is_normal(a: MonomialAlgebraPresentation, w: Word) -> bool:
     """True when no forbidden word occurs as a factor of ``w``."""
-    return not any(_is_factor(f, tuple(w)) for f in a.forbidden)
+    w = tuple(w)
+    return not any(w[s:s + len(f)] == f for f in a.forbidden for s in range(len(w) - len(f) + 1))
 
 
 def hilbert_dims(a: MonomialAlgebraPresentation, max_degree: int) -> DimSeries:
     """Count length-n words avoiding every forbidden factor, for n <= max_degree."""
     if max_degree < 0:
         raise AlgebraError("max_degree must be nonnegative")
-    start, transitions = _factor_automaton(a)
-    vec = {start: 1}
-    values = [1]
-    for _ in range(max_degree):
+    delta = word_automaton(a.variables, a.forbidden)
+    return DimSeries(islice(count_words(delta), max_degree + 1), "degree")
+
+
+def word_automaton(letters: Sequence[Hashable],
+                   patterns: Iterable[Sequence]) -> list[list[Optional[int]]]:
+    """The Aho-Corasick automaton of the words over ``letters`` with no pattern as a factor.
+
+    States are the prefixes of the patterns, numbered breadth first with
+    children in letter order (state 0 is the empty word; no hash decides a
+    number).  A state is dead when it is a pattern or its fail state (its
+    longest proper suffix that is a state) is dead, so a word dies once any
+    suffix is a pattern, self-reduced or not.  ``delta[s][j]`` is the state
+    after ``letters[j]`` from s, or None if dead.
+    """
+    trie: dict[tuple, int] = {}  # (node, letter) -> node, nodes numbered as first built
+    ends = set()
+    for w in patterns:
+        node = 0
+        for x in w:
+            node = trie.setdefault((node, x), len(trie) + 1)
+        ends.add(node)
+    fail, dead, goto, queue = {0: 0}, {}, {}, [0]
+    for s in queue:  # breadth first: a fail state is shallower, so its row is built
+        dead[s] = s in ends or (s > 0 and dead[fail[s]])
+        goto[s] = row = []
+        for x in letters:
+            via_fail = goto[fail[s]][len(row)] if s else 0
+            t = trie.get((s, x))
+            if t is not None:
+                fail[t] = via_fail
+                queue.append(t)
+            row.append(via_fail if t is None else t)
+    number = {s: i for i, s in enumerate(queue)}
+    return [[None if dead[t] else number[t] for t in goto[s]] for s in queue]
+
+
+def count_words(delta: Sequence[Sequence[Optional[int]]], weights: Optional[Sequence[int]] = None,
+                limits: Optional[Mapping[int, int]] = None) -> Iterator[int]:
+    """Yield, for n = 0, 1, 2, ..., how many n-letter words stay live in ``delta``.
+
+    A word counts ``weights[s]`` times for the state s it ends in (once
+    without weights).  ``limits`` caps how often a word reads the letter of
+    each listed column; a word is keyed on its state and its capped letter
+    counts, packed as ``s * radix + code`` in mixed radix.
+    """
+    radix, place = 1, {}
+    for j, limit in (limits or {}).items():
+        place[j] = (radix, limit + 1)
+        radix *= limit + 1
+    vec = {0: 1}
+    while True:
+        if weights is None:
+            yield sum(vec.values())
+        else:
+            yield sum(cnt * weights[key // radix] for key, cnt in vec.items())
         nxt: dict[int, int] = {}
-        for state, cnt in vec.items():
-            for target in transitions[state]:
-                if target is not None:
-                    nxt[target] = nxt.get(target, 0) + cnt
+        for key, cnt in vec.items():
+            state, code = divmod(key, radix)
+            for j, target in enumerate(delta[state]):
+                if target is None:
+                    continue
+                key = target * radix + code
+                if j in place:
+                    unit, base = place[j]
+                    if code // unit % base == base - 1:
+                        continue
+                    key += unit
+                nxt[key] = nxt.get(key, 0) + cnt
         vec = nxt
-        values.append(sum(vec.values()))
-    return DimSeries(tuple(values), "degree")
-
-
-def _factor_automaton(a: MonomialAlgebraPresentation):
-    """States are proper prefixes of forbidden words; completing a word kills."""
-    forbidden = set(a.forbidden)
-    prefixes: list[Word] = [()]
-    seen = {()}
-    for w in a.forbidden:
-        for k in range(1, len(w)):
-            pre = w[:k]
-            if pre not in seen:
-                seen.add(pre)
-                prefixes.append(pre)
-    index = {pre: i for i, pre in enumerate(prefixes)}
-    transitions: list[list[Optional[int]]] = []
-    for pre in prefixes:
-        row: list[Optional[int]] = []
-        for x in a.variables:
-            t = pre + (x,)
-            target: Optional[int] = None
-            for cut in range(len(t)):
-                suffix = t[cut:]
-                if suffix in forbidden:
-                    target = None
-                    break
-                if suffix in seen:
-                    target = index[suffix]
-                    break
-            else:
-                target = index[()]
-            row.append(target)
-        transitions.append(row)
-    return index[()], transitions
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ multiple of the minimal period.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, islice, product
 from typing import Iterable, Mapping, Optional
 
+from .algebra import count_words, word_automaton
 from .dims import DimSeries, Frozen
 from .trees import LEAF, Alphabet, Generator, TreeMonomial
 
@@ -224,62 +225,30 @@ def example_at_most_one_index2() -> AvoidanceSystem:
 
 
 def closed_set_counts(system: AvoidanceSystem, max_height: int) -> DimSeries:
-    """Count avoiding words by height with a factor-matching transfer matrix.
+    """Count avoiding words by height on :func:`oplab.algebra.word_automaton`.
 
-    State = (window of recent meaningful letters, capped letter counts);
-    the final letter of a word matches forbidden factors on generator only.
-    ``completes`` writes that rule out again on purpose instead of calling
-    ``_occurs_at``: ``enumerate_avoiding_words`` checks every word through
-    ``contains_factor`` and is the oracle these counts are tested against,
-    so the two keep separate match code.
+    A factor f occurs ending at a meaningful letter exactly when f[:-1] is
+    followed by any index of f's last generator g, so the patterns are
+    f[:-1] + ((g, i),) for each index i; they need not be self-reduced.  A
+    word of height h walks h - 1 meaningful letters, counting the capped
+    ones, and ends in a generator g whose letter (g, 1) keeps it live.  The
+    states are the patterns' prefixes, at most 1 + the sum of their lengths.
+    ``enumerate_avoiding_words`` matches through ``contains_factor`` and is
+    the oracle these counts are tested against, with separate match code.
     """
     if max_height < 0:
         raise BranchError("max_height must be nonnegative")
-    patterns = [tuple(f.letters) for f in system.forbidden]
-    window_len = max((len(pat) - 1 for pat in patterns), default=0)
-    cap_keys = tuple(sorted(system.letter_caps))
-    caps = tuple(system.letter_caps[k] for k in cap_keys)
-    cap_index = {k: i for i, k in enumerate(cap_keys)}
-
-    def completes(window: tuple, gen: Generator) -> bool:
-        for pat in patterns:
-            k = len(pat)
-            if k - 1 > len(window):
-                continue
-            if pat[-1][0] != gen:
-                continue
-            tail = window[len(window) - (k - 1):]
-            if all(tail[r] == (pat[r][0], pat[r][1]) for r in range(k - 1)):
-                return True
-        return False
-
-    values = [1]
-    # states: (window, counts) -> number of meaningful prefixes
-    states: dict[tuple, int] = {((), (0,) * len(caps)): 1}
-    for h in range(1, max_height + 1):
-        # words of height h: a state of h-1 meaningful letters plus a final letter
-        total = 0
-        new_states: dict[tuple, int] = {}
-        for (window, counts), cnt in states.items():
-            for g in system.alphabet.generators:
-                # factors match their final letter on generator only, so the
-                # completion test is the same for meaningful and final letters
-                if completes(window, g):
-                    continue
-                total += cnt
-                for idx in range(1, g.arity + 1) if h < max_height else ():
-                    ci = cap_index.get((g.name, idx))
-                    new_counts = counts
-                    if ci is not None:
-                        if counts[ci] + 1 > caps[ci]:
-                            continue
-                        new_counts = counts[:ci] + (counts[ci] + 1,) + counts[ci + 1:]
-                    new_window = (window + ((g, idx),))[-window_len:] if window_len else ()
-                    key = (new_window, new_counts)
-                    new_states[key] = new_states.get(key, 0) + cnt
-        values.append(total)
-        states = new_states
-    return DimSeries(tuple(values), "weight")
+    letters = [(g, i) for g in system.alphabet.generators for i in range(1, g.arity + 1)]
+    patterns = [f.letters[:-1] + ((f.letters[-1][0], i),)
+                for f in system.forbidden for i in range(1, f.letters[-1][0].arity + 1)]
+    delta = word_automaton(letters, patterns)
+    column = {x: j for j, x in enumerate(letters)}
+    finals = [column[g, 1] for g in system.alphabet.generators]
+    endings = [sum(row[j] is not None for j in finals) for row in delta]
+    limits = {column[system.alphabet[name], i]: cap
+              for (name, i), cap in system.letter_caps.items()}
+    counts = islice(count_words(delta, endings, limits), max_height)
+    return DimSeries(chain((1,), counts), "weight")
 
 
 def enumerate_avoiding_words(system: AvoidanceSystem, height: int) -> Iterable[BranchWord]:

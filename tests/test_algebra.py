@@ -1,6 +1,11 @@
 """Monomial algebra Hilbert dims and the closed-form preset families."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,16 +29,20 @@ from oplab import (
 from oplab.algebra import (
     AlgebraError,
     AlgebraSyntaxError,
+    count_words,
     floor_power,
     floor_root,
     format_algebra,
     parse_algebra,
     sparse_gap_intervals,
+    word_automaton,
     word_is_normal,
 )
 from oplab.dims import FileSyntaxError, directives
 from oplab.monomial import PresentationError, PresentationSyntaxError
 from oplab.series import series_mul
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestHilbert:
@@ -59,6 +68,11 @@ class TestHilbert:
         with pytest.raises(AlgebraError):
             MonomialAlgebraPresentation(("x",), [("x", "z")])
 
+    def test_negative_degree_is_an_error(self):
+        a = MonomialAlgebraPresentation(("x1", "x2"), [("x1", "x1")])
+        with pytest.raises(AlgebraError, match="max_degree must be nonnegative"):
+            hilbert_dims(a, -1)
+
     def test_word_is_normal(self):
         a = MonomialAlgebraPresentation(("x", "y"), [("x", "x")])
         assert word_is_normal(a, ("x", "y", "x"))
@@ -78,6 +92,38 @@ class TestHilbert:
             assert dims[degree] == brute_avoiding_words(variables, a.forbidden, degree)
 
 
+class TestWordAutomaton:
+    def test_states_breadth_first_in_letter_order(self):
+        # states (), a, b, ab, ba, abb; ba and abb are patterns, and the fail
+        # state of abb is b
+        delta = word_automaton("ab", [("b", "a"), ("a", "b", "b")])
+        assert delta == [[1, 2], [1, 3], [None, 2], [None, None], [1, 3], [None, 2]]
+
+    def test_pattern_inside_a_longer_prefix_kills(self):
+        # x y is a prefix of x y z, and its suffix y is a pattern
+        delta = word_automaton("xyz", [("x", "y", "z"), ("y",)])
+        assert delta[0][1] is None
+        assert delta[delta[0][0]][1] is None
+        assert list(islice(count_words(delta), 5)) == [1, 2, 4, 8, 16]
+
+    def test_caps_and_weights(self):
+        delta = word_automaton("xy", [])
+        assert list(islice(count_words(delta, limits={1: 2}), 5)) == [1, 2, 4, 7, 11]
+        assert list(islice(count_words(delta, weights=[3]), 4)) == [3, 6, 12, 24]
+
+    def test_state_numbers_do_not_depend_on_the_hash_seed(self):
+        code = ("from oplab.algebra import word_automaton\n"
+                "from oplab.trees import Alphabet\n"
+                "g = Alphabet.of(a=2, b=1, c=3).generators\n"
+                "letters = [(x, i) for x in g for i in range(1, x.arity + 1)]\n"
+                "print(word_automaton(letters, [letters[5:1:-1], letters[::2], letters[3:]]))")
+        runs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed),
+                               check=True).stdout
+                for seed in ("0", "1", "2")}
+        assert len(runs) == 1
+
+
 class TestStaircase:
     def test_small_values(self):
         dims = warfield_dims("2.5", 10)
@@ -95,9 +141,9 @@ class TestStaircase:
                 warfield_dims(bad, 5)
 
     def test_monomial_model_matches_closed_form(self):
-        for r in ("2.5", "2.2", "2.8"):
-            model = warfield_monomial_model(r, 28)
-            assert hilbert_dims(model, 28).values == warfield_dims(r, 28).values
+        for r, n in (("2.5", 28), ("2.2", 28), ("2.8", 28), ("5/2", 120)):
+            model = warfield_monomial_model(r, n)
+            assert hilbert_dims(model, n).values == warfield_dims(r, n).values
 
 
 class TestGappedSlowGrowth:

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import time
 
 import pytest
 
@@ -251,19 +252,49 @@ class TestAvoidance:
 
     def test_transfer_matrix_matches_brute_force(self):
         rng = random.Random(77)
+        for alphabet in (Alphabet.of(a=2), Alphabet.of(a=2, b=1), Alphabet.of(a=3, b=1),
+                         Alphabet.of(a=2, b=2, c=1)):
+            letters = [(g, i) for g in alphabet.generators for i in range(1, g.arity + 1)]
+            height = 6 if len(letters) <= 4 else 5  # at most 2048 words per height
+            for _ in range(12):
+                words = [BranchWord(tuple(rng.choice(letters) for _ in range(rng.randint(1, 4))))
+                         for _ in range(rng.randint(1, 3))]
+                caps = {(g.name, i): rng.randint(0, 2) for g, i in letters if rng.random() < 0.4}
+                sys = AvoidanceSystem(alphabet, tuple(words), caps)
+                counts = closed_set_counts(sys, height)
+                for h in range(height + 1):
+                    assert counts[h] == sum(1 for _ in enumerate_avoiding_words(sys, h))
+
+    @pytest.mark.parametrize("factors", [
+        ("a:1 b", "a:2 a:1 b"),
+        # a:1 b:1 ends a proper prefix of the second factor's patterns
+        ("a:1 b", "a:2 a:1 b:1 a"),
+        ("b:1 b", "a:1 b:1 b:1 a:2 a"),
+    ])
+    def test_factor_inside_another_factor(self, factors):
         mixed = Alphabet.of(a=2, b=1)
-        for _ in range(12):
-            words = []
-            for _ in range(rng.randint(1, 3)):
-                w = random_periodic_word(rng, mixed)
-                words.append(w.factor(1, rng.randint(1, min(3, len(w)))))
-            caps = {}
-            if rng.random() < 0.5:
-                caps[("a", 2)] = rng.randint(0, 2)
-            sys = AvoidanceSystem(mixed, tuple(words), caps)
-            counts = closed_set_counts(sys, 6)
-            for h in range(7):
-                assert counts[h] == sum(1 for _ in enumerate_avoiding_words(sys, h))
+        sys = AvoidanceSystem(mixed, tuple(parse_branch_word(f, mixed) for f in factors))
+        counts = closed_set_counts(sys, 8)
+        for h in range(9):
+            assert counts[h] == sum(1 for _ in enumerate_avoiding_words(sys, h))
+
+    def test_height_12_factor_to_height_40_within_budget(self):
+        # one height-12 factor to height 40 took about 116 s when the states
+        # were windows of the last 11 letters (about 3**11 of them)
+        mixed = Alphabet.of(a=2, b=1)
+        factor = parse_branch_word("a:1 a:2 b:1 a:1 a:1 a:2 b:1 a:2 a:1 b:1 a:1 a", mixed)
+        start = time.perf_counter()
+        counts = closed_set_counts(AvoidanceSystem(mixed, (factor,)), 40)
+        assert time.perf_counter() - start < 2.0
+        free = closed_set_counts(AvoidanceSystem(mixed, ()), 13)
+        assert counts[:12] == free[:12]
+        # the factor itself, then 4 words with it at the start and 3 after one letter
+        assert (counts[12], counts[13]) == (free[12] - 1, free[13] - 7)
+        assert counts[40] == 8104233392143938639  # as the window states counted it
+
+    def test_negative_height_is_an_error(self):
+        with pytest.raises(BranchError, match="max_height must be nonnegative"):
+            closed_set_counts(example_at_most_one_index2(), -1)
 
     def test_cubic_bound_property_small(self):
         rng = random.Random(404)

@@ -26,6 +26,16 @@ GAPCHECK_SHA256 = "d203acd8467431e866066d5a40bfaf8e3d4fcf55be26069f00c728f4fd1d8
 # was taken with hashlib
 EX53_2_SHA256 = "21ec5441c4e9a8f93029a3cf71f42a509bf6bf56d68ec5fe06a8870bda2c6bcd"
 
+# stdout of `series` as csv, json and gnuplot, one digest per source, when
+# ex46-avoidance was counted on windows of letters and algebra files on the
+# proper prefixes of their forbidden words
+SERIES_SHA256 = {
+    "series --preset ex46-avoidance --max 300":
+        "2a334f0053ab02f4121861ad0546a0a68dfc133d123689f561d6a6be52e20725",
+    "series --source alg.txt --max 60":
+        "13bf0417223f8f9e19c2a4127ede6ab92e10767d0a75d6b1757baf71136c7e15",
+}
+
 
 def invoke(*argv, stdin=None, monkeypatch=None):
     out = io.StringIO()
@@ -188,6 +198,18 @@ class TestSeriesPipes:
                             stdin=series_csv, monkeypatch=monkeypatch)
         assert code == 0
         assert "order=1" in text
+
+    @pytest.mark.parametrize("argv", sorted(SERIES_SHA256))
+    def test_series_bytes_are_pinned(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("alg.txt").write_text("var x1\nvar x2\nvar x3\nforbid x1 x2 x1\nforbid x2 x2\n"
+                                   "forbid x3 x1 x3 x3\nforbid x3 x3 x3\n")
+        digest = hashlib.sha256()
+        for emit in ("csv", "json", "gnuplot"):
+            code, text = invoke(*argv.split(), "--emit", emit)
+            assert code == 0
+            digest.update(text.encode())
+        assert digest.hexdigest() == SERIES_SHA256[argv]
 
     def test_series_from_algebra_file(self, tmp_path):
         f = tmp_path / "alg.txt"
@@ -862,6 +884,9 @@ class TestImportGraph:
          set()),
         ("sweep --relation-weight 2 --horizon 10", {"oplab.monomial"}, {"oplab.brute"}),
         ("gapcheck --preset ex53-3 --max-weight 8", {"oplab.monomial"}, {"oplab.brute"}),
+        # avoidance counts on the algebra module's word automaton
+        ("series --preset ex46-avoidance --max 20", {"oplab.branch", "oplab.algebra"},
+         {"oplab.monomial", "oplab.series", "oplab.linalg"}),
     ])
     def test_subcommand_imports_only_its_modules(self, argv, needed, unused):
         loaded = modules_loaded_by(
@@ -903,6 +928,7 @@ class TestImportGraph:
         ("operadize --algebra {alg} --emit -", False),
         ("envelope --kind sym --preset ex64-partition --max-index 20", False),
         ("series --source {alg} --max 10", False),
+        ("series --preset ex46-avoidance --max 20", False),
         ("gk --preset floorpow:3/2 --N 50", True),
         ("guess --preset fibonacci --max 60 --max-order 2 --max-degree 1", True),
     ])
