@@ -6,7 +6,7 @@ full metadata, gnuplot emits a plottable block); every numeric value is an
 exact integer or rational unless explicitly labelled as a floating
 estimate.  Exit codes: 0 success, 1 usage error, 2 computation error
 (including a failed internal invariant, and a relation too tall for
-``grammar`` to print).
+``grammar`` to print), 141 when the reader closes stdout early.
 Usage errors include a preset parameter that is missing, malformed or out
 of range, and a missing or doubled source (a file flag together with
 --preset).
@@ -56,47 +56,26 @@ def _size(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 class Preset(NamedTuple):
-    """``build(*params)`` gives a presentation, ``build(n, *params)`` dims up
-    to at least index n: a DimSeries, or a closed form's values, generated as
-    they are read, with their index kind.  ``param`` (None: no parameter)
-    parses the text after ``name:`` into build's last argument, raising
-    ValueError or ZeroDivisionError if bad."""
+    """``build(name, *params)`` of a presentation preset gives the presentation
+    named ``name``; ``build(n, *params)`` of a dims preset gives its dims from
+    index 0 to at least n as one pair: the values, to be read once, and their
+    index kind.  ``param`` reads the text after ``name:`` as an "int" or a
+    "rational" (None: no parameter); the build's library function checks it."""
 
     name: str
     kind: str  # "presentation" | "dims"
     description: str
     build: Callable
-    param: Optional[Callable[[str], object]] = None
+    param: Optional[str] = None
 
 
-def _param(kind: Callable[[str], object], valid: Callable,
-           requirement: str) -> Callable[[str], object]:
-    """A ``Preset.param`` parser: ``kind(text)``, checked by ``valid``."""
-    def parse(text: str):
-        value = kind(text)
-        if not valid(value):
-            raise ValueError(f"must {requirement}")
-        return value
-    return parse
-
-
-def _rational(text: str) -> Fraction:
-    from fractions import Fraction
-
-    return Fraction(text)
-
-
-_AT_LEAST_1 = _param(int, lambda d: d >= 1, "be at least 1")
-_POSITIVE = _param(_rational, lambda a: a > 0, "be positive")
-_STAIRCASE = _param(_rational, lambda r: 2 < r < 3, "lie strictly between 2 and 3")
-
-
-def _binary_operad(relation_literals: Sequence[str], name: str) -> MonomialOperadPresentation:
+def _operad(name: str, arity: int = 2, *relations: str) -> MonomialOperadPresentation:
+    """The operad on one generator ``a`` of the given arity with these relations."""
     from .monomial import MonomialOperadPresentation
     from .trees import Alphabet, parse_monomial
 
-    alphabet = Alphabet.of(a=2)
-    rels = [parse_monomial(lit, alphabet) for lit in relation_literals]
+    alphabet = Alphabet.of(a=arity)
+    rels = [parse_monomial(lit, alphabet) for lit in relations]
     return MonomialOperadPresentation(alphabet, rels, name=name)
 
 
@@ -106,26 +85,9 @@ _CHAIN21 = "a(*,a(a(*,*),*))"       # a o_2 a o_1 a
 _CHAIN22 = "a(*,a(*,a(*,*)))"       # a o_2 a o_2 a
 
 
-def _free_operad(arity: int) -> MonomialOperadPresentation:
-    from .monomial import MonomialOperadPresentation
-    from .trees import Alphabet
-
-    return MonomialOperadPresentation(Alphabet.of(a=arity), (), name=f"free-operad:{arity}")
-
-
-def _algebra_family(family: str) -> Callable:
-    """A dims preset build ``(n, *params)`` that calls ``oplab.algebra.<family>(*params, n)``."""
-    def build(n, *params):
-        from . import algebra
-
-        return getattr(algebra, family)(*params, n)
-    return build
-
-
 def _closed_form(family: str, index_kind: str) -> Callable:
-    """A dims preset build ``(n, *params)``: the values of
-    ``oplab.algebra.<family>(*params, n, stream=True)``, generated as they
-    are read, with their index kind."""
+    """A dims preset build ``(n, *params)``: the values of ``oplab.algebra.<family>
+    (*params, n, stream=True)``, generated as they are read, and their index kind."""
     def build(n, *params):
         from . import algebra
 
@@ -139,105 +101,109 @@ def _example62(n: int) -> tuple[Iterable[int], str]:
     return example62_dims(max(2, n), stream=True), "degree"
 
 
-def _avoidance(n: int) -> DimSeries:
+def _partition(n: int) -> tuple[Iterable[int], str]:
+    from .algebra import partition_dims
+
+    return partition_dims(n).values, "degree"
+
+
+def _avoidance(n: int) -> tuple[Iterable[int], str]:
     from .branch import closed_set_counts, example_at_most_one_index2
 
-    return closed_set_counts(example_at_most_one_index2(), n)
+    return closed_set_counts(example_at_most_one_index2(), n).values, "weight"
 
 
 CATALOG = {p.name.partition(":")[0]: p for p in (
     Preset("ex53-1", "presentation",
            "single binary generator, shuffle relation only; dims 2^(n-2)",
-           lambda: _binary_operad([_SHUFFLE], "ex53-1")),
+           lambda name: _operad(name, 2, _SHUFFLE)),
     Preset("ex53-2", "presentation",
            "fibonacci operad: shuffle relation plus the 1,1-chain",
-           lambda: _binary_operad([_SHUFFLE, _CHAIN11], "ex53-2")),
-    Preset("fibonacci", "presentation",
-           "alias of ex53-2",
-           lambda: _binary_operad([_SHUFFLE, _CHAIN11], "fibonacci")),
+           lambda name: _operad(name, 2, _SHUFFLE, _CHAIN11)),
     Preset("ex53-3", "presentation",
            "single binary generator; dims eventually constant 2",
-           lambda: _binary_operad([_SHUFFLE, _CHAIN21, _CHAIN22], "ex53-3")),
+           lambda name: _operad(name, 2, _SHUFFLE, _CHAIN21, _CHAIN22)),
     Preset("ex62", "dims",
            "gapped slow-growth algebra dims 1,2,3+delta (degree-indexed)",
            _example62),
-    Preset("example62", "dims",
-           "alias of ex62",
-           _example62),
     Preset("ex64-partition", "dims",
            "partition numbers p(n) (degree-indexed)",
-           _algebra_family("partition_dims")),
-    Preset("partition", "dims",
-           "alias of ex64-partition",
-           _algebra_family("partition_dims")),
+           _partition),
     Preset("ex46-avoidance", "dims",
            "single-branched words with at most one index-2 letter; exactly h words at height h",
            _avoidance),
     Preset("ex34:<alpha>", "dims",
            "operad dims with partial sums floor(n^alpha) (arity-indexed)",
-           _closed_form("floor_power_dims", "arity"), _POSITIVE),
-    Preset("floorpow:<alpha>", "dims",
-           "alias of ex34:<alpha>",
-           _closed_form("floor_power_dims", "arity"), _POSITIVE),
+           _closed_form("floor_power_dims", "arity"), "rational"),
     Preset("ex35:<r>", "dims",
            "staircase algebra dims with growth exponent r in (2,3) (degree-indexed)",
-           _closed_form("warfield_dims", "degree"), _STAIRCASE),
-    Preset("warfield:<r>", "dims",
-           "alias of ex35:<r>",
-           _closed_form("warfield_dims", "degree"), _STAIRCASE),
+           _closed_form("warfield_dims", "degree"), "rational"),
     Preset("polyring:<d>", "dims",
            "polynomial ring dims C(n+d-1, d-1) (degree-indexed)",
-           _closed_form("polynomial_ring_dims", "degree"), _AT_LEAST_1),
+           _closed_form("polynomial_ring_dims", "degree"), "int"),
     Preset("free:<d>", "dims",
            "free algebra dims d^n (degree-indexed)",
-           _closed_form("free_algebra_dims", "degree"), _AT_LEAST_1),
+           _closed_form("free_algebra_dims", "degree"), "int"),
     Preset("free-operad:<arity>", "presentation",
            "free operad on one generator of the given arity",
-           _free_operad, _AT_LEAST_1),
+           lambda name, arity: _operad(f"{name}:{arity}", arity), "int"),
 )}
+# alias -> the preset it names; the alias takes that preset's parameter
+CATALOG.update((alias, CATALOG[base]._replace(name=alias + CATALOG[base].name[len(base):],
+                                              description=f"alias of {CATALOG[base].name}"))
+               for alias, base in {"fibonacci": "ex53-2", "example62": "ex62",
+                                   "partition": "ex64-partition", "floorpow": "ex34",
+                                   "warfield": "ex35"}.items())
 
 
-def resolve_preset(spec: str) -> tuple[Preset, tuple]:
-    """Split ``name`` or ``name:param`` and return the preset and the
-    arguments its build takes after n: () or (parsed param,)."""
+def _preset(spec: str, n: Optional[int] = None):
+    """With n None, the presentation that ``spec`` (``name`` or
+    ``name:param``) names, built under the spec's name; a dims preset is then
+    a usage error.  Otherwise the preset's dims from index 0 to at least n:
+    the values, to be read once, and their index kind.  A parameter that does
+    not parse, or that the build rejects, is a usage error that carries the
+    parser's or the library function's own message."""
     base, colon, text = spec.partition(":")
     preset = CATALOG.get(base)
     if preset is None:
         raise UsageError(f"unknown preset {spec!r}; run 'oplab preset-list'")
-    if preset.param is None:
-        if colon:
-            raise UsageError(f"preset {base!r} takes no parameter")
-        return preset, ()
-    if not text:
+    if preset.param is None and colon:
+        raise UsageError(f"preset {base!r} takes no parameter")
+    if preset.param is not None and not text:
         raise UsageError(f"preset {base!r} needs a parameter, e.g. {preset.name!r}")
+    params: tuple = ()
     try:
-        return preset, (preset.param(text),)
+        if preset.param == "int":
+            params = (int(text),)
+        elif preset.param == "rational":
+            from fractions import Fraction
+
+            params = (Fraction(text),)
+        if preset.kind == "presentation":
+            p = preset.build(base, *params)
+        elif n is None:
+            raise UsageError(f"preset {spec!r} is a dimension preset, not an operad presentation")
+        else:
+            return preset.build(n, *params)
     except (ValueError, ZeroDivisionError) as exc:
+        if preset.param is None:
+            raise
         raise UsageError(f"preset {base!r}: bad parameter {text!r}: {exc}") from None
+    if n is None:
+        return p
+    from . import monomial
 
-
-def _preset_build(spec: str, n: int) -> DimSeries | tuple[Iterable[int], str]:
-    """A preset's dims from index 0 to at least n: a DimSeries, or a closed
-    form's values, to be read once, with their index kind."""
-    preset, params = resolve_preset(spec)
-    if preset.kind == "presentation":
-        from . import monomial
-
-        return monomial.dim_by_arity(preset.build(*params), n)
-    return preset.build(n, *params)
+    dims = monomial.dim_by_arity(p, n)
+    return dims.values, dims.index_kind
 
 
 def preset_dims(spec: str, n: int) -> DimSeries:
     """Dimension sequence of a preset from index 0 to at least n."""
-    dims = _preset_build(spec, n)
-    return dims if isinstance(dims, DimSeries) else DimSeries(*dims)
+    return DimSeries(*_preset(spec, n))
 
 
 def preset_presentation(spec: str) -> MonomialOperadPresentation:
-    preset, params = resolve_preset(spec)
-    if preset.kind != "presentation":
-        raise UsageError(f"preset {spec!r} is a dimension preset, not an operad presentation")
-    return preset.build(*params)
+    return _preset(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +327,10 @@ def _series_source(args, n: Optional[int]) -> tuple[Iterable[Fraction | int], in
             raise
     if n is None:
         raise UsageError(f"a max index is required for {'file' if is_file else 'preset'} sources")
-    if not is_file:
-        dims = _preset_build(source, n)
-        meta = {"exact": getattr(dims, "exact", True)}
-    elif keyword in ("var", "forbid"):
+    if not is_file:  # no preset is weight-capped, so every one is exact
+        values, kind = _preset(source, n)
+        return islice(values, n + 1), n, source, {"exact": True, "index_kind": kind}
+    if keyword in ("var", "forbid"):
         from . import algebra
 
         dims = algebra.hilbert_dims(_load_file(source, algebra.parse_algebra, text), n)
@@ -375,9 +341,8 @@ def _series_source(args, n: Optional[int]) -> tuple[Iterable[Fraction | int], in
         p = _load_file(source, monomial.parse_presentation, text)
         dims = monomial.dim_by_arity(p, n)
         meta = {"exact": dims.exact, "sha256": _presentation_hash(p)}
-    values, kind = (dims.values, dims.index_kind) if isinstance(dims, DimSeries) else dims
-    meta["index_kind"] = kind
-    return islice(values, n + 1), n, source, meta
+    meta["index_kind"] = dims.index_kind
+    return islice(dims.values, n + 1), n, source, meta
 
 
 def _presentation_hash(p: MonomialOperadPresentation) -> str:
@@ -630,7 +595,7 @@ def sweep_family(relation_weight: int) -> list[tuple[str, MonomialOperadPresenta
 
     if relation_weight not in (2, 3):
         raise UsageError("sweep supports relation weights 2 and 3")
-    free = _free_operad(2)
+    free = _operad("free-operad:2")
     pool = [t for t in enumerate_irr(free, relation_weight)
             if 2 <= t.weight <= relation_weight]
     out = []
@@ -782,7 +747,15 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+    except BrokenPipeError:  # the reader closed stdout, as `oplab ... | head` does
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the last flush
+        code = 141  # what a shell reports for a process killed by SIGPIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

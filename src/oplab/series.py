@@ -106,9 +106,10 @@ class GkReport(NamedTuple):
 
 class _TailFit:
     """Running least-squares sums over the points (log n, log S(n)) of the
-    tail window, fed runs of consecutive indices in order.  Each sum is
-    carried as the start of the next run's ``sum``, so where ``sum`` adds
-    floats left to right the totals are those of one sum over the window."""
+    tail window, fed runs of consecutive indices in order.  Each sum adds
+    its floats left to right, from the running total on, so the totals are
+    those of one left-to-right sum over the window on every CPython (the
+    built-in ``sum`` compensates its rounding from 3.12 on)."""
 
     __slots__ = ("k", "sx", "sy", "sxx", "sxy", "ratio_max", "last")
 
@@ -122,12 +123,15 @@ class _TailFit:
         """Add the points (log n, ys[n - first]) for n = first, first + 1, ..."""
         if not ys:
             return
+        from functools import reduce
+        from operator import add
+
         xs = list(map(math.log, range(first, first + len(ys))))
         self.k += len(ys)
-        self.sx = sum(xs, self.sx)
-        self.sy = sum(ys, self.sy)
-        self.sxx = sum(map(mul, xs, xs), self.sxx)
-        self.sxy = sum(map(mul, xs, ys), self.sxy)
+        self.sx = reduce(add, xs, self.sx)
+        self.sy = reduce(add, ys, self.sy)
+        self.sxx = reduce(add, map(mul, xs, xs), self.sxx)
+        self.sxy = reduce(add, map(mul, xs, ys), self.sxy)
         self.ratio_max = max(self.ratio_max, max(map(truediv, ys, xs)))
         self.last = ys[-1], xs[-1]
 
@@ -147,11 +151,9 @@ def gk_estimate(dims: DimSeries | Iterable, truncation: Optional[int] = None) ->
     grow with the window: one piece of values, or its logs and those of
     their indices.
 
-    The running sums are bit-identical to sums over the whole window on
-    CPython up to 3.11, where ``sum`` adds floats left to right.  From 3.12
-    on, ``sum`` compensates its rounding within each call only, so the
-    slope can differ from one whole-window sum in its last bits (up to
-    about 1e-11 relative on the closed-form presets)."""
+    The running sums are bit-identical to left-to-right sums over the whole
+    window, which is what the built-in ``sum`` gives up to CPython 3.11, so
+    a report is the same on every CPython version."""
     n_max = len(dims) - 1 if truncation is None else truncation
     start = max(2, n_max - int(n_max * TAIL_FRACTION))
     anchors = _anchors(n_max)

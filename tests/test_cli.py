@@ -26,6 +26,33 @@ GAPCHECK_SHA256 = "d203acd8467431e866066d5a40bfaf8e3d4fcf55be26069f00c728f4fd1d8
 # was taken with hashlib
 EX53_2_SHA256 = "21ec5441c4e9a8f93029a3cf71f42a509bf6bf56d68ec5fe06a8870bda2c6bcd"
 
+# the parameter passed to each preset that takes one
+PRESET_PARAMS = {"ex34": "1.5", "floorpow": "1.5", "ex35": "2.5", "warfield": "2.5",
+                 "polyring": "2", "free": "2", "free-operad": "2"}
+
+# SHA-256 over the exit code and stdout of `series --max 12 --emit json` on
+# each catalog key (with PRESET_PARAMS), followed for a presentation preset by
+# those of `dims --max-arity 8 --emit json` and `grammar`, when every preset
+# and its alias were written out in full in the catalog
+PRESET_OUTPUT_SHA256 = {
+    "ex34": "aa54beba39bfb75b6570382ad03f768c0be3b0365e052fe8b8a3b18e982fba6a",
+    "ex35": "7a9c9dc0fbf645b68147bc1b9c27c6dd23a896a8120240e0bbde2371dceeb672",
+    "ex46-avoidance": "e7c215068ef7a6ea91b7ff16d81f119a609dfaaf70509b7fd2c9eeb16b3deab3",
+    "ex53-1": "183638ac5475b742abac04a8868a6dbc2806a6855c67a0625829ec7a2800a155",
+    "ex53-2": "1eb05a67dc36ca4c5ed527e39ba6501a080f4cc171984dbdb71baf7bc1563114",
+    "ex53-3": "0e0a3ea50d6a46addfdadc99884d406358b018e7ea239cc31b2fe0c58a323b7c",
+    "ex62": "f17f3c1fa7f14d3f70c001b4c4d39a7bf07e71966970ec8ac989d45eaa85ba62",
+    "ex64-partition": "bf15de9f1b623a8609e4e38041400eae63af0975a576b922fc66f26560c0b827",
+    "example62": "d755a6cb871239cc372aa8db4c320e349107a6f3ac24a277f5f08d1cab51c422",
+    "fibonacci": "aa13e6420cd9fefecc453b9f82cd449ed1fe0b37dbeb43468ce7a8a052806666",
+    "floorpow": "ec24eabdd692e75a0689e9d195df38cd35c33d6f12a59996ea9921e9033b6f7a",
+    "free": "4a06d067f8045ef2f00383229c890200d9b579c45275d132d32ad2e0cfe4c07c",
+    "free-operad": "f498baef4c1987693fc99fca02af0f3453995420838ecaa03407b929453800d8",
+    "partition": "3ecba7f29aa0a1eed741172089cfbef1180f8422ddfec52d32c0cd779b7bb8f5",
+    "polyring": "f90d8159f2e89aafb9c4ae3daf05b33abd43297541cb2fd22aab4de4cc17a199",
+    "warfield": "db1861300601c007467d2c7662183f8ee371969d6f0bdbb3d3e482af8e2671e4",
+}
+
 # stdout of `series` as csv, json and gnuplot, one digest per source, when
 # ex46-avoidance was counted on windows of letters and algebra files on the
 # proper prefixes of their forbidden words
@@ -35,6 +62,11 @@ SERIES_SHA256 = {
     "series --source alg.txt --max 60":
         "13bf0417223f8f9e19c2a4127ede6ab92e10767d0a75d6b1757baf71136c7e15",
 }
+
+
+def preset_spec(name: str) -> str:
+    """The catalog key ``name`` with its PRESET_PARAMS parameter, if it takes one."""
+    return f"{name}:{PRESET_PARAMS[name]}" if name in PRESET_PARAMS else name
 
 
 def invoke(*argv, stdin=None, monkeypatch=None):
@@ -154,6 +186,20 @@ class TestGrammar:
 
 
 class TestSeriesPipes:
+    def test_closed_stdout_exits_141_without_traceback(self):
+        # as `oplab series ... | head -1` does: the reader takes one line and goes
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "oplab.cli", "series", "--preset", "floorpow:3/2",
+             "--max", "200000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"n,coeff,partial_sum,log_n_partial_sum\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert b"Traceback" not in err
+
     def test_partition_guess_pipe(self, monkeypatch):
         _, series_csv = invoke("series", "--preset", "ex64-partition", "--max", "50")
         code, text = invoke("guess", "--max-order", "4", "--max-degree", "4",
@@ -317,6 +363,15 @@ class TestSweep:
         lines = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert len(lines) == 1 + 4
         assert "dichotomy holds" in text
+
+    def test_weight2_output_is_the_same_on_every_python(self):
+        # SWEEP_SHA256[2] of perfbench/workloads.py; its flat-tailed rows print
+        # the slope of left-to-right float sums, -0.000000, which CPython
+        # 3.12's compensated ``sum`` turned into 0.000000
+        code, text = invoke("sweep", "--relation-weight", "2", "--horizon", "40")
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "085463afc86b549766ad02ca89b438f8395d604eec9c82c8eb472157ddcfe20e")
 
     def test_weight3_family_is_128(self):
         assert len(sweep_family(3)) == 128
@@ -653,13 +708,21 @@ class TestPresetList:
     def test_catalog_keys_resolve(self):
         from oplab.cli import preset_dims
         for name in CATALOG:
-            preset = CATALOG[name]
-            spec = {"ex34": "ex34:1.5", "floorpow": "floorpow:1.5",
-                    "ex35": "ex35:2.5", "warfield": "warfield:2.5",
-                    "polyring": "polyring:2", "free": "free:2",
-                    "free-operad": "free-operad:2"}.get(name, name)
-            dims = preset_dims(spec, 8)
+            dims = preset_dims(preset_spec(name), 8)
             assert len(dims.values) >= 5
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_every_preset_output_is_pinned(self, name):
+        spec = preset_spec(name)
+        argvs = [("series", "--preset", spec, "--max", "12", "--emit", "json")]
+        if CATALOG[name].kind == "presentation":
+            argvs += [("dims", "--preset", spec, "--max-arity", "8", "--emit", "json"),
+                      ("grammar", "--preset", spec)]
+        digest = hashlib.sha256()
+        for argv in argvs:
+            code, text = invoke(*argv)
+            digest.update(f"{code}\n{text}".encode())
+        assert digest.hexdigest() == PRESET_OUTPUT_SHA256[name]
 
 
 class TestCsvInput:

@@ -5,22 +5,19 @@ window and a list of (log n, log S) pairs, and runs the geometric test on
 the full list of sums.  gk_estimate reads its input once and sums only the
 tail window; on a sequence and on a one-shot iterator with its truncation
 alike, it must return a bit-identical GkReport, or raise the same error
-with the same message.  From CPython 3.12 on, ``sum`` compensates its
-rounding within each call, so gk_estimate's sums, taken a piece at a time,
-can differ from the oracle's one sum over the window in the last bits (the
-slope by up to 1.7e-10 relative, or by 2.5e-9 where a flat tail leaves it
-rounding noise around 0): there a report's floats need only agree to 1e-9
-relative or 1e-8 absolute.
+with the same message.  Both add floats left to right (the built-in ``sum``
+compensates its rounding from CPython 3.12 on), so this holds on every
+version.
 """
 
 import io
 import math
 import random
-import sys
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, count
-from operator import ne
+from operator import add, ne
 
 import pytest
 
@@ -59,10 +56,10 @@ def full_window_gk(dims):
         raise DegenerateSeriesError("partial sums vanish on the tail window")
     logs = [(math.log(n), log_of_int(s)) for n, s in window]
     k = len(logs)
-    sx = sum(x for x, _ in logs)
-    sy = sum(y for _, y in logs)
-    sxx = sum(x * x for x, _ in logs)
-    sxy = sum(x * y for x, y in logs)
+    sx = reduce(add, (x for x, _ in logs), 0.0)
+    sy = reduce(add, (y for _, y in logs), 0.0)
+    sxx = reduce(add, (x * x for x, _ in logs), 0.0)
+    sxy = reduce(add, (x * y for x, y in logs), 0.0)
     den = k * sxx - sx * sx
     slope = (k * sxy - sx * sy) / den if den else 0.0
     pointwise = log_of_int(sums[n_max]) / math.log(n_max)
@@ -98,21 +95,10 @@ def outcome(estimate, dims):
         return type(exc), str(exc)
 
 
-SUM_COMPENSATES = sys.version_info >= (3, 12)
-FLOATS = ("pointwise", "slope", "pointwise_max")
-
-
 def assert_matches(got, expected):
-    """The same error, or the same report: every float as its exact repr,
-    or, where ``sum`` compensates, within 1e-9 relative or 1e-8 absolute."""
+    """The same error, or the same report with every float as its exact repr."""
     if got[0] != "report" or expected[0] != "report":
         assert got == expected
-    elif SUM_COMPENSATES:
-        zeroed = dict.fromkeys(FLOATS, 0.0)
-        assert got[1]._replace(**zeroed) == expected[1]._replace(**zeroed)
-        for name in FLOATS:
-            assert math.isclose(getattr(got[1], name), getattr(expected[1], name),
-                                rel_tol=1e-9, abs_tol=1e-8), name
     else:
         assert repr(got[1]) == repr(expected[1])
 
