@@ -109,14 +109,22 @@ class MonomialAlgebraPresentation(Frozen):
             if not set(w) <= varset:
                 raise AlgebraError(f"forbidden word {w!r} uses unknown variables")
             words.append(w)
-        char = {v: chr(i) for i, v in enumerate(variables)}  # factors become substrings
-        kept: dict[str, Word] = {}
-        for w in sorted(set(words), key=lambda w: (len(w), w)):
-            text = "".join(map(char.__getitem__, w))
-            if not any(s in text for s in kept):
-                kept[text] = w
+        words = sorted(set(words), key=lambda w: (len(w), w))
+        # a proper factor lies in w[:-1] or w[1:]; a walk dies on reading a factor
+        delta = word_automaton(variables, words)
+        column = {v: j for j, v in enumerate(variables)}
+
+        def lives(word: Word) -> bool:
+            state = 0
+            for x in word:
+                state = delta[state][column[x]]
+                if state is None:
+                    return False
+            return True
+
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "forbidden", tuple(kept.values()))
+        object.__setattr__(self, "forbidden",
+                           tuple(w for w in words if lives(w[:-1]) and lives(w[1:])))
         object.__setattr__(self, "name", name)
 
     def _key(self):  # without the name

@@ -191,10 +191,22 @@ def _preset(spec: str, n: Optional[int] = None):
         raise UsageError(f"preset {base!r}: bad parameter {text!r}: {exc}") from None
     if n is None:
         return p
+    dims = _dim_by_arity(p, n)
+    return dims.values, dims.index_kind
+
+
+def _dim_by_arity(p: MonomialOperadPresentation, n: int, **dims_options) -> DimSeries:
+    """:func:`oplab.monomial.dim_by_arity`, whose error on a unary generator
+    names the flag that counts it: ``--weight-cap`` when options are passed
+    (as ``dims`` does), else ``oplab dims --weight-cap``."""
     from . import monomial
 
-    dims = monomial.dim_by_arity(p, n)
-    return dims.values, dims.index_kind
+    try:
+        return monomial.dim_by_arity(p, n, **dims_options)
+    except monomial.CompletenessError:
+        fix = "pass --weight-cap N" if dims_options else "count with 'oplab dims --weight-cap N'"
+        raise monomial.CompletenessError(
+            f"a unary generator can make an arity class infinite; {fix}") from None
 
 
 def preset_dims(spec: str, n: int) -> DimSeries:
@@ -339,7 +351,7 @@ def _series_source(args, n: Optional[int]) -> tuple[Iterable[Fraction | int], in
         from . import monomial
 
         p = _load_file(source, monomial.parse_presentation, text)
-        dims = monomial.dim_by_arity(p, n)
+        dims = _dim_by_arity(p, n)
         meta = {"exact": dims.exact, "sha256": _presentation_hash(p)}
     meta["index_kind"] = dims.index_kind
     return islice(dims.values, n + 1), n, source, meta
@@ -404,11 +416,8 @@ def _write_values(out, emit: str, values: Iterable, report: dict,
 # ---------------------------------------------------------------------------
 
 def cmd_dims(args, out) -> int:
-    from . import monomial
-
     p, label = _get_presentation(args)
-    dims = monomial.dim_by_arity(p, args.max_arity, engine=args.engine,
-                                 weight_cap=args.weight_cap)
+    dims = _dim_by_arity(p, args.max_arity, engine=args.engine, weight_cap=args.weight_cap)
     report = {"command": "dims", "source": label, "engine": args.engine, "exact": dims.exact,
               "index_kind": dims.index_kind}
     if args.emit == "json":

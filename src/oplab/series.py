@@ -10,9 +10,9 @@ memory does not grow with the window.  Every fit runs over exact rationals;
 the only floating point lives in the explicitly labelled growth estimators
 (logarithms of exact partial sums).
 Absence results are "no candidate at these bounds", never a proof beyond
-them.  Both fitters first certify their top-bound matrix modulo a prime:
-when that decides, "none" is exact for the fitted rows; otherwise it means
-that no candidate passed the holdout suffix, which no fitting step saw.
+them.  Both fitters share one scan of one integer matrix per bound, whose
+rows past N - 20 are a holdout that no fit sees; "none" is exact for the
+fitted rows when the top bound's are certified modulo a prime.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate, islice, pairwise
 from operator import mul, truediv
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .dims import DimSeries, as_dim_values, log_of_int
 from .linalg import clear_denominators, kernel_is_trivial, nullspace, scale_rows_to_int
@@ -258,11 +258,9 @@ def fit_rational(s: Iterable, max_den_degree: Optional[int] = None,
 
     On the window scaled to integers, a fit with denominator 1 + b1 z + ...
     + bd z^d and numerator degree <= nu is a null vector (b1..bd, 1) of the
-    rows (c_{n-1}, ..., c_{n-d}, c_n), nu < n <= N - ``DEFAULT_HOLDOUT``.
-    Padded with zeros it is one of the top bound's matrix, so if that has
-    full rank mod p, None is exact for these rows.  Otherwise the bounds
-    are scanned, denominator degree first, and a candidate must also make
-    den * series vanish on the holdout suffix; None means that none did.
+    rows (c_{n-1}, ..., c_{n-d}, c_n), nu < n <= N: row n dotted with it is
+    the coefficient of z^n in den * series, scaled.  The bounds are scanned
+    by :func:`_null_vectors`, denominator degree first.
     """
     from fractions import Fraction
 
@@ -275,27 +273,16 @@ def fit_rational(s: Iterable, max_den_degree: Optional[int] = None,
     if n_max <= DEFAULT_HOLDOUT:
         raise WindowTooShortError(
             f"need N > {DEFAULT_HOLDOUT} to keep a holdout of {DEFAULT_HOLDOUT}; got N = {n_max}")
-    usable = n_max - DEFAULT_HOLDOUT
     scaled = scale_rows_to_int([coeffs])[0]
 
-    def rows(d: int, nu: int) -> Iterator[list[int]]:
+    def rows(d: int, nu: int, stop: int) -> Iterator[list[int]]:
         return ([scaled[n - j] if n >= j else 0 for j in range(1, d + 1)] + [scaled[n]]
-                for n in range(nu + 1, usable + 1))
+                for n in range(nu + 1, stop + 1))
 
-    if kernel_is_trivial(rows(max_den_degree, max_num_degree)):  # built only as far as read
-        return None
-    for d in range(max_den_degree + 1):
-        for nu in range(max_num_degree + 1):
-            mat = list(rows(d, nu))
-            if len(mat) < d or kernel_is_trivial(mat):  # fewer rows than unknowns: skipped
-                continue
-            vec = next((v for v in nullspace(mat) if v[-1]), None)  # every free b_j zero
-            if vec is None:
-                continue
+    for (_, nu), vec in _null_vectors(rows, 0, (max_den_degree, max_num_degree), n_max):
+        if vec[-1]:  # the one basis vector with c_n's column free; its other free b_j are 0
             den = (Fraction(1), *vec[:-1])
-            conv = series_mul(den, coeffs, n_max)
-            if not any(conv[nu + 1:]):
-                return RationalFit(conv[:nu + 1], den)
+            return RationalFit(series_mul(den, coeffs, nu), den)
     return None
 
 
@@ -351,14 +338,9 @@ def guess_holonomic(s: Iterable, max_order: int,
     first, then smallest degree.
 
     The window is scaled to integers once (a constant multiple keeps every
-    recurrence), so each row is built over the integers.  The kernel is
-    solved exactly; :func:`~oplab.linalg.kernel_is_trivial` certifies
-    emptiness modulo one prime below 2**30, usually from a square block of
-    the rows, without rational arithmetic.  Every bound's null vector,
-    padded with zeros, is one of the top bound's matrix on rows n >=
-    max_order, so a certified top matrix makes None exact for the fitted
-    rows.  Otherwise a candidate must also annihilate the final
-    ``DEFAULT_HOLDOUT`` coefficients, which no fit ever used.
+    recurrence), so each row is built over the integers: row n holds
+    c_{n-i} n^k, and dotted with a candidate it is the residual at n,
+    scaled.  The bounds are scanned by :func:`_null_vectors`.
     """
     coeffs = _exact(s)
     n_max = len(coeffs) - 1
@@ -367,29 +349,45 @@ def guess_holonomic(s: Iterable, max_order: int,
         raise WindowTooShortError(
             f"need N >= {needed} for bounds (order {max_order}, degree {max_degree}, "
             f"holdout {DEFAULT_HOLDOUT}); got N = {n_max}")
-    usable = n_max - DEFAULT_HOLDOUT
     scaled = scale_rows_to_int([coeffs])[0]
 
-    def rows(order: int, degree: int) -> Iterator[list[int]]:
+    def rows(order: int, degree: int, stop: int) -> Iterator[list[int]]:
         return ([scaled[n - i] * n ** k for i in range(order + 1) for k in range(degree + 1)]
-                for n in range(order, usable + 1))
+                for n in range(order, stop + 1))
 
-    if kernel_is_trivial(rows(max_order, max_degree)):  # built only as far as read
-        return None
-    for order in range(1, max_order + 1):
-        for degree in range(max_degree + 1):
-            mat = list(rows(order, degree))
-            if kernel_is_trivial(mat):
-                continue
-            for vec in nullspace(mat):
-                ints = clear_denominators(vec)
-                polys = tuple(
-                    tuple(ints[i * (degree + 1):(i + 1) * (degree + 1)])
-                    for i in range(order + 1))
-                cand = RecurrenceCandidate(order, degree, polys, (order, usable))
-                if cand.annihilates(coeffs, usable + 1, n_max):
-                    return cand
+    for (order, degree), vec in _null_vectors(rows, 1, (max_order, max_degree), n_max):
+        ints = clear_denominators(vec)
+        polys = tuple(tuple(ints[i * (degree + 1):(i + 1) * (degree + 1)])
+                      for i in range(order + 1))
+        return RecurrenceCandidate(order, degree, polys, (order, n_max - DEFAULT_HOLDOUT))
     return None
+
+
+def _null_vectors(rows: Callable[[int, int, int], Iterator[list[int]]], first: int,
+                  top: tuple[int, int], n_max: int) -> Iterator[tuple[tuple[int, int], list]]:
+    """The one bound scan behind both fitters.
+
+    ``rows(a, b, stop)`` builds a bound's integer rows up to index
+    ``stop``; those up to N - ``DEFAULT_HOLDOUT`` are fitted and the last
+    ``DEFAULT_HOLDOUT`` are the holdout.  Every bound's null vector, padded
+    with zeros, is one of the top bound's fitted rows, so nothing is
+    yielded when :func:`~oplab.linalg.kernel_is_trivial` certifies those.
+    Otherwise the bounds are scanned, a from ``first`` up, then b, and each
+    :func:`~oplab.linalg.nullspace` basis vector of a bound's fitted rows
+    whose integer dot product with every holdout row is 0 is yielded.
+    """
+    if kernel_is_trivial(rows(*top, n_max - DEFAULT_HOLDOUT)):  # built only as far as read
+        return
+    for a in range(first, top[0] + 1):
+        for b in range(top[1] + 1):
+            mat = list(rows(a, b, n_max))
+            fit, holdout = mat[:-DEFAULT_HOLDOUT], mat[-DEFAULT_HOLDOUT:]
+            if len(fit) < len(mat[0]) - 1 or kernel_is_trivial(fit):  # fewer rows than unknowns
+                continue
+            for vec in nullspace(fit):
+                ints = scale_rows_to_int([vec])[0]
+                if not any(sum(map(mul, row, ints)) for row in holdout):
+                    yield (a, b), vec
 
 
 # ---------------------------------------------------------------------------

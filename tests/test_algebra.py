@@ -1,8 +1,10 @@
 """Monomial algebra Hilbert dims and the closed-form preset families."""
 
 import os
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -90,6 +92,50 @@ class TestHilbert:
         dims = hilbert_dims(a, 9)
         for degree in range(10):
             assert dims[degree] == brute_avoiding_words(variables, a.forbidden, degree)
+
+
+def factor_minimal(words):
+    """The distinct words, shortest first, with no other word as a factor."""
+    words = sorted(set(map(tuple, words)), key=lambda w: (len(w), w))
+
+    def inside(u, w):
+        return u != w and any(w[i:i + len(u)] == u for i in range(len(w) - len(u) + 1))
+
+    return tuple(w for w in words if not any(inside(u, w) for u in words))
+
+
+class TestSelfReduction:
+    def test_seeded_systems_keep_the_factor_minimal_words(self):
+        rng = random.Random(31)
+        for _ in range(400):
+            variables = [f"x{i}" for i in range(rng.randint(1, 4))]
+            rng.shuffle(variables)
+            words = [tuple(rng.choice(variables) for _ in range(rng.randint(2, 6)))
+                     for _ in range(rng.randint(0, 12))]
+            assert MonomialAlgebraPresentation(variables, words).forbidden == factor_minimal(words)
+
+    @pytest.mark.parametrize("build", [
+        lambda: warfield_monomial_model("5/2", 40),
+        lambda: warfield_monomial_model("9/4", 40),
+        lambda: warfield_monomial_model("11/4", 30),
+        lambda: example62_monomial_model(120),
+    ], ids=["warfield-5/2", "warfield-9/4", "warfield-11/4", "ex62"])
+    def test_models_keep_the_factor_minimal_words(self, build):
+        # each model emits factor-minimal words; their one-letter extensions
+        # are multiples, so the reduction drops them again
+        model = build()
+        words = model.forbidden
+        assert factor_minimal(words) == words
+        padded = [*words, *(w + (x,) for w in words for x in model.variables),
+                  *((x,) + w for w in words for x in model.variables)]
+        assert MonomialAlgebraPresentation(model.variables, padded).forbidden == words
+
+    def test_staircase_model_at_degree_200_builds_within_budget(self):
+        # the word-by-word factor search this replaced took over 7 s on 2 vCPUs
+        start = time.perf_counter()
+        model = warfield_monomial_model("5/2", 200)
+        assert time.perf_counter() - start < 4.0
+        assert len(model.forbidden) == 4573
 
 
 class TestWordAutomaton:

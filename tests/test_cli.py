@@ -671,6 +671,45 @@ class TestUsageErrors:
         assert code == 0
 
 
+UNARY_HINT = "oplab: computation error: a unary generator can make an arity class infinite; "
+
+
+class TestUnaryGenerators:
+    @pytest.fixture
+    def unary_argv(self, tmp_path):
+        """The argv with UNARY replaced by a presentation file with a unary generator."""
+        f = tmp_path / "unary.txt"
+        f.write_text("generator u 1\ngenerator b 2\n")
+        return lambda *argv: [str(f) if a == "UNARY" else a for a in argv]
+
+    @pytest.mark.parametrize("argv", [
+        ("series", "--preset", "free-operad:1", "--max", "5"),
+        ("gk", "--preset", "free-operad:1", "--N", "50"),
+        ("fit", "--preset", "free-operad:1", "--max", "60"),
+        ("guess", "--preset", "free-operad:1", "--max", "60", "--max-order", "2",
+         "--max-degree", "2"),
+        ("envelope", "--kind", "min", "--preset", "free-operad:1", "--max-index", "5"),
+        ("gk", "--source", "UNARY", "--N", "50"),
+    ], ids=["series", "gk", "fit", "guess", "envelope", "gk-source"])
+    def test_counting_by_arity_names_dims_weight_cap(self, unary_argv, capsys, argv):
+        assert invoke(*unary_argv(*argv)) == (2, "")
+        assert capsys.readouterr().err == UNARY_HINT + "count with 'oplab dims --weight-cap N'\n"
+
+    @pytest.mark.parametrize("source", [("--preset", "free-operad:1"), ("--presentation", "UNARY")],
+                             ids=["preset", "presentation"])
+    def test_dims_names_its_own_flag(self, unary_argv, capsys, source):
+        assert invoke(*unary_argv("dims", *source, "--max-arity", "4")) == (2, "")
+        assert capsys.readouterr().err == UNARY_HINT + "pass --weight-cap N\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("grammar", "--preset", "free-operad:1"),
+        ("gapcheck", "--preset", "free-operad:1", "--max-weight", "6"),
+    ], ids=["grammar", "gapcheck"])
+    def test_commands_that_need_no_arity_count_still_run(self, argv):
+        code, out = invoke(*argv)
+        assert code == 0 and out
+
+
 class TestPresetList:
     def test_contains_required_names(self):
         code, text = invoke("preset-list")

@@ -23,7 +23,9 @@ from oplab import (
 )
 from oplab.dims import as_dim_values
 from oplab.series import (
+    DEFAULT_HOLDOUT,
     DegenerateSeriesError,
+    RationalFit,
     WindowTooShortError,
     expand_rational,
     series_derivative,
@@ -223,6 +225,41 @@ class TestGuessHolonomic:
         c1 = guess_holonomic(w, 4, 4)
         c2 = guess_holonomic(e, 4, 4)
         assert (c1 is not None) and (c2 is not None)
+
+
+def changed_at(vals, index):
+    out = list(vals)
+    out[index] += 1
+    return out
+
+
+def catalan_values(n):
+    vals = [1]
+    for k in range(n):
+        vals.append(vals[-1] * 2 * (2 * k + 1) // (k + 2))
+    return vals
+
+
+class TestHoldoutBoundaries:
+    # (1 + z) / (1 - 2z + 2z^3) and the Catalan numbers, on windows of N = 40;
+    # the holdout is N - 19 .. N, and one changed value there must reject the fit
+    N = 40
+    RATIONAL = expand_rational(RationalFit((1, 1), (1, -2, 0, 2)), N)
+    CATALAN = catalan_values(N)
+
+    def test_unchanged_windows_fit(self):
+        fit = fit_rational(self.RATIONAL)
+        assert (fit.numerator, fit.denominator) == ((1, 1), (1, -2, 0, 2))
+        assert guess_holonomic(self.CATALAN, 2, 2).polynomials == ((1, 1), (2, -4))
+
+    @pytest.mark.parametrize("index", [N - DEFAULT_HOLDOUT + 1, N], ids=["N-19", "N"])
+    def test_fit_rejects_a_change_in_the_holdout(self, index):
+        fit = fit_rational(changed_at(self.RATIONAL, index))
+        assert fit != fit_rational(self.RATIONAL)
+
+    def test_guess_rejects_a_change_at_the_last_index(self):
+        cand = guess_holonomic(changed_at(self.CATALAN, self.N), 2, 2)
+        assert cand != guess_holonomic(self.CATALAN, 2, 2)
 
 
 class TestZeroRuns:
