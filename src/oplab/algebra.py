@@ -11,17 +11,20 @@ the gap-supported slow-growth algebra, the partition-function algebra, and
 floor-power dimension data.
 
 Floor powers ``floor(n**q)`` for rational q are evaluated via exact integer
-k-th roots; no floating point touches any dimension value.
+k-th roots; no floating point touches any dimension value.  A rational
+parameter is read by :func:`ratio` as a pair of ints, so ``fractions``
+loads only for a parameter that is neither an int nor plain ``p`` or
+``p/q`` text.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, chain, count, islice, repeat, tee
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 from operator import add, sub
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .dims import DimSeries, FileSyntaxError, Frozen, directives
+from .dims import DimSeries, FileSyntaxError, Frozen, directives, format_ratio
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -37,13 +40,24 @@ class AlgebraSyntaxError(FileSyntaxError, AlgebraError):
     """An algebra file failed to parse; carries the offending line."""
 
 
-def as_fraction(x) -> Fraction:
-    """Exact coercion; floats go through their decimal literal."""
+def ratio(x: Fraction | int | float | str) -> tuple[int, int]:
+    """``x`` as (numerator, denominator) in lowest terms, denominator > 0, of
+    the value ``Fraction(x)`` reads, raising what it raises; a float goes
+    through its decimal literal.  An int, and text ``p`` or ``p/q`` in ASCII
+    digits with q > 0, are read without loading ``fractions``."""
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, str) and x.isascii():
+        num, slash, den = x.partition("/")
+        den = den if slash else "1"
+        if num.isdecimal() and den.isdecimal() and den.strip("0"):
+            num, den = int(num), int(den)
+            g = gcd(num, den)
+            return num // g, den // g
     from fractions import Fraction
 
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
+    q = Fraction(str(x)) if isinstance(x, float) else Fraction(x)
+    return q.numerator, q.denominator
 
 
 def floor_root(x: int, k: int) -> int:
@@ -78,16 +92,15 @@ def _floor_powers(a: int, b: int, n: int) -> Iterator[int]:
     return map(floor_root, powers, repeat(b))
 
 
-def floor_power(n: int, q: Fraction) -> int:
-    """floor(n**q) for n >= 0 and rational q > 0, in exact integer arithmetic."""
-    from fractions import Fraction
-
+def floor_power(n: int, q) -> int:
+    """floor(n**q) for n >= 0 and rational q > 0 (read by :func:`ratio`),
+    in exact integer arithmetic."""
     if n < 0:
         raise AlgebraError("floor_power needs n >= 0")
-    q = Fraction(q)
-    if q <= 0:
+    a, b = ratio(q)
+    if a <= 0:
         raise AlgebraError("floor_power needs q > 0")
-    return floor_root(n ** q.numerator, q.denominator)
+    return floor_root(n ** a, b)
 
 
 class MonomialAlgebraPresentation(Frozen):
@@ -221,6 +234,17 @@ def count_words(delta: Sequence[Sequence[Optional[int]]], weights: Optional[Sequ
 # staircase intermediate-growth family
 # ---------------------------------------------------------------------------
 
+def _staircase_exponent(r) -> tuple[str, tuple[int, int]]:
+    """The growth exponent r, read by :func:`ratio` and written as a Fraction
+    writes it, and q = (r - 1) / 2 in lowest terms; r must lie in (2, 3)."""
+    a, b = ratio(r)
+    if not 2 * b < a < 3 * b:
+        raise AlgebraError(f"growth exponent must lie strictly between 2 and 3, "
+                           f"got {format_ratio(a, b)}")
+    g = gcd(a - b, 2 * b)
+    return format_ratio(a, b), ((a - b) // g, 2 * b // g)
+
+
 def warfield_dims(r, max_degree: int, stream: bool = False) -> DimSeries | Iterator[int]:
     """Strictly increasing dims with growth exponent r, for 2 < r < 3.
 
@@ -230,13 +254,10 @@ def warfield_dims(r, max_degree: int, stream: bool = False) -> DimSeries | Itera
     With ``stream`` the values come as a lazy iterator, to be read once,
     and no DimSeries is built.
     """
-    r = as_fraction(r)
-    if not 2 < r < 3:
-        raise AlgebraError(f"growth exponent must lie strictly between 2 and 3, got {r}")
+    a, b = _staircase_exponent(r)[1]
     if max_degree < 0:
         raise AlgebraError("max_degree must be nonnegative")
-    q = (r - 1) / 2
-    floors = _floor_powers(q.numerator, q.denominator, max_degree)
+    floors = _floor_powers(a, b, max_degree)
     # (fl - 1) * fl / 2 is comb(fl, 2), also at fl = 0 and 1
     values = map(add, map(comb, floors, repeat(2)), count(1))
     return values if stream else DimSeries(values, "degree")
@@ -251,11 +272,7 @@ def warfield_monomial_model(r, max_degree: int) -> MonomialAlgebraPresentation:
     emitted; the result's Hilbert dimensions match the closed form up to
     ``max_degree``.
     """
-    r = as_fraction(r)
-    if not 2 < r < 3:
-        raise AlgebraError(f"growth exponent must lie strictly between 2 and 3, got {r}")
-    q = (r - 1) / 2
-    a, b = q.numerator, q.denominator
+    r, (a, b) = _staircase_exponent(r)
     x1, x2 = "x1", "x2"
 
     def gap(n: int) -> int:
@@ -359,12 +376,12 @@ def floor_power_dims(alpha, max_index: int, stream: bool = False) -> DimSeries |
     telescope to floor(n**alpha) exactly.
     With ``stream`` the values come as a lazy iterator, to be read once,
     and no DimSeries is built."""
-    alpha = as_fraction(alpha)
-    if alpha <= 0:
+    a, b = ratio(alpha)
+    if a <= 0:
         raise AlgebraError("alpha must be positive")
     if max_index < 0:
         raise AlgebraError("max_index must be nonnegative")
-    floors, previous = tee(_floor_powers(alpha.numerator, alpha.denominator, max_index))
+    floors, previous = tee(_floor_powers(a, b, max_index))
     values = map(sub, floors, chain((0,), previous))
     return values if stream else DimSeries(values, "arity")
 

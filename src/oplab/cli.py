@@ -59,8 +59,9 @@ class Preset(NamedTuple):
     """``build(name, *params)`` of a presentation preset gives the presentation
     named ``name``; ``build(n, *params)`` of a dims preset gives its dims from
     index 0 to at least n as one pair: the values, to be read once, and their
-    index kind.  ``param`` reads the text after ``name:`` as an "int" or a
-    "rational" (None: no parameter); the build's library function checks it."""
+    index kind.  ``param`` reads the text after ``name:`` as an "int", or
+    passes it on as a "rational" that the build's library function reads
+    (None: no parameter); that function checks it."""
 
     name: str
     kind: str  # "presentation" | "dims"
@@ -176,9 +177,7 @@ def _preset(spec: str, n: Optional[int] = None):
         if preset.param == "int":
             params = (int(text),)
         elif preset.param == "rational":
-            from fractions import Fraction
-
-            params = (Fraction(text),)
+            params = (text,)
         if preset.kind == "presentation":
             p = preset.build(base, *params)
         elif n is None:
@@ -252,8 +251,6 @@ def _load_csv_coeffs(lines: Iterable[str], stop: Optional[int]) -> list[Fraction
     columns after the value (``oplab series`` output) are ignored; any
     other row is a usage error that names its line.
     """
-    from fractions import Fraction
-
     coeffs: list[Fraction | int] = []
     header_seen = False
     reader = csv.reader(lines)
@@ -274,6 +271,8 @@ def _load_csv_coeffs(lines: Iterable[str], stop: Optional[int]) -> list[Fraction
             try:  # every cell int reads, Fraction reads with the same value
                 coeffs.append(int(row[1]))
             except ValueError:
+                from fractions import Fraction
+
                 coeffs.append(Fraction(row[1]))
         except (IndexError, ValueError, ZeroDivisionError):
             raise UsageError(f"line {line}: no coefficient in {','.join(row)!r}") from None

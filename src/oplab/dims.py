@@ -1,7 +1,7 @@
 """Exact integer dimension sequences with indexing metadata, and the helpers
 every ``oplab`` subcommand reaches: the base of the immutable value classes,
-the engine names, a natural log of an exact integer, and the line reader of
-presentation and algebra files."""
+the engine names, a natural log of an exact integer, the writer of a ratio
+of integers, and the line reader of presentation and algebra files."""
 
 from __future__ import annotations
 
@@ -131,6 +131,14 @@ def as_dim_values(dims: Sequence[int], offset: int = 0) -> tuple[int, ...]:
         bad = next(i for i, (v, d) in enumerate(zip(values, dims)) if v != d or v < 0)
         raise ValueError(f"dimension {offset + bad} is {dims[bad]}, not a nonnegative integer")
     return values
+
+
+def format_ratio(num: int, den: int) -> str:
+    """num/den (den > 0) in lowest terms, written as ``str(Fraction(num, den))``
+    writes it: ``-3/4``, or ``5`` when the denominator is 1."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def log_of_int(x: int) -> float:

@@ -1,17 +1,19 @@
-"""Exact linear algebra over the rationals and a prime field.
+"""Exact linear algebra over the integers and a prime field.
 
 Small dense systems only: recurrence guessing needs kernels of matrices
 with a few dozen columns.  One Gauss-Jordan routine, ``_rref``, serves
-every caller, over GF(p) or over Q.  Full column rank modulo a prime
-certifies exactly that the rational kernel is trivial (a primitive integer
-null vector survives reduction mod p), so the expensive rational
+every caller, over GF(p) or fraction-free over Z (Bareiss-style: each row
+is kept primitive with a positive pivot), so integer data stays in ints and
+``fractions`` loads only for a non-integral value.  Full column rank modulo
+a prime certifies exactly that the rational kernel is trivial (a primitive
+integer null vector survives reduction mod p), so the expensive exact
 elimination runs only when the modular rank drops.  The certificate first
 reduces a square block, the first ncols + BLOCK_SLACK rows: any set of rows
 with full column rank mod p already has no common null vector, so the
 whole matrix has none either, and the remaining rows are read only when
 the block is rank-deficient.  The certificate prime is below 2**30, so
-every residue fits one CPython digit; an unlucky prime only costs a
-rational elimination that finds no null vector.
+every residue fits one CPython digit; an unlucky prime only costs an exact
+elimination that finds no null vector.
 """
 
 from __future__ import annotations
@@ -27,12 +29,15 @@ RANK_PRIME = 1073741789  # 2**30 - 35
 BLOCK_SLACK = 8  # rows past ncols in the block kernel_is_trivial reduces first
 
 
-def _rref(mat: list[list], ncols: int, p: Optional[int] = None) -> list[int]:
-    """Reduce ``mat`` in place to reduced row echelon form on its first
-    ``ncols`` columns and return the pivot columns.
+def _rref(mat: list[list[int]], ncols: int, p: Optional[int] = None) -> list[int]:
+    """Reduce the integer matrix ``mat`` in place to reduced row echelon
+    form on its first ``ncols`` columns and return the pivot columns.
 
-    Over GF(p) when ``p`` is given (entries already reduced mod p),
-    over Q otherwise (Fraction entries).
+    Over GF(p) when ``p`` is given (entries already reduced mod p), each
+    pivot 1.  Over Z otherwise, without division: each pivot row is made
+    primitive with a positive pivot, every other row r becomes a r - b
+    (pivot row) with a > 0, and is divided by its content, so row r is a
+    positive multiple of the rational reduced row echelon form's row r.
     """
     pivots: list[int] = []
     for col in range(ncols):
@@ -45,28 +50,45 @@ def _rref(mat: list[list], ncols: int, p: Optional[int] = None) -> list[int]:
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         prow = mat[rank]
         lead = prow[col]
-        # columns left of col are zero in the pivot row, so no row changes there
+        # columns left of col are zero in the pivot row
         if p is None:
-            prow[col:] = [x / lead for x in prow[col:]]
+            g = math.gcd(*prow[col:]) if lead > 0 else -math.gcd(*prow[col:])
+            if g != 1:
+                prow[col:] = [x // g for x in prow[col:]]
+                lead = prow[col]
         else:
             inv = pow(lead, -1, p)
             prow[col:] = [inv * x % p for x in prow[col:]]
         tail = prow[col:]
         for r, row in enumerate(mat):
             f = row[col]
-            if f and r != rank:
-                row[col:] = ([x - f * y for x, y in zip(row[col:], tail)] if p is None
-                             else [(x - f * y) % p for x, y in zip(row[col:], tail)])
+            if not f or r == rank:
+                continue
+            if p is not None:
+                row[col:] = [(x - f * y) % p for x, y in zip(row[col:], tail)]
+                continue
+            g = math.gcd(lead, f)
+            a, b = lead // g, f // g
+            if a != 1:  # a reduced row has entries left of col too
+                row[:col] = [a * x for x in row[:col]]
+            row[col:] = [a * x - b * y for x, y in zip(row[col:], tail)]
+            g = math.gcd(*row)
+            if g > 1:
+                row[:] = [x // g for x in row]
         pivots.append(col)
     return pivots
 
 
 def scale_rows_to_int(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
-    """Clear denominators row by row (row scaling preserves the kernel)."""
-    from fractions import Fraction
-
+    """Clear denominators row by row (row scaling preserves the kernel).
+    A row of ints is copied as it is, without loading ``fractions``."""
     out = []
     for row in rows:
+        if set(map(type, row)) <= {int}:
+            out.append(list(row))
+            continue
+        from fractions import Fraction
+
         fracs = [Fraction(x) for x in row]
         lcm = math.lcm(*(f.denominator for f in fracs))
         out.append([int(f * lcm) for f in fracs])
@@ -102,22 +124,29 @@ def kernel_is_trivial(rows: Iterable[Sequence[int]]) -> bool:
     return bool(rest) and rank_mod(block + rest, RANK_PRIME) == ncols
 
 
-def nullspace(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
-    """Basis of the rational kernel, from a reduced row echelon form."""
-    from fractions import Fraction
+def nullspace(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
+    """Basis of the rational kernel, one integer vector per free column.
 
-    mat = [[Fraction(x) for x in row] for row in rows]
+    Each is the primitive integer multiple, by a positive factor, of the
+    reduced row echelon form's basis vector (1 at its free column, 0 at the
+    others): primitive, positive at its free column, 0 at every other free
+    column.
+    """
+    mat = scale_rows_to_int(rows)
     if not mat:
         return []
     ncols = len(mat[0])
     pivots = _rref(mat, ncols)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
+        # x_col = -mat[r][free] / mat[r][col] at each pivot, x_free = 1, times their lcm
+        scale = math.lcm(*(mat[r][col] for r, col in enumerate(pivots) if mat[r][free]))
+        vec = [0] * ncols
+        vec[free] = scale
         for r, col in enumerate(pivots):
-            vec[col] = -mat[r][free]
-        basis.append(vec)
+            vec[col] = -mat[r][free] * scale // mat[r][col]
+        g = math.gcd(*vec)
+        basis.append([x // g for x in vec] if g > 1 else vec)
     return basis
 
 
@@ -126,8 +155,7 @@ def solve(rows: Sequence[Sequence[Fraction | int]],
     """One exact solution of A x = b (free variables zero), or None."""
     from fractions import Fraction
 
-    mat = [[Fraction(x) for x in row] + [Fraction(b)]
-           for row, b in zip(rows, rhs)]
+    mat = scale_rows_to_int([[*row, b] for row, b in zip(rows, rhs)])
     if not mat:
         return []
     ncols = len(mat[0]) - 1
@@ -136,11 +164,11 @@ def solve(rows: Sequence[Sequence[Fraction | int]],
         return None
     sol = [Fraction(0)] * ncols
     for r, col in enumerate(pivots):
-        sol[col] = mat[r][ncols]
+        sol[col] = Fraction(mat[r][ncols], mat[r][col])
     return sol
 
 
-def clear_denominators(vec: Sequence[Fraction]) -> list[int]:
+def clear_denominators(vec: Sequence[Fraction | int]) -> list[int]:
     """Scale a rational vector to a primitive integer vector (first nonzero > 0)."""
     ints = scale_rows_to_int([vec])[0]
     g = math.gcd(*ints)

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from math import gcd
 from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from . import dims
 from .dims import ENGINES, DimSeries, FileSyntaxError, Frozen, directives
 from .order import TreeOrder
 from .trees import (
@@ -375,12 +375,7 @@ def _affine_fit(points: list[tuple[int, int]]) -> tuple[int, int, int]:
     return k * num, sy * den - num * sx, k * den
 
 
-def format_ratio(num: int, den: int) -> str:
-    """num/den (den > 0) in lowest terms, written as ``str(Fraction(num, den))``
-    writes it: ``-3/4``, or ``5`` when the denominator is 1."""
-    g = gcd(num, den)
-    num, den = num // g, den // g
-    return str(num) if den == 1 else f"{num}/{den}"
+format_ratio = dims.format_ratio  # its home is oplab.dims, which oplab.algebra reads too
 
 
 def gap_dichotomy_check(p: MonomialOperadPresentation, max_weight: int) -> GapDichotomyReport:

@@ -2,7 +2,10 @@
 polynomial-coefficient recurrence guessing, and zero-run structure.
 
 The fitters take any iterable of exact numbers (a DimSeries, ints or
-Fractions) and convert it to Fractions once on entry.  The growth estimator
+Fractions): a window of ints stays in ints, fitted by fraction-free
+elimination, and any other is converted to Fractions once on entry, so
+``fractions`` loads only for a non-integral value (a fit whose denominator
+needs one included).  The growth estimator
 takes nonnegative integers, a sequence or an iterable of known truncation,
 and reads them once as they stream, checking them piece by piece; it folds
 the logarithms of the tail window's partial sums into running sums, so its
@@ -51,6 +54,13 @@ def _exact(s: Iterable) -> tuple[Fraction, ...]:
     from fractions import Fraction
 
     return tuple(Fraction(c) for c in s)
+
+
+def _window(s: Iterable) -> tuple[Fraction | int, ...]:
+    """The coefficients c_0..c_N as they are when every one is an int, else
+    as :func:`_exact` gives them."""
+    coeffs = tuple(s)
+    return coeffs if set(map(type, coeffs)) <= {int} else _exact(coeffs)
 
 
 def series_shift(s: Iterable) -> tuple[Fraction, ...]:
@@ -228,11 +238,13 @@ class RationalFit(NamedTuple):
     """num(z)/den(z) matching every coefficient in the window, holdout included.
 
     Polynomials are coefficient tuples, low degree first, den normalized to
-    den[0] == 1.
+    den[0] == 1.  The fit of a window of ints stays in ints when den has
+    integer coefficients; otherwise the non-integral coefficients, and those
+    computed from them, are Fractions.
     """
 
-    numerator: tuple[Fraction, ...]
-    denominator: tuple[Fraction, ...]
+    numerator: tuple[Fraction | int, ...]
+    denominator: tuple[Fraction | int, ...]
 
 
 def fit_bounds(n_max: int, max_den_degree: Optional[int] = None,
@@ -257,14 +269,13 @@ def fit_rational(s: Iterable, max_den_degree: Optional[int] = None,
     """Minimal rational function whose expansion reproduces the window.
 
     On the window scaled to integers, a fit with denominator 1 + b1 z + ...
-    + bd z^d and numerator degree <= nu is a null vector (b1..bd, 1) of the
-    rows (c_{n-1}, ..., c_{n-d}, c_n), nu < n <= N: row n dotted with it is
-    the coefficient of z^n in den * series, scaled.  The bounds are scanned
-    by :func:`_null_vectors`, denominator degree first.
+    + bd z^d and numerator degree <= nu is a null vector k (b1..bd, 1), k > 0,
+    of the rows (c_{n-1}, ..., c_{n-d}, c_n), nu < n <= N: row n dotted with
+    it is the coefficient of z^n in den * series, scaled.  The bounds are
+    scanned by :func:`_null_vectors`, denominator degree first; den and num
+    stay in ints when k divides every k b_j and the window is integral.
     """
-    from fractions import Fraction
-
-    coeffs = _exact(s)
+    coeffs = _window(s)
     n_max = len(coeffs) - 1
     max_den_degree, max_num_degree = fit_bounds(n_max, max_den_degree, max_num_degree)
     if n_max < 2 * max_den_degree + 4:
@@ -280,9 +291,16 @@ def fit_rational(s: Iterable, max_den_degree: Optional[int] = None,
                 for n in range(nu + 1, stop + 1))
 
     for (_, nu), vec in _null_vectors(rows, 0, (max_den_degree, max_num_degree), n_max):
-        if vec[-1]:  # the one basis vector with c_n's column free; its other free b_j are 0
-            den = (Fraction(1), *vec[:-1])
-            return RationalFit(series_mul(den, coeffs, nu), den)
+        *bs, last = vec
+        if last:  # the one basis vector with c_n's column free; its other free b_j are 0
+            if any(b % last for b in bs):
+                from fractions import Fraction
+
+                den = (1, *(Fraction(b, last) for b in bs))
+            else:
+                den = (1, *(b // last for b in bs))
+            return RationalFit(tuple(sum(map(mul, den, coeffs[n::-1])) for n in range(nu + 1)),
+                               den)
     return None
 
 
@@ -295,7 +313,7 @@ def expand_rational(fit: RationalFit, truncation: int) -> tuple[Fraction, ...]:
         raise SeriesError("denominator must have nonzero constant term")
     out = [Fraction(0)] * (truncation + 1)
     for n in range(truncation + 1):
-        acc = num[n] if n < len(num) else Fraction(0)
+        acc = Fraction(num[n] if n < len(num) else 0)
         for j in range(1, min(n, len(den) - 1) + 1):
             acc -= den[j] * out[n - j]
         out[n] = acc / den[0]
@@ -342,7 +360,7 @@ def guess_holonomic(s: Iterable, max_order: int,
     c_{n-i} n^k, and dotted with a candidate it is the residual at n,
     scaled.  The bounds are scanned by :func:`_null_vectors`.
     """
-    coeffs = _exact(s)
+    coeffs = _window(s)
     n_max = len(coeffs) - 1
     needed = (max_order + 1) * (max_degree + 1) + max_order + DEFAULT_HOLDOUT
     if n_max < needed:
@@ -364,7 +382,8 @@ def guess_holonomic(s: Iterable, max_order: int,
 
 
 def _null_vectors(rows: Callable[[int, int, int], Iterator[list[int]]], first: int,
-                  top: tuple[int, int], n_max: int) -> Iterator[tuple[tuple[int, int], list]]:
+                  top: tuple[int, int],
+                  n_max: int) -> Iterator[tuple[tuple[int, int], list[int]]]:
     """The one bound scan behind both fitters.
 
     ``rows(a, b, stop)`` builds a bound's integer rows up to index
@@ -374,7 +393,8 @@ def _null_vectors(rows: Callable[[int, int, int], Iterator[list[int]]], first: i
     yielded when :func:`~oplab.linalg.kernel_is_trivial` certifies those.
     Otherwise the bounds are scanned, a from ``first`` up, then b, and each
     :func:`~oplab.linalg.nullspace` basis vector of a bound's fitted rows
-    whose integer dot product with every holdout row is 0 is yielded.
+    (an integer vector) whose dot product with every holdout row is 0 is
+    yielded.
     """
     if kernel_is_trivial(rows(*top, n_max - DEFAULT_HOLDOUT)):  # built only as far as read
         return
@@ -385,8 +405,7 @@ def _null_vectors(rows: Callable[[int, int, int], Iterator[list[int]]], first: i
             if len(fit) < len(mat[0]) - 1 or kernel_is_trivial(fit):  # fewer rows than unknowns
                 continue
             for vec in nullspace(fit):
-                ints = scale_rows_to_int([vec])[0]
-                if not any(sum(map(mul, row, ints)) for row in holdout):
+                if not any(sum(map(mul, row, vec)) for row in holdout):
                     yield (a, b), vec
 
 

@@ -36,6 +36,7 @@ from oplab.algebra import (
     floor_root,
     format_algebra,
     parse_algebra,
+    ratio,
     sparse_gap_intervals,
     word_automaton,
     word_is_normal,
@@ -245,6 +246,39 @@ class TestPartition:
                     acc += sign * p[m - g2]
                 k += 1
             assert p[m] == acc
+
+
+RATIO_TEXTS = ["3/2", "6/4", "03/2", "-0", "1.5", " 3/2", "+3/2", "1e0", "3_0", "3/ 2", "x",
+               "1/0", "\u0663/2", "0", "00/05", "3/", "/2", "12345678901234567890/6"]
+
+
+class TestRatio:
+    @pytest.mark.parametrize("text", RATIO_TEXTS)
+    def test_text_reads_as_fraction_reads_it(self, text):
+        try:
+            q = Fraction(text)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as caught:
+                ratio(text)
+            assert str(caught.value) == str(exc)
+        else:
+            assert ratio(text) == (q.numerator, q.denominator)
+
+    def test_numbers(self):
+        assert ratio(3) == (3, 1) and ratio(-4) == (-4, 1)
+        assert ratio(Fraction(-6, 4)) == (-3, 2)
+        assert ratio(0.1) == (1, 10)  # a float through its decimal literal
+        assert ratio(True) == (1, 1)
+
+    @pytest.mark.parametrize("r", ["5/2", "10/4", Fraction(5, 2), 2.5])
+    def test_staircase_model_name_is_in_lowest_terms(self, r):
+        assert warfield_monomial_model(r, 12).name == "staircase:5/2"
+
+    @pytest.mark.parametrize("build", [warfield_dims, warfield_monomial_model])
+    @pytest.mark.parametrize("r, written", [("3", "3"), ("4/2", "2"), ("-5/2", "-5/2")])
+    def test_staircase_range_error_writes_the_exponent(self, build, r, written):
+        with pytest.raises(AlgebraError, match=f"between 2 and 3, got {written}$"):
+            build(r, 10)
 
 
 class TestFloorPower:

@@ -552,6 +552,22 @@ class TestUsageErrors:
         assert (code, text) == (1, "")
         assert "usage error" in capsys.readouterr().err
 
+    # the messages of the parser and the library function that read the
+    # parameter, as they were when the CLI read a rational one as a Fraction
+    @pytest.mark.parametrize("spec, message", [
+        ("floorpow:x", "preset 'floorpow': bad parameter 'x': Invalid literal for Fraction: 'x'"),
+        ("floorpow:1/0", "preset 'floorpow': bad parameter '1/0': Fraction(1, 0)"),
+        ("ex35:3", "preset 'ex35': bad parameter '3': "
+                   "growth exponent must lie strictly between 2 and 3, got 3"),
+        ("ex35:6/4", "preset 'ex35': bad parameter '6/4': "
+                     "growth exponent must lie strictly between 2 and 3, got 3/2"),
+        ("ex34:0", "preset 'ex34': bad parameter '0': alpha must be positive"),
+    ])
+    def test_bad_rational_parameter_message(self, capsys, spec, message):
+        code, text = invoke("gk", "--preset", spec, "--N", "50")
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == f"oplab: usage error: {message}\n"
+
     @pytest.mark.parametrize("argv", [("--max", "3"), ()], ids=["max", "no-max"])
     def test_missing_source_file_is_neither_file_nor_preset(self, tmp_path, capsys, argv):
         missing = tmp_path / "missing.csv"
@@ -965,6 +981,11 @@ def modules_loaded_by(code: str) -> set[str]:
                             "\nprint(*sorted(set(sys.modules) - _before))").split())
 
 
+FIBONACCI = [0, 1]
+while len(FIBONACCI) < 60:
+    FIBONACCI.append(FIBONACCI[-2] + FIBONACCI[-1])
+
+
 class TestImportGraph:
     def test_import_oplab_loads_no_submodule(self):
         loaded = modules_loaded_by("import oplab")
@@ -1031,22 +1052,42 @@ class TestImportGraph:
         ("envelope --kind sym --preset ex64-partition --max-index 20", False),
         ("series --source {alg} --max 10", False),
         ("series --preset ex46-avoidance --max 20", False),
-        ("gk --preset floorpow:3/2 --N 50", True),
-        ("guess --preset fibonacci --max 60 --max-order 2 --max-degree 1", True),
+        # rational preset parameters and integer data stay in ints
+        ("gk --preset floorpow:3/2 --N 50", False),
+        ("gk --preset ex35:5/2 --N 50", False),
+        ("guess --preset fibonacci --max 60 --max-order 2 --max-degree 1", False),
+        ("fit < {ints}", False),
+        ("guess --max-order 2 --max-degree 1 < {ints}", False),
     ])
     def test_no_dataclasses_and_fractions_only_for_rationals(self, tmp_path, argv,
                                                             fractions_allowed):
         code = "import io, oplab.cli\n"
         if argv:
-            alg = tmp_path / "alg.txt"
+            alg, ints = tmp_path / "alg.txt", tmp_path / "ints.csv"
             alg.write_text("var x1\nvar x2\nforbid x1 x2 x1\nforbid x2 x2\n")
-            argv = argv.format(alg=alg).split()
-            code += f"assert oplab.cli.run({argv!r}, out=io.StringIO()) == 0"
+            ints.write_text("".join(f"{n},{c}\n" for n, c in enumerate(FIBONACCI)))
+            argv, _, stdin = argv.format(alg=alg, ints=ints).partition(" < ")
+            if stdin:
+                code += f"import sys\nsys.stdin = open({stdin!r})\n"
+            code += f"assert oplab.cli.run({argv.split()!r}, out=io.StringIO()) == 0"
         loaded = modules_loaded_by(code)
         assert "oplab.cli" in loaded
         assert not loaded & {"dataclasses", "inspect"}
         if not fractions_allowed:
             assert not loaded & {"fractions", "decimal", "numbers"}
+
+    # c_n = 2^(40-n) (or a quarter of it, two cells then fractional) is
+    # 2^40/(1 - z/2): a non-integral cell or coefficient still loads fractions
+    @pytest.mark.parametrize("quarter", [False, True], ids=["integer-cells", "fractional-cells"])
+    def test_fractions_load_for_a_non_integral_value(self, tmp_path, quarter):
+        halving = tmp_path / "halving.csv"
+        halving.write_text("".join(f"{n},{Fraction(2 ** (40 - n), 4 if quarter else 1)}\n"
+                                   for n in range(41)))
+        loaded = modules_loaded_by(
+            f"import io, sys, oplab.cli\nsys.stdin = open({str(halving)!r})\nout = io.StringIO()\n"
+            "assert oplab.cli.run(['fit'], out=out) == 0\n"
+            "assert 'denominator=[1, -1/2] ' in out.getvalue(), out.getvalue()")
+        assert "fractions" in loaded
 
     def test_every_public_name_resolves(self):
         import oplab

@@ -1,10 +1,13 @@
 """Every task of the benchmark's workloads (perfbench/workloads.py) passes its
 own output check when it runs in process, so a change that alters what the
 benchmark checks (the closed-form dims, the pinned sweep SHA-256s, the exact
-guess and fit lines) fails here and not only in a benchmark run."""
+guess and fit lines) fails here and not only in a benchmark run.  No analyse
+task's child loads ``fractions``, which would raise its peak memory."""
 
 import importlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,3 +40,24 @@ def test_every_task_passes_its_check(workload, tmp_path, monkeypatch):
         if reason is not None:
             failures.append(f"{task.name}: {reason}")
     assert not failures
+
+
+SRC = PERFBENCH.parent / "src"
+
+
+def test_no_analyse_task_loads_fractions(tmp_path):
+    # every analyse task reads integer data or an integer or p/q parameter,
+    # so its child needs neither fractions nor the decimal and numbers it imports
+    code = ("import io, sys, oplab.cli\n_before = set(sys.modules)\n"
+            "assert oplab.cli.run(sys.argv[1:], out=io.StringIO()) == 0\n"
+            "print(*sorted(set(sys.modules) - _before))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    tasks = load_workloads().build("analyse", 1, tmp_path)
+    assert len(tasks) == 10
+    for task in tasks:
+        stdin = task.stdin.read_text() if task.stdin is not None else ""
+        loaded = set(subprocess.run([sys.executable, "-c", code, *task.args], input=stdin,
+                                    capture_output=True, text=True, env=env,
+                                    check=True).stdout.split())
+        assert not loaded & {"fractions", "decimal", "numbers"}, task.name
