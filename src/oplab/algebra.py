@@ -11,25 +11,30 @@ the gap-supported slow-growth algebra, the partition-function algebra, and
 floor-power dimension data.
 
 Floor powers ``floor(n**q)`` for rational q are evaluated via exact integer
-k-th roots; no floating point touches any dimension value.  A rational
-parameter is read by :func:`ratio` as a pair of ints, so ``fractions``
-loads only for a parameter that is neither an int nor plain ``p`` or
-``p/q`` text.
+k-th roots (Newton from a float estimate, then exact checks); no floating
+point decides any dimension value.  A rational parameter is read by
+:func:`ratio` as a pair of ints, so ``fractions`` loads only for a
+parameter that is neither an int nor plain ``p`` or ``p/q`` text; a term
+above :data:`MAX_RATIO_TERM` in lowest terms is rejected.  The gap
+intervals are stated once, in :func:`sparse_gap_intervals`.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, chain, count, islice, repeat, tee
-from math import comb, gcd, isqrt
+from math import comb, exp, gcd, isqrt
 from operator import add, sub
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .dims import DimSeries, FileSyntaxError, Frozen, directives, format_ratio
+from .dims import DimSeries, FileSyntaxError, Frozen, directives, format_ratio, log_of_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 Word = tuple[str, ...]
+
+# the largest numerator or denominator, in lowest terms, of a rational preset parameter
+MAX_RATIO_TERM = 1000
 
 
 class AlgebraError(ValueError):
@@ -60,6 +65,16 @@ def ratio(x: Fraction | int | float | str) -> tuple[int, int]:
     return q.numerator, q.denominator
 
 
+def _parameter(x) -> tuple[int, int]:
+    """:func:`ratio` of a rational preset parameter, rejected when its numerator
+    or denominator in lowest terms exceeds :data:`MAX_RATIO_TERM`."""
+    a, b = ratio(x)
+    if max(abs(a), b) > MAX_RATIO_TERM:
+        raise AlgebraError(f"numerator and denominator in lowest terms must be at most "
+                           f"{MAX_RATIO_TERM}")
+    return a, b
+
+
 def floor_root(x: int, k: int) -> int:
     """Largest r >= 0 with r**k <= x (x >= 0, k >= 1), exactly."""
     if x < 0 or k < 1:
@@ -68,8 +83,10 @@ def floor_root(x: int, k: int) -> int:
         return x
     if k == 2:
         return isqrt(x)
-    # integer Newton iteration, seeded above the root by bit length
-    r = 1 << ((x.bit_length() + k - 1) // k)
+    # integer Newton iteration, seeded just above the root by a float
+    # estimate; the shift keeps that float in range
+    shift = max(0, x.bit_length() // k - 60)
+    r = (int(exp(log_of_int(x >> k * shift) / k + 1e-9)) + 1) << shift
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
@@ -93,11 +110,11 @@ def _floor_powers(a: int, b: int, n: int) -> Iterator[int]:
 
 
 def floor_power(n: int, q) -> int:
-    """floor(n**q) for n >= 0 and rational q > 0 (read by :func:`ratio`),
+    """floor(n**q) for n >= 0 and rational q > 0 (read by :func:`_parameter`),
     in exact integer arithmetic."""
     if n < 0:
         raise AlgebraError("floor_power needs n >= 0")
-    a, b = ratio(q)
+    a, b = _parameter(q)
     if a <= 0:
         raise AlgebraError("floor_power needs q > 0")
     return floor_root(n ** a, b)
@@ -237,7 +254,7 @@ def count_words(delta: Sequence[Sequence[Optional[int]]], weights: Optional[Sequ
 def _staircase_exponent(r) -> tuple[str, tuple[int, int]]:
     """The growth exponent r, read by :func:`ratio` and written as a Fraction
     writes it, and q = (r - 1) / 2 in lowest terms; r must lie in (2, 3)."""
-    a, b = ratio(r)
+    a, b = _parameter(r)
     if not 2 * b < a < 3 * b:
         raise AlgebraError(f"growth exponent must lie strictly between 2 and 3, "
                            f"got {format_ratio(a, b)}")
@@ -289,9 +306,6 @@ def warfield_monomial_model(r, max_degree: int) -> MonomialAlgebraPresentation:
             words.append((x1,) * i + middle + (x1,) * l)
     for a_run in range(0, max_degree - 2):
         for b_run in range(0, max_degree - 2 - a_run):
-            n = a_run + b_run + 3
-            if n > max_degree:
-                continue
             g = gap(a_run + b_run + 2)
             if a_run >= g and b_run >= g:
                 words.append((x2,) + (x1,) * a_run + (x2,) + (x1,) * b_run + (x2,))
@@ -316,27 +330,19 @@ def sparse_gap_intervals(limit: int) -> list[tuple[int, int]]:
     return out
 
 
-def sparse_gap_indicator(n: int) -> int:
-    """1 off the gap intervals, 0 on them (0 and 1 are off every interval)."""
-    m = 0
-    while True:
-        lo = (2 * m + 1) ** (2 * m + 1) + 1
-        if n < lo:
-            return 1
-        hi = (2 * m + 2) ** (2 * m + 2) + 1
-        if n <= hi:
-            return 0
-        m += 1
-
-
 def example62_dims(max_degree: int, stream: bool = False) -> DimSeries | Iterator[int]:
-    """dims 1, 2, then 3 + indicator: the two-variable algebra whose third
-    basis family x2 x1^i x2 survives exactly off the gap intervals.
+    """dims 1, 2, then 3 + [n lies off every gap interval]: the two-variable
+    algebra whose third basis family x2 x1^i x2 survives exactly off the
+    gap intervals, as runs of 4s between the intervals and of 3s on them.
     With ``stream`` the values come as a lazy iterator, to be read once,
     and no DimSeries is built."""
-    if max_degree < 2:
-        raise AlgebraError("this preset needs max_degree >= 2")
-    values = chain((1, 2), map(add, repeat(3), map(sparse_gap_indicator, range(2, max_degree + 1))))
+    if max_degree < 0:
+        raise AlgebraError("max_degree must be nonnegative")
+    runs, start = [(1, 2)], 2
+    for lo, hi in sparse_gap_intervals(max_degree):
+        runs += repeat(4, lo - start), repeat(3, hi + 1 - lo)
+        start = hi + 1
+    values = islice(chain(*runs, repeat(4)), max_degree + 1)
     return values if stream else DimSeries(values, "degree")
 
 
@@ -376,7 +382,7 @@ def floor_power_dims(alpha, max_index: int, stream: bool = False) -> DimSeries |
     telescope to floor(n**alpha) exactly.
     With ``stream`` the values come as a lazy iterator, to be read once,
     and no DimSeries is built."""
-    a, b = ratio(alpha)
+    a, b = _parameter(alpha)
     if a <= 0:
         raise AlgebraError("alpha must be positive")
     if max_index < 0:

@@ -96,12 +96,6 @@ def _closed_form(family: str, index_kind: str) -> Callable:
     return build
 
 
-def _example62(n: int) -> tuple[Iterable[int], str]:
-    from .algebra import example62_dims
-
-    return example62_dims(max(2, n), stream=True), "degree"
-
-
 def _partition(n: int) -> tuple[Iterable[int], str]:
     from .algebra import partition_dims
 
@@ -126,7 +120,7 @@ CATALOG = {p.name.partition(":")[0]: p for p in (
            lambda name: _operad(name, 2, _SHUFFLE, _CHAIN21, _CHAIN22)),
     Preset("ex62", "dims",
            "gapped slow-growth algebra dims 1,2,3+delta (degree-indexed)",
-           _example62),
+           _closed_form("example62_dims", "degree")),
     Preset("ex64-partition", "dims",
            "partition numbers p(n) (degree-indexed)",
            _partition),
@@ -524,11 +518,12 @@ def cmd_guess(args, out) -> int:
 
 def cmd_gapcheck(args, out) -> int:
     from . import monomial
+    from .dims import format_ratio
 
     p, label = _get_presentation(args)
     report = monomial.gap_dichotomy_check(p, args.max_weight)
     # the line (A*n + B)/D, its a = A/D and b = B/D written as Fractions write them
-    fit = report.affine_fit and [monomial.format_ratio(num, report.affine_fit[2])
+    fit = report.affine_fit and [format_ratio(num, report.affine_fit[2])
                                  for num in report.affine_fit[:2]]
     if args.emit == "json":
         _write_json(out, {

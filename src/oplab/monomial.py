@@ -28,7 +28,6 @@ from contextlib import contextmanager
 from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from . import dims
 from .dims import ENGINES, DimSeries, FileSyntaxError, Frozen, directives
 from .order import TreeOrder
 from .trees import (
@@ -373,9 +372,6 @@ def _affine_fit(points: list[tuple[int, int]]) -> tuple[int, int, int]:
         return 0, sy, k
     num = k * sxy - sx * sy
     return k * num, sy * den - num * sx, k * den
-
-
-format_ratio = dims.format_ratio  # its home is oplab.dims, which oplab.algebra reads too
 
 
 def gap_dichotomy_check(p: MonomialOperadPresentation, max_weight: int) -> GapDichotomyReport:

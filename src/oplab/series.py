@@ -429,29 +429,19 @@ class ZeroRunReport(NamedTuple):
 def zero_run_report(coeffs: Iterable) -> ZeroRunReport:
     """Scan any coefficient iterable for maximal runs of zeros."""
     runs: list[tuple[int, int]] = []
-    run_start: Optional[int] = None
-    complete_flags: list[bool] = []
-    last = -1
+    start: Optional[int] = None
     for i, c in enumerate(coeffs):
-        last = i
         if c == 0:
-            if run_start is None:
-                run_start = i
-        else:
-            if run_start is not None:
-                runs.append((run_start, i - 1))
-                complete_flags.append(True)
-                run_start = None
-    if run_start is not None:
-        runs.append((run_start, last))
-        complete_flags.append(False)
-    max_run = max((j - i + 1 for i, j in runs), default=0)
-    complete = [r for r, ok in zip(runs, complete_flags) if ok]
-    growing = False
-    if len(complete) >= 3:
-        lens = [j - i + 1 for i, j in complete[-3:]]
-        growing = lens[0] < lens[1] < lens[2]
-    return ZeroRunReport(tuple(runs), max_run, growing)
+            if start is None:
+                start = i
+        elif start is not None:
+            runs.append((start, i - 1))
+            start = None
+    lens = [hi - lo + 1 for lo, hi in runs[-3:]]  # complete runs: all but a trailing open one
+    if start is not None:
+        runs.append((start, i))
+    max_run = max((hi - lo + 1 for lo, hi in runs), default=0)
+    return ZeroRunReport(tuple(runs), max_run, len(lens) == 3 and lens[0] < lens[1] < lens[2])
 
 
 def exponential_transform(s: Iterable) -> tuple[Fraction, ...]:

@@ -30,6 +30,7 @@ from oplab import (
 )
 from oplab.algebra import (
     AlgebraError,
+    MAX_RATIO_TERM,
     AlgebraSyntaxError,
     count_words,
     floor_power,
@@ -208,6 +209,38 @@ class TestGappedSlowGrowth:
         model = example62_monomial_model(60)
         assert hilbert_dims(model, 60).values == example62_dims(60).values
 
+    def test_dims_are_the_paper_definition_to_3200(self):
+        # Example 6.2: 3 + [n lies off every [(2m+1)^(2m+1)+1, (2m+2)^(2m+2)+1]]
+        def on_a_gap(n):
+            return any((2 * m + 1) ** (2 * m + 1) + 1 <= n <= (2 * m + 2) ** (2 * m + 2) + 1
+                       for m in range(4))
+
+        expected = [1, 2] + [3 + (not on_a_gap(n)) for n in range(2, 3201)]
+        assert list(example62_dims(3200, stream=True)) == expected
+        assert example62_dims(3200).values == tuple(expected)
+
+    def test_values_at_the_interval_edges(self):
+        # each pair is the last index before an interval and its first, or
+        # an interval's last index and the first after it
+        edges = {3125: 4, 3126: 3, 46657: 3, 46658: 4,
+                 823543: 4, 823544: 3, 16777217: 3, 16777218: 4}
+        stream = example62_dims(max(edges), stream=True)
+        seen, at = {}, 0
+        for n in sorted(edges):
+            seen[n] = next(islice(stream, n - at, None))
+            at = n + 1
+        assert seen == edges
+        assert next(stream, None) is None
+
+    @pytest.mark.parametrize("max_degree, values", [(0, (1,)), (1, (1, 2)), (2, (1, 2, 3))])
+    def test_short_windows(self, max_degree, values):
+        assert example62_dims(max_degree).values == values
+        assert tuple(example62_dims(max_degree, stream=True)) == values
+
+    def test_negative_degree_is_an_error(self):
+        with pytest.raises(AlgebraError, match="nonnegative"):
+            example62_dims(-1)
+
     def test_delta_runs_grow(self):
         # zero runs of the indicator part lengthen across intervals
         intervals = sparse_gap_intervals(50000)
@@ -287,6 +320,23 @@ class TestFloorPower:
             for k in (1, 2, 3, 4, 7):
                 r = floor_root(x, k)
                 assert r ** k <= x < (r + 1) ** k
+        # seeded: large k, roots near powers of two, and roots beyond float range
+        rng = random.Random(7)
+        for _ in range(1500):
+            k = rng.choice([3, 5, 17, 100, 999, 1000, rng.randint(3, 2000)])
+            r = rng.getrandbits(min(rng.choice([1, 8, 52, 53, 61, 62, 200, 1100]), 20000 // k))
+            for x in (r ** k - 1, r ** k, r ** k + 1, rng.getrandbits(rng.randint(1, 4000))):
+                if x >= 0:
+                    got = floor_root(x, k)
+                    assert got ** k <= x < (got + 1) ** k
+
+    def test_floor_roots_of_high_powers_are_fast(self):
+        # Newton starts next to the root; from twice the root it would shrink
+        # by about 1/k per step
+        start = time.process_time()
+        assert [floor_root(i ** 999, 1000) for i in range(2000, 2003)] == [1984, 1985, 1986]
+        assert sum(floor_root(i ** 999, 1000) for i in range(2001)) > 0
+        assert time.process_time() - start < 2
 
     def test_floor_power_matches_definition(self):
         q = Fraction(3, 4)
@@ -334,6 +384,31 @@ class TestFloorPower:
         assert type(values) is tuple and values[:2] == (1, 2)[:max_degree + 1]
         assert values == tuple(1 + n + (fl - 1) * fl // 2
                                for n in range(max_degree + 1) for fl in [floor_power(n, q)])
+
+
+class TestParameterBound:
+    @pytest.mark.parametrize("build", [
+        lambda q: floor_power(5, q), lambda q: floor_power_dims(q, 5),
+        lambda q: warfield_dims(q, 5), lambda q: warfield_monomial_model(q, 5)])
+    @pytest.mark.parametrize("q", ["25000000001/10000000000", "1001/1000", "2501/1000",
+                                   "-1001", Fraction(1, 1001), 10 ** 400])
+    def test_terms_above_the_bound_are_rejected(self, build, q):
+        with pytest.raises(AlgebraError, match=f"at most {MAX_RATIO_TERM}$"):
+            build(q)
+
+    @pytest.mark.parametrize("q", ["1e999999", "1e-999999"])
+    def test_huge_exponents_are_rejected_promptly(self, q):
+        start = time.process_time()
+        with pytest.raises(AlgebraError, match=f"at most {MAX_RATIO_TERM}$"):
+            floor_power_dims(q, 50, stream=True)
+        assert time.process_time() - start < 5
+
+    def test_terms_at_the_bound_are_read(self):
+        assert MAX_RATIO_TERM == 1000
+        assert floor_power(2, "1000/1000") == 2 and floor_power(2, "2000/2") == 2 ** 1000
+        assert floor_power(10 ** 3, "1/1000") == 1
+        assert floor_power_dims("999/1000", 3).values == (0, 1, 0, 1)
+        assert warfield_dims("999/400", 3).values == (1, 2, 3, 5)
 
 
 class TestAdjoin:

@@ -69,6 +69,15 @@ def preset_spec(name: str) -> str:
     return f"{name}:{PRESET_PARAMS[name]}" if name in PRESET_PARAMS else name
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env() -> dict:
+    """The environment of a fresh interpreter that can import oplab."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+
+
 def invoke(*argv, stdin=None, monkeypatch=None):
     out = io.StringIO()
     if stdin is not None:
@@ -188,11 +197,10 @@ class TestGrammar:
 class TestSeriesPipes:
     def test_closed_stdout_exits_141_without_traceback(self):
         # as `oplab series ... | head -1` does: the reader takes one line and goes
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
         proc = subprocess.Popen(
             [sys.executable, "-m", "oplab.cli", "series", "--preset", "floorpow:3/2",
-             "--max", "200000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+             "--max", "200000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=child_env())
         assert proc.stdout.readline() == b"n,coeff,partial_sum,log_n_partial_sum\n"
         proc.stdout.close()
         err = proc.stderr.read()
@@ -567,6 +575,27 @@ class TestUsageErrors:
         code, text = invoke("gk", "--preset", spec, "--N", "50")
         assert (code, text) == (1, "")
         assert capsys.readouterr().err == f"oplab: usage error: {message}\n"
+
+    # parameters whose runs never finished before their terms were bounded
+    @pytest.mark.parametrize("spec, n", [
+        ("ex34:1e999999", 50), ("ex34:1e-999999", 50), ("ex35:25000000001/10000000000", 50),
+        ("ex34:1001/1000", 10000), ("ex35:2501/1000", 10000),
+    ])
+    def test_parameter_terms_above_1000_exit_promptly(self, spec, n):
+        base, _, text = spec.partition(":")
+        proc = subprocess.run([sys.executable, "-m", "oplab.cli", "gk", "--preset", spec,
+                               "--N", str(n)], capture_output=True, text=True,
+                              env=child_env(), timeout=10)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"oplab: usage error: preset {base!r}: bad parameter {text!r}: "
+                               f"numerator and denominator in lowest terms must be at most "
+                               f"1000\n")
+
+    def test_a_parameter_at_the_bound_runs_promptly(self):
+        proc = subprocess.run([sys.executable, "-m", "oplab.cli", "gk", "--preset",
+                               "ex34:999/1000", "--N", "2000"], capture_output=True,
+                              text=True, env=child_env(), timeout=5)
+        assert proc.returncode == 0 and "window,1334..2000\n" in proc.stdout
 
     @pytest.mark.parametrize("argv", [("--max", "3"), ()], ids=["max", "no-max"])
     def test_missing_source_file_is_neither_file_nor_preset(self, tmp_path, capsys, argv):
@@ -945,8 +974,6 @@ class TestReadme:
         assert ran >= 9
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
 # every name the package exports: those it exported when its __init__ imported
 # each submodule eagerly, less the wrapper types in REMOVED_NAMES
 PUBLIC_NAMES = """
@@ -968,10 +995,8 @@ REMOVED_NAMES = ("SeriesWindow", "PathSequence", "OperadDimProfile")
 
 def child_stdout(code: str) -> str:
     """Stdout of a fresh interpreter that runs ``code`` with oplab importable."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
+                          env=child_env(), check=True)
     return proc.stdout
 
 

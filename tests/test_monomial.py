@@ -27,6 +27,7 @@ from oplab import (
 from oplab.algebra import MonomialAlgebraPresentation
 from oplab.cli import sweep_family
 from oplab.constructions import operadize
+from oplab.dims import format_ratio
 from oplab.monomial import (
     GROWTH_BOUNDED,
     GROWTH_LINEAR,
@@ -38,7 +39,6 @@ from oplab.monomial import (
     _first_violation,
     compile_grammar,
     format_presentation,
-    format_ratio,
     parse_presentation,
 )
 

@@ -262,6 +262,19 @@ class TestHoldoutBoundaries:
         assert cand != guess_holonomic(self.CATALAN, 2, 2)
 
 
+def naive_zero_runs(values):
+    """The maximal zero runs of ``values`` as (first, last) pairs, and
+    whether each is complete (a nonzero follows it)."""
+    runs = []
+    for i, v in enumerate(values):
+        if v == 0 and (i == 0 or values[i - 1] != 0):
+            j = i
+            while j + 1 < len(values) and values[j + 1] == 0:
+                j += 1
+            runs.append(((i, j), j + 1 < len(values)))
+    return runs
+
+
 class TestZeroRuns:
     def test_runs_and_growth(self):
         report = zero_run_report([1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1])
@@ -304,6 +317,30 @@ class TestZeroRuns:
         stream = chain([1], repeat(0, 5), [1], repeat(0, 7), [1])
         report = zero_run_report(stream)
         assert report.runs == ((1, 5), (7, 13))
+
+    @pytest.mark.parametrize("values, runs, max_run, growing", [
+        ([], (), 0, False),
+        ([0, 0, 0, 0], ((0, 3),), 4, False),
+        ([1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0], ((1, 2), (4, 6), (8, 11)), 4, False),
+        ([0, 1, 0, 0, 1], ((0, 0), (2, 3)), 2, False),
+        ([1, 0, 0, 1, 0, 0, 1, 0, 0, 1], ((1, 2), (4, 5), (7, 8)), 2, False),
+        ([0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0], ((0, 0), (2, 3), (5, 7), (9, 13)), 5, True),
+    ], ids=["empty", "all-zeros", "trailing-open-run", "two-complete-runs", "three-equal-runs",
+            "open-run-after-three-growing"])
+    def test_cases(self, values, runs, max_run, growing):
+        assert zero_run_report(values) == (runs, max_run, growing)
+        assert zero_run_report(iter(values)) == (runs, max_run, growing)
+
+    def test_seeded_lists_match_a_naive_run_finder(self):
+        rng = random.Random(32)
+        for _ in range(2000):
+            values = [rng.choice([0, 0, 1, -2, 3]) for _ in range(rng.randint(0, 40))]
+            found = naive_zero_runs(values)
+            lens = [j - i + 1 for (i, j), complete in found if complete][-3:]
+            report = zero_run_report(values)
+            assert report.runs == tuple(run for run, _ in found)
+            assert report.max_run == max((j - i + 1 for (i, j), _ in found), default=0)
+            assert report.growing == (len(lens) == 3 and lens[0] < lens[1] < lens[2])
 
 
 class TestExponentialTransform:
