@@ -128,19 +128,24 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-_LEAF_ONLY = (LEAF,)
-
-
-def _child_combos(nslots: int, weight: int, levels: list, acc: tuple = ()) -> Iterator[tuple]:
-    """All slot tuples of total weight after the filled slots ``acc``: a slot
-    holds LEAF (weight 0) or an entry of ``levels[w1]`` (weight w1 >= 1)."""
-    rest = nslots - len(acc) - 1
-    for w1 in range(weight + 1) if rest else (weight,):
-        for m in levels[w1] if w1 else _LEAF_ONLY:
-            if rest:
-                yield from _child_combos(nslots, weight - w1, levels, (*acc, m))
-            else:
-                yield (*acc, m)
+def _child_combos(nslots: int, weight: int, levels: list) -> Iterator[tuple]:
+    """All slot tuples of total weight ``weight``, slot by slot, by weight, then
+    by position in the level: a slot of weight w holds an entry of ``levels[w]``;
+    the leaf, alone in ``levels[0]``, fills the open slots once the weight is spent."""
+    def choices(left: int, last: bool) -> Iterator[tuple]:  # (weight left after, entry)
+        return ((left - w, m) for w in ((left,) if last else range(left + 1)) for m in levels[w])
+    leaf, = levels[0]
+    acc: list = []  # the entries of the filled slots
+    stack = [choices(weight, nslots == 1)]  # per filled slot, its untried choices
+    while stack:
+        for rest, m in stack[-1]:
+            acc[len(stack) - 1:] = [m]
+            if rest:  # never on the last slot, which takes all that is left
+                stack.append(choices(rest, len(acc) == nslots - 1))
+                break
+            yield (*acc, *[leaf] * (nslots - len(acc)))
+        else:
+            stack.pop()
 
 
 def enumerate_irr(p: MonomialOperadPresentation, max_weight: int) -> Iterator[TreeMonomial]:
@@ -155,7 +160,7 @@ def enumerate_irr(p: MonomialOperadPresentation, max_weight: int) -> Iterator[Tr
         raise PresentationError("max_weight must be nonnegative")
     yield TreeMonomial.trivial(p.alphabet)
     rooted = [(g, [r for r in p.relations if r.generator == g]) for g in p.alphabet.generators]
-    levels: list[list] = [[]]
+    levels: list[list] = [[LEAF]]
     for w in range(1, max_weight + 1):
         with _gc_paused():
             level = []
@@ -206,25 +211,24 @@ def compile_grammar(p: MonomialOperadPresentation,
     gens = [(g, [needs(r) for r in rels if r.generator == g],
              [(q, needs(t)) for q, t in enumerate(subtrees) if t.generator == g])
             for g in p.alphabet.generators]
-    by_weight: list[list] = [[]]  # (index, crown) by least weight; _child_combos adds leaves
+    by_weight: list[list] = [[(LEAF_ID, ())]]  # (index, crown) by least weight
     index: dict = {}  # crown -> its index
     rules = []
-    most = max(g.arity for g in p.alphabet.generators)
     d = deepest = 0
-    # a rule's weight is at most 1 + most * (the deepest crown's weight)
-    while d < most * deepest + 1 and (max_weight is None or d < max_weight):
+    # a rule's weight is at most 1 + max_arity * (the heaviest least weight of a crown)
+    while d < p.alphabet.max_arity * deepest + 1 and (max_weight is None or d < max_weight):
         d += 1
         level = []
         for g, rel_needs, tests in gens:
             for kids in _child_combos(g.arity, d - 1, by_weight):
-                sets = [() if k is LEAF else k[1] for k in kids]
+                sets = [k[1] for k in kids]
                 if any(all(c in sets[i] for i, c in need) for need in rel_needs):
                     continue
                 crown = frozenset(q for q, need in tests if all(c in sets[i] for i, c in need))
                 if crown not in index:
                     index[crown] = len(index)
                     level.append((index[crown], crown))
-                rules.append((index[crown], g, tuple(LEAF_ID if k is LEAF else k[0] for k in kids)))
+                rules.append((index[crown], g, tuple(k[0] for k in kids)))
         by_weight.append(level)
         deepest = d if level else deepest
     return CrownGrammar(tuple(tuple(subtrees[q] for q in sorted(k)) for k in index), tuple(rules))
@@ -249,23 +253,25 @@ def _graded_counts(p: MonomialOperadPresentation, n: int, shift, coef=None,
                    one=1, zero=0) -> list:
     """Coefficients 0..n of the series of all nontrivial normal forms.
 
-    A rule ``c <- g(k_1..k_m)`` adds coef(g) * x^shift(g) * F_k1..F_km to
-    F_c (coef defaults to ``one``, a leaf's series); shift(g) >= 1 for every
-    g, so the grammar up to weight n holds every rule up to degree n.  Child
-    products are shared as sorted multisets whose prefixes keep running
-    series, so a degree costs O(n) per factor.
+    Each distinct term x^shift(g) * F_k1..F_km of F_c (children a sorted
+    multiset, leaves dropped) is counted once, with the sum of coef(g) over
+    the rules ``c <- g(k_1..k_m)`` that give it (coef defaults to ``one``, a
+    leaf's series); shift(g) >= 1 for every g, so the grammar up to weight n
+    holds every term up to degree n.  Child products share their prefixes,
+    which keep running series, so a degree costs O(n) per factor.
     """
     grammar = compile_grammar(p, n)
     series = [[zero] for _ in grammar.crowns]
+    terms: list[dict] = [{} for _ in series]  # per crown, (shift, child crowns) -> coefficient
+    for c, g, children in grammar.rules:
+        key = (shift(g), tuple(sorted(k for k in children if k != LEAF_ID)))
+        terms[c][key] = terms[c].get(key, zero) + (one if coef is None else coef(g))
     prods: dict = {(): [one] + [zero] * n, **{(i,): f for i, f in enumerate(series)}}
-    keys = [tuple(sorted(k for k in children if k != LEAF_ID)) for _, _, children in grammar.rules]
     chains = []
-    for key in sorted({key[:j] for key in keys for j in range(2, len(key) + 1)}, key=len):
+    for key in sorted({k[:j] for t in terms for _, k in t for j in range(2, len(k) + 1)}, key=len):
         prods[key] = [zero]
         chains.append((prods[key], prods[key[:-1]], series[key[-1]]))
-    sums: list[list] = [[] for _ in series]
-    for (c, g, _), key in zip(grammar.rules, keys):
-        sums[c].append((shift(g), one if coef is None else coef(g), prods[key]))
+    sums = [[(e, a, prods[key]) for (e, key), a in t.items()] for t in terms]
     for d in range(1, n + 1):
         for f, s in zip(series, sums):
             f.append(sum((a * prod[d - e] for e, a, prod in s if e <= d), zero))

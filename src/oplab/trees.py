@@ -214,21 +214,12 @@ class TreeMonomial:
             return True
         if not isinstance(other, TreeMonomial):
             return NotImplemented
-        # pairs of subtrees from an explicit stack: a tall tree must not hit the recursion limit
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a is LEAF or b is LEAF or hash(a) != hash(b) or a.generator != b.generator:
-                return False
-            stack += zip(a.children, b.children)
-        return True
+        # with equal weights, a match at the root leaves no vertex of either tree unmatched
+        return (self.weight == other.weight and hash(self) == hash(other)
+                and matches_at_root(self, other))
 
     def __reduce__(self):
-        # rebuilt through the constructor: the cached hash differs between
-        # processes (str names, and None leaves up to CPython 3.11), so it
-        # must not travel with a pickle
+        # rebuilt through the constructor: a cached hash depends on the hash seed
         return self.__class__, (self.alphabet, self.generator, self.children)
 
     def __hash__(self) -> int:
@@ -245,7 +236,9 @@ class TreeMonomial:
                 stack += todo
             else:
                 stack.pop()
-                node._hash = hash((node.generator, node.children))
+                # LEAF and the trivial monomial's generator, both None, hash as 0:
+                # up to CPython 3.11 hash(None) is an address, which no seed fixes
+                node._hash = hash((node.generator or 0, *[c or 0 for c in node.children]))
         return self._hash
 
     def __repr__(self) -> str:

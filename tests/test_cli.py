@@ -8,7 +8,9 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -145,6 +147,30 @@ class TestDims:
                          "--order", "degrevlex")
         assert code == 1
         assert "unrecognized arguments: --order" in capsys.readouterr().err
+
+    def test_a_wide_generator_counts_with_both_engines(self, tmp_path):
+        # dp walks 1200 child slots without recursing once per slot, well
+        # within 3 s (about 0.15 s on a 2-vCPU Linux VM)
+        f = tmp_path / "wide.txt"
+        f.write_text("generator a 1200\n")
+        start = time.perf_counter()
+        code, dp = invoke("dims", "--presentation", str(f), "--max-arity", "3")
+        assert time.perf_counter() - start < 3
+        assert code == 0
+        assert [line.split(",")[1] for line in dp.splitlines()[1:]] == ["0", "1", "0", "0"]
+        assert dp == invoke("dims", "--presentation", str(f), "--max-arity", "3",
+                            "--engine", "brute")[1]
+
+    def test_free_operad_16_at_arity_200(self):
+        # 65536 rules but 17 distinct terms, counted within 10 s (about 1.1 s
+        # on a 2-vCPU Linux VM): C(16m, m)/(15m+1) trees of arity 15m+1
+        start = time.perf_counter()
+        code, text = invoke("dims", "--preset", "free-operad:16", "--max-arity", "200")
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        dims = [int(line.split(",")[1]) for line in text.splitlines()[1:]]
+        assert dims == [comb(16 * (n // 15), n // 15) // n if n % 15 == 1 else 0
+                        for n in range(201)]
 
     def test_every_operad_preset_agrees_with_brute_recount(self):
         for spec in ("ex53-1", "ex53-2", "ex53-3", "free-operad:2", "free-operad:3"):

@@ -2,10 +2,14 @@
 
 import gc
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from helpers import BINARY, UNARY_BINARY, all_monomials
 from oplab import (
     Alphabet,
     MonomialOperadPresentation,
+    TreeMonomial,
     dim_by_arity,
     dim_by_weight,
     divides,
@@ -47,6 +52,14 @@ CHAIN11 = "a(a(a(*,*),*),*)"
 CHAIN21 = "a(*,a(a(*,*),*))"
 CHAIN22 = "a(*,a(*,a(*,*)))"
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# SHA-256 of the crowns, the rules in order, the weight dims to 6 and the
+# normal forms to weight 4 of the seeded presentations in
+# TestNormalForms.test_seeded_grammars_counts_and_normal_forms_are_pinned,
+# recorded when dp added one term per rule and walked the child slots recursively
+SEEDED_SHA256 = "8f661448f865b0a6ec4050de6fedecaff65f925fb436472d451c62050546af6d"
+
 
 def binary_presentation(*literals, name=None):
     rels = [parse_monomial(lit, BINARY) for lit in literals]
@@ -79,6 +92,15 @@ class TestPresentation:
     def test_empty_relations_is_free(self):
         p = MonomialOperadPresentation(BINARY, ())
         assert all(is_normal_form(p, t) for t in all_monomials(BINARY, 4))
+
+    def test_hash_is_the_same_in_fresh_interpreters(self):
+        # a leaf must not hash by address, as None does up to CPython 3.11
+        code = ("from oplab.cli import preset_presentation\n"
+                "print(hash(preset_presentation('ex53-2')))")
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="7")
+        runs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env=env, check=True).stdout for _ in range(2)}
+        assert len(runs) == 1
 
 
 class TestNormalForms:
@@ -124,6 +146,29 @@ class TestNormalForms:
             lines = [format_monomial(t) for t in enumerate_irr(p, max_weight)]
             assert len(lines) == count
             assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+    def test_seeded_grammars_counts_and_normal_forms_are_pinned(self):
+        # 60 presentations on each alphabet, 1 to 4 relations of weight 2 or 3
+        rng = random.Random(41)
+        digest = hashlib.sha256()
+        for al in (Alphabet.of(a=2), Alphabet.of(a=2, b=3), Alphabet.of(u=1, b=2),
+                   Alphabet.of(a=3, b=2, c=1), Alphabet.of(a=5)):
+            pool = [t for t in all_monomials(al, 3) if t.weight >= 2]
+            for _ in range(60):
+                p = MonomialOperadPresentation(al, rng.sample(pool, k=rng.randint(1, 4)))
+                grammar = compile_grammar(p)
+                lines = [" ".join(map(format_monomial, crown)) for crown in grammar.crowns]
+                lines += [f"{c} {g.name} {kids}" for c, g, kids in grammar.rules]
+                lines.append(str(dim_by_weight(p, 6).values))
+                lines += map(format_monomial, enumerate_irr(p, 4))
+                digest.update("\n".join(lines).encode() + b"\n\n")
+        assert digest.hexdigest() == SEEDED_SHA256
+
+    def test_wide_generator(self):
+        # 1200 slots: the child walk must not recurse once per slot
+        wide = Alphabet.of(a=1200)
+        got = list(enumerate_irr(MonomialOperadPresentation(wide, ()), 1))
+        assert got == [TreeMonomial.trivial(wide), TreeMonomial.node(wide, "a")]
 
     def test_tall_unary_chain(self):
         # one normal form per weight, u(u(...(*))); sorting a level keys it by its path words
