@@ -5,13 +5,13 @@ The fitters take any iterable of exact numbers (a DimSeries, ints or
 Fractions): a window of ints stays in ints, fitted by fraction-free
 elimination, and any other is converted to Fractions once on entry, so
 ``fractions`` loads only for a non-integral value (a fit whose denominator
-needs one included).  The growth estimator
-takes nonnegative integers, a sequence or an iterable of known truncation,
-and reads them once as they stream, checking them piece by piece; it folds
-the logarithms of the tail window's partial sums into running sums, so its
-memory does not grow with the window.  Every fit runs over exact rationals;
-the only floating point lives in the explicitly labelled growth estimators
-(logarithms of exact partial sums).
+needs one included).  The growth estimator takes nonnegative integers, a
+sequence or an iterable of known truncation, and reads them once in one
+loop over pieces, checking each; it folds the logarithms of a piece's
+partial sums on the tail window into running least-squares sums, so its
+memory does not grow with the window.  Every fit runs over exact
+rationals; the only floating point lives in the explicitly labelled growth
+estimators (logarithms of exact partial sums).
 Absence results are "no candidate at these bounds", never a proof beyond
 them.  Both fitters share one scan of one integer matrix per bound, whose
 rows past N - 20 are a holdout that no fit sees; "none" is exact for the
@@ -21,8 +21,9 @@ fitted rows when the top bound's are certified modulo a prime.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import accumulate, islice, pairwise
-from operator import mul, truediv
+from operator import add, mul, truediv
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .dims import DimSeries, as_dim_values, log_of_int
@@ -114,95 +115,70 @@ class GkReport(NamedTuple):
     n_max: int
 
 
-class _TailFit:
-    """Running least-squares sums over the points (log n, log S(n)) of the
-    tail window, fed runs of consecutive indices in order.  Each sum adds
-    its floats left to right, from the running total on, so the totals are
-    those of one left-to-right sum over the window on every CPython (the
-    built-in ``sum`` compensates its rounding from 3.12 on)."""
-
-    __slots__ = ("k", "sx", "sy", "sxx", "sxy", "ratio_max", "last")
-
-    def __init__(self) -> None:
-        self.k = 0
-        self.sx = self.sy = self.sxx = self.sxy = 0.0
-        self.ratio_max = -math.inf  # the largest y / x so far
-        self.last = None  # (y, x) of the last point
-
-    def add(self, first: int, ys: list[float]) -> None:
-        """Add the points (log n, ys[n - first]) for n = first, first + 1, ..."""
-        if not ys:
-            return
-        from functools import reduce
-        from operator import add
-
-        xs = list(map(math.log, range(first, first + len(ys))))
-        self.k += len(ys)
-        self.sx = reduce(add, xs, self.sx)
-        self.sy = reduce(add, ys, self.sy)
-        self.sxx = reduce(add, map(mul, xs, xs), self.sxx)
-        self.sxy = reduce(add, map(mul, xs, ys), self.sxy)
-        self.ratio_max = max(self.ratio_max, max(map(truediv, ys, xs)))
-        self.last = ys[-1], xs[-1]
-
-
 def gk_estimate(dims: DimSeries | Iterable, truncation: Optional[int] = None) -> GkReport:
     """Estimate the growth exponent limsup log_n(sum of dims up to n).
 
     ``dims`` is a DimSeries, a sequence of nonnegative integral numbers
     (ints, or Fractions such as CSV gives) or, with its ``truncation`` given,
     any iterable of the values 0..truncation.  The values are read once,
-    front to back, at most ``_CHUNK`` at a time, and checked as they are
+    front to back, in pieces of at most ``_CHUNK``, and checked as they are
     read, as :func:`~oplab.dims.as_dim_values` checks them.  Of the partial
-    sums only those at index 1, at the window start and at the geometric
-    test's anchors are kept.  Sums never decrease, so the positive ones on
-    the tail window are a suffix of it; each piece's logs are folded into
-    running least-squares sums and dropped, so the memory held does not
-    grow with the window: one piece of values, or its logs and those of
-    their indices.
+    sums only those at index 1 and at the geometric test's anchors are
+    kept.  Sums never decrease, so the positive ones on the tail window are
+    a suffix of it; each piece's logs are folded into running least-squares
+    sums and dropped, so the memory held does not grow with the window: one
+    piece of values, or its logs and those of their indices.
 
-    The running sums are bit-identical to left-to-right sums over the whole
-    window, which is what the built-in ``sum`` gives up to CPython 3.11, so
-    a report is the same on every CPython version."""
+    Each running sum adds its floats left to right from its total so far,
+    so it is bit-identical to one left-to-right sum over the whole window,
+    which is what the built-in ``sum`` gives up to CPython 3.11 (it
+    compensates its rounding from 3.12 on): a report is the same on every
+    CPython version."""
     n_max = len(dims) - 1 if truncation is None else truncation
     start = max(2, n_max - int(n_max * TAIL_FRACTION))
     anchors = _anchors(n_max)
-    at = {}  # the partial sum at each cut below
-    fit = _TailFit()
+    at = {}  # the partial sums at index 1 and at the anchors
+    k = 0  # the points (log n, log S(n)) folded into the sums below
+    sx = sy = sxx = sxy = 0.0
+    ratio_max = -math.inf  # the largest log S(n) / log n so far
     values = iter(dims)
     total = n = 0  # the sum of the values before index n
-    for cut in sorted({c for c in (1, start, n_max, *anchors) if c <= n_max}):
-        while n <= cut:
-            piece = tuple(islice(values, min(_CHUNK, cut + 1 - n)))
-            if not piece:
-                raise ValueError(f"expected {n_max + 1} dimension values, got {n}")
-            piece = as_dim_values(piece, n)
-            sums = accumulate(piece, initial=total)
-            next(sums)
-            low, n = n, n + len(piece)
-            total += sum(piece)
-            # log_of_int calls math.log itself up to 900 bits, and the
-            # piece's last sum, now the total, is its largest
-            log = math.log if total.bit_length() <= 900 else log_of_int
-            ys = list(map(log, filter(None, sums))) if low > start else []
-            del piece, sums  # gone before fit.add builds the x values
-            fit.add(n - len(ys), ys)
-            del ys  # gone before the next piece is read
-        at[cut] = total
-        if cut == start and total:
-            fit.add(start, [log_of_int(total)])
+    while n <= n_max:
+        piece = tuple(islice(values, min(_CHUNK, n_max + 1 - n)))
+        if not piece:
+            raise ValueError(f"expected {n_max + 1} dimension values, got {n}")
+        piece = as_dim_values(piece, n)
+        for i in (1, *anchors):
+            if n <= i < n + len(piece):
+                at[i] = total + sum(piece[:i + 1 - n])
+        skip = max(0, start - n)  # the values before the window start
+        sums = accumulate(piece[skip:], initial=total + sum(piece[:skip]))
+        next(sums)
+        total += sum(piece)
+        n += len(piece)
+        # log_of_int calls math.log itself up to 900 bits, and the
+        # piece's last sum, now the total, is its largest
+        log = math.log if total.bit_length() <= 900 else log_of_int
+        ys = list(map(log, filter(None, sums)))
+        del piece, sums  # gone before the x values are built
+        xs = list(map(math.log, range(n - len(ys), n)))
+        k += len(ys)
+        sx = reduce(add, xs, sx)
+        sy = reduce(add, ys, sy)
+        sxx = reduce(add, map(mul, xs, xs), sxx)
+        sxy = reduce(add, map(mul, xs, ys), sxy)
+        ratio_max = max((ratio_max, *map(truediv, ys, xs)))
+        del xs, ys  # gone before the next piece is read
     if n_max < 7:
         raise SeriesError("need at least 8 dimension values to estimate growth")
     if total == at[1]:
         raise DegenerateSeriesError("series is zero beyond index 1")
-    k = fit.k
     if k < 2:
         raise DegenerateSeriesError("partial sums vanish on the tail window")
-    den = k * fit.sxx - fit.sx * fit.sx
-    slope = (k * fit.sxy - fit.sx * fit.sy) / den if den else 0.0
-    y, x = fit.last
-    return GkReport(y / x, slope, fit.ratio_max, _geometric([at[a] for a in anchors]),
-                    (start, n_max), n_max)
+    den = k * sxx - sx * sx
+    slope = (k * sxy - sx * sy) / den if den else 0.0
+    return GkReport(log_of_int(total) / math.log(n_max), slope, ratio_max,
+                    _geometric([at[a] for a in anchors]), (start, n_max), n_max)
 
 
 def _anchors(n_max: int) -> list[int]:

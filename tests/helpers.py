@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from oplab import (
+    LEAF,
     Alphabet,
     MonomialOperadPresentation,
     TreeMonomial,
@@ -31,6 +32,25 @@ def all_monomials(alphabet: Alphabet, max_weight: int) -> list[TreeMonomial]:
     """Every monomial of weight <= max_weight (free presentation, no relations)."""
     free = MonomialOperadPresentation(alphabet, ())
     return list(enumerate_irr(free, max_weight))
+
+
+def mirror(t: TreeMonomial) -> TreeMonomial:
+    """``t`` with the children of every vertex in reverse order, built
+    bottom-up from an explicit stack, so a tall tree does not recurse."""
+    if t.is_trivial:
+        return t
+    built: dict[int, TreeMonomial] = {}  # id of a vertex of t -> its mirror image
+    stack = [t]
+    while stack:
+        s = stack[-1]
+        waiting = [c for c in s.children if c is not LEAF and id(c) not in built]
+        if waiting:
+            stack += waiting
+            continue
+        stack.pop()
+        built[id(s)] = TreeMonomial(s.alphabet, s.generator,
+                                    [c if c is LEAF else built[id(c)] for c in reversed(s.children)])
+    return built[id(t)]
 
 
 def divides_oracle(d: TreeMonomial, t: TreeMonomial) -> bool:

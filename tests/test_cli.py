@@ -66,6 +66,26 @@ SERIES_SHA256 = {
 }
 
 
+# `gk` command lines (argv, stdin): floorpow:3/2 on both sides of the edges
+# of 4096-value pieces, other presets, integral Fraction cells and a flat
+# tail whose slope prints as -0.000000
+GK_RUNS = [
+    *((("--preset", "floorpow:3/2", "--N", str(n)), None)
+      for n in (7, 4095, 4096, 4097, 8193, 100000)),
+    (("--preset", "ex35:5/2", "--N", "5000"), None),
+    (("--preset", "ex62", "--N", "100000"), None),
+    (("--preset", "free:2", "--N", "4097"), None),
+    (("--preset", "polyring:3", "--N", "2000"), None),
+    ((), "".join(f"{n},{3 * (n % 5 + n)}/3\n" for n in range(60))),
+    ((), "".join(f"{n},{7 if 11 <= n <= 13 else 0}\n" for n in range(23))),
+]
+
+# SHA-256 over the exit code and stdout of `gk` and `gk --emit json` on each
+# of GK_RUNS, when gk_estimate cut its pieces at the window start and the
+# geometric test's anchors
+GK_SHA256 = "7690dbeed177e19dd744fc15bcc26416459d70c2af23d337aaf23f59025d4c72"
+
+
 def preset_spec(name: str) -> str:
     """The catalog key ``name`` with its PRESET_PARAMS parameter, if it takes one."""
     return f"{name}:{PRESET_PARAMS[name]}" if name in PRESET_PARAMS else name
@@ -352,6 +372,15 @@ class TestSeriesPipes:
         code, text = invoke("gk", "--preset", "free:2", "--N", "120", "--emit", "json")
         payload = json.loads(text)
         assert payload["exp_flag"] is True
+
+    def test_gk_bytes_are_pinned(self, monkeypatch):
+        digest = hashlib.sha256()
+        for argv, stdin in GK_RUNS:
+            for emit in ("csv", "json"):
+                code, text = invoke("gk", *argv, "--emit", emit, stdin=stdin,
+                                    monkeypatch=monkeypatch)
+                digest.update(f"{code}\n{text}".encode())
+        assert digest.hexdigest() == GK_SHA256
 
 
 class TestGapcheck:

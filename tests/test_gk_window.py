@@ -348,6 +348,27 @@ class TestCopies:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 64 * 1024
 
+    def test_no_piece_leaves_memory_behind(self, monkeypatch):
+        # The memory traced as each piece starts stays within about 6 KB of
+        # the first reading (CPython 3.11); logs or their indices kept into
+        # the next piece read about 130 KB more, which the peaks above miss.
+        readings = []
+        islice = series.islice
+
+        def reading_islice(*args):
+            readings.append(tracemalloc.get_traced_memory()[0])
+            return islice(*args)
+
+        monkeypatch.setattr(series, "islice", reading_islice)
+        values = floor_power_dims("3/2", 10 ** 5, stream=True)
+        tracemalloc.start()
+        try:
+            gk_estimate(values, 10 ** 5)
+        finally:
+            tracemalloc.stop()
+        assert len(readings) > 10 ** 5 // series._CHUNK
+        assert max(readings) - readings[0] < 64 * 1024
+
 
 def traced_peak(argv):
     """Traced peak of one ``oplab`` run, after an untraced run for the imports."""

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import oplab.brute
-from helpers import BINARY, UNARY_BINARY, all_monomials
+from helpers import BINARY, UNARY_BINARY, all_monomials, mirror, random_monomial
 from oplab import (
     Alphabet,
     MonomialOperadPresentation,
@@ -304,6 +304,55 @@ class TestDimensions:
         p = binary_presentation(SHUFFLE)
         dims = dim_by_arity(p, 6)
         assert dims[0] == 0 and dims[1] == 1
+
+
+def mirrored(p):
+    """The presentation whose relations are the mirror images of ``p``'s."""
+    return MonomialOperadPresentation(p.alphabet, map(mirror, p.relations))
+
+
+class TestMirrorImages:
+    # Reversing the children of every vertex maps the normal forms of p onto
+    # those of mirrored(p), so dp must count both alike by arity and by
+    # weight, far beyond brute's reach.  TreeOrder is not mirror-symmetric,
+    # so the two grammars can number their crowns differently.
+
+    def test_mirror_reverses_every_vertex(self):
+        ab = Alphabet.of(a=2, b=3)
+        t = parse_monomial("a(a(*,b(*,*,*)),*)", ab)
+        assert format_monomial(mirror(t)) == "a(*,a(b(*,*,*),*))"
+        rng = random.Random(3)
+        for _ in range(50):
+            t = random_monomial(rng, ab, 8)
+            assert mirror(mirror(t)) == t and mirror(t).weight == t.weight
+
+    def test_every_sweep_presentation_at_arity_1000(self):
+        for p in dict.fromkeys(p for _, p in sweep_family(3)):
+            assert dim_by_arity(p, 1000).values == dim_by_arity(mirrored(p), 1000).values, p.name
+
+    def test_seeded_presentations(self):
+        # 40 presentations on each alphabet, 1 to 4 relations of weight 2 or 3
+        rng = random.Random(43)
+        for al in (Alphabet.of(a=2), Alphabet.of(a=2, b=3), Alphabet.of(u=1, b=2),
+                   Alphabet.of(a=3, b=2, c=1)):
+            pool = [t for t in all_monomials(al, 3) if t.weight >= 2]
+            for _ in range(40):
+                p = MonomialOperadPresentation(al, rng.sample(pool, k=rng.randint(1, 4)))
+                q = mirrored(p)
+                assert dim_by_weight(p, 60).values == dim_by_weight(q, 60).values
+                if not al.has_unary:
+                    assert dim_by_arity(p, 200).values == dim_by_arity(q, 200).values
+
+    def test_some_sweep_grammar_is_renumbered(self):
+        # the crowns of mirrored(p), in its order, are not all the mirror
+        # images of p's crowns in p's order (18 of the 37 sweep presentations),
+        # so the arity-1000 check above compares two different grammars
+        def renumbered(p):
+            ours, theirs = compile_grammar(p), compile_grammar(mirrored(p))
+            return ([frozenset(map(mirror, crown)) for crown in ours.crowns]
+                    != [frozenset(crown) for crown in theirs.crowns])
+
+        assert any(map(renumbered, dict.fromkeys(p for _, p in sweep_family(3))))
 
 
 class TestBruteBuckets:
