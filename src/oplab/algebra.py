@@ -22,11 +22,11 @@ intervals are stated once, in :func:`sparse_gap_intervals`.
 from __future__ import annotations
 
 from itertools import accumulate, chain, count, islice, repeat, tee
-from math import comb, exp, gcd, isqrt
-from operator import add, sub
+from math import comb, exp, gcd, isqrt, log
+from operator import add, mul, sub
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .dims import DimSeries, FileSyntaxError, Frozen, directives, format_ratio, log_of_int
+from .dims import DimSeries, FileSyntaxError, Frozen, directives, format_ratio
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -86,7 +86,7 @@ def floor_root(x: int, k: int) -> int:
     # integer Newton iteration, seeded just above the root by a float
     # estimate; the shift keeps that float in range
     shift = max(0, x.bit_length() // k - 60)
-    r = (int(exp(log_of_int(x >> k * shift) / k + 1e-9)) + 1) << shift
+    r = (int(exp(log(x >> k * shift) / k + 1e-9)) + 1) << shift
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
@@ -404,12 +404,12 @@ def polynomial_ring_dims(d: int, max_degree: int,
 
 
 def free_algebra_dims(d: int, max_degree: int, stream: bool = False) -> DimSeries | Iterator[int]:
-    """Dims of a free algebra on d variables: d**n.
+    """Dims of a free algebra on d variables: d**n, as a running product.
     With ``stream`` the values come as a lazy iterator, to be read once,
     and no DimSeries is built."""
     if d < 1:
         raise AlgebraError("need at least one variable")
-    values = map(pow, repeat(d), range(max_degree + 1))
+    values = islice(accumulate(repeat(d), mul, initial=1), max(0, max_degree + 1))
     return values if stream else DimSeries(values, "degree")
 
 

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from itertools import accumulate, combinations, islice, tee
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .dims import ENGINES, DimSeries, FileSyntaxError, directives, log_of_int
+from .dims import ENGINES, DimSeries, FileSyntaxError, directives
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -372,8 +373,7 @@ def _sha256_hex(text: str) -> str:
 def _log_col(n: int, s: Fraction | int) -> str:
     if n < 2 or s <= 0:
         return ""
-    value = (log_of_int(s.numerator) - log_of_int(s.denominator)) / log_of_int(n)
-    return f"{value:.6f}"
+    return f"{(math.log(s.numerator) - math.log(s.denominator)) / math.log(n):.6f}"
 
 
 def _write_json(out, payload: dict) -> None:

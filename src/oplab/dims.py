@@ -1,7 +1,7 @@
 """Exact integer dimension sequences with indexing metadata, and the helpers
 every ``oplab`` subcommand reaches: the base of the immutable value classes,
-the engine names, a natural log of an exact integer, the writer of a ratio
-of integers, and the line reader of presentation and algebra files."""
+the engine names, the writer of a ratio of integers, and the line reader
+of presentation and algebra files."""
 
 from __future__ import annotations
 
@@ -78,8 +78,9 @@ class DimSeries(Frozen):
 
     ``values[i]`` is the dimension at index ``i``, where the index counts
     arity, weight, or degree according to ``index_kind``.  ``exact`` is False
-    when the counts had to be weight-capped (with a unary generator an
-    arity class can be infinite, and the engine does not yet decide when).
+    when a weight cap lay below the heaviest weight an arity count reads,
+    and always with a unary generator, where an arity class can be infinite
+    and the engine does not yet decide when.
     """
 
     __slots__ = _fields = ("values", "index_kind", "exact")
@@ -139,12 +140,3 @@ def format_ratio(num: int, den: int) -> str:
     g = math.gcd(num, den)
     num, den = num // g, den // g
     return str(num) if den == 1 else f"{num}/{den}"
-
-
-def log_of_int(x: int) -> float:
-    """Natural log of a positive integer, safe beyond float range."""
-    bl = x.bit_length()
-    if bl <= 900:
-        return math.log(x)
-    top = x >> (bl - 53)
-    return math.log(top) + (bl - 53) * math.log(2)

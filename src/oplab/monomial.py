@@ -24,6 +24,7 @@ weight, arity(g)-1 by arity): an explicit algebraic system for the series.
 from __future__ import annotations
 
 import gc
+import math
 from contextlib import contextmanager
 from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -196,9 +197,9 @@ def compile_grammar(p: MonomialOperadPresentation,
     the child crowns, so each nontrivial normal form derives by exactly one
     rule.  Rules are found by weight (1 plus the children's least weights),
     so each crown first appears at its least weight; rules above
-    ``max_weight`` derive no tree that light and are never built.  Without a
-    unary generator a tree's weight is at most its arity - 1, so the same
-    bound serves counts by arity.
+    ``max_weight`` derive no tree that light and are never built.  A count
+    by arity passes the heaviest weight a tree of its arities can have (see
+    :func:`_graded_counts`).
     """
     # a relation heavier than max_weight matches no tree that light
     rels = [r for r in p.relations if max_weight is None or r.weight <= max_weight]
@@ -256,11 +257,13 @@ def _graded_counts(p: MonomialOperadPresentation, n: int, shift, coef=None,
     Each distinct term x^shift(g) * F_k1..F_km of F_c (children a sorted
     multiset, leaves dropped) is counted once, with the sum of coef(g) over
     the rules ``c <- g(k_1..k_m)`` that give it (coef defaults to ``one``, a
-    leaf's series); shift(g) >= 1 for every g, so the grammar up to weight n
-    holds every term up to degree n.  Child products share their prefixes,
-    which keep running series, so a degree costs O(n) per factor.
+    leaf's series).  A tree's degree is at least its weight times the least
+    shift(g) >= 1, so the grammar up to weight n // (least shift) holds
+    every term up to degree n: all n by weight, and by arity n // (least
+    arity - 1).  Child products share their prefixes, which keep running
+    series, so a degree costs O(n) per factor.
     """
-    grammar = compile_grammar(p, n)
+    grammar = compile_grammar(p, n // min(map(shift, p.alphabet.generators)))
     series = [[zero] for _ in grammar.crowns]
     terms: list[dict] = [{} for _ in series]  # per crown, (shift, child crowns) -> coefficient
     for c, g, children in grammar.rules:
@@ -290,24 +293,23 @@ def dim_by_arity(p: MonomialOperadPresentation, max_arity: int, engine: str = "d
                  weight_cap: Optional[int] = None) -> DimSeries:
     """Count normal forms by arity up to ``max_arity``.
 
-    Without unary generators the weight of an arity-n monomial is at most
-    n-1, so the counts are exact.  With a unary generator an arity class can
-    be infinite, and the engine does not yet decide whether one is; the
-    caller must pass ``weight_cap`` and the result is flagged inexact, even
-    when the cap is large enough to give the exact counts.
+    Each node adds at least (least generator arity - 1) to arity - 1, so the
+    counts read only the weights up to (max_arity - 1) // (least arity - 1),
+    and they are exact unless ``weight_cap`` lies below that bound.  With a
+    unary generator there is no such bound and an arity class can be
+    infinite, and the engine does not yet decide whether one is; the caller
+    must pass ``weight_cap`` and the result is flagged inexact, even when
+    the cap is large enough to give the exact counts.
     """
     if max_arity < 0:
         raise PresentationError("max_arity must be nonnegative")
-    if p.alphabet.has_unary:
-        if weight_cap is None:
-            raise CompletenessError(
-                "alphabet has a unary generator: arity-indexed counts need weight_cap")
-        max_weight = weight_cap
-        exact = False
-    else:
-        full = max(0, max_arity - 1)
-        max_weight = full if weight_cap is None else min(weight_cap, full)
-        exact = max_weight >= full
+    step = min(g.arity for g in p.alphabet.generators) - 1  # the least a node adds to arity-1
+    if not step and weight_cap is None:
+        raise CompletenessError(
+            "alphabet has a unary generator: arity-indexed counts need weight_cap")
+    full = max(0, max_arity - 1) // step if step else math.inf  # the heaviest weight read
+    max_weight = full if weight_cap is None else min(weight_cap, full)
+    exact = max_weight >= full
     # nontrivial[e]: nontrivial normal forms of arity e+1
     if _engine(engine) == "brute":
         from .brute import _brute_counts

@@ -26,7 +26,7 @@ from itertools import accumulate, islice, pairwise
 from operator import add, mul, truediv
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .dims import DimSeries, as_dim_values, log_of_int
+from .dims import DimSeries, as_dim_values
 from .linalg import clear_denominators, kernel_is_trivial, nullspace, scale_rows_to_int
 
 if TYPE_CHECKING:
@@ -156,10 +156,7 @@ def gk_estimate(dims: DimSeries | Iterable, truncation: Optional[int] = None) ->
         next(sums)
         total += sum(piece)
         n += len(piece)
-        # log_of_int calls math.log itself up to 900 bits, and the
-        # piece's last sum, now the total, is its largest
-        log = math.log if total.bit_length() <= 900 else log_of_int
-        ys = list(map(log, filter(None, sums)))
+        ys = list(map(math.log, filter(None, sums)))
         del piece, sums  # gone before the x values are built
         xs = list(map(math.log, range(n - len(ys), n)))
         k += len(ys)
@@ -177,7 +174,7 @@ def gk_estimate(dims: DimSeries | Iterable, truncation: Optional[int] = None) ->
         raise DegenerateSeriesError("partial sums vanish on the tail window")
     den = k * sxx - sx * sx
     slope = (k * sxy - sx * sy) / den if den else 0.0
-    return GkReport(log_of_int(total) / math.log(n_max), slope, ratio_max,
+    return GkReport(math.log(total) / math.log(n_max), slope, ratio_max,
                     _geometric([at[a] for a in anchors]), (start, n_max), n_max)
 
 
@@ -201,7 +198,7 @@ def _geometric(sums: Sequence[int]) -> bool:
     for lo, hi in pairwise(sums):
         if lo == 0:
             return False
-        exps.append((log_of_int(hi) - log_of_int(lo)) / math.log(2))
+        exps.append((math.log(hi) - math.log(lo)) / math.log(2))
     increasing = all(b > a for a, b in zip(exps, exps[1:]))
     return increasing and exps[-1] - exps[0] > 2.0
 

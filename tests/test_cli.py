@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from digests import GK_SHA256, SERIES_SHA256, gk_digest, series_digest
 from oplab.algebra import MonomialAlgebraPresentation, format_algebra
 from oplab.cli import CATALOG, _presentation_hash, preset_presentation, run, sweep_family
 from oplab.constructions import operadize
@@ -54,36 +55,6 @@ PRESET_OUTPUT_SHA256 = {
     "polyring": "f90d8159f2e89aafb9c4ae3daf05b33abd43297541cb2fd22aab4de4cc17a199",
     "warfield": "db1861300601c007467d2c7662183f8ee371969d6f0bdbb3d3e482af8e2671e4",
 }
-
-# stdout of `series` as csv, json and gnuplot, one digest per source, when
-# ex46-avoidance was counted on windows of letters and algebra files on the
-# proper prefixes of their forbidden words
-SERIES_SHA256 = {
-    "series --preset ex46-avoidance --max 300":
-        "2a334f0053ab02f4121861ad0546a0a68dfc133d123689f561d6a6be52e20725",
-    "series --source alg.txt --max 60":
-        "13bf0417223f8f9e19c2a4127ede6ab92e10767d0a75d6b1757baf71136c7e15",
-}
-
-
-# `gk` command lines (argv, stdin): floorpow:3/2 on both sides of the edges
-# of 4096-value pieces, other presets, integral Fraction cells and a flat
-# tail whose slope prints as -0.000000
-GK_RUNS = [
-    *((("--preset", "floorpow:3/2", "--N", str(n)), None)
-      for n in (7, 4095, 4096, 4097, 8193, 100000)),
-    (("--preset", "ex35:5/2", "--N", "5000"), None),
-    (("--preset", "ex62", "--N", "100000"), None),
-    (("--preset", "free:2", "--N", "4097"), None),
-    (("--preset", "polyring:3", "--N", "2000"), None),
-    ((), "".join(f"{n},{3 * (n % 5 + n)}/3\n" for n in range(60))),
-    ((), "".join(f"{n},{7 if 11 <= n <= 13 else 0}\n" for n in range(23))),
-]
-
-# SHA-256 over the exit code and stdout of `gk` and `gk --emit json` on each
-# of GK_RUNS, when gk_estimate cut its pieces at the window start and the
-# geometric test's anchors
-GK_SHA256 = "7690dbeed177e19dd744fc15bcc26416459d70c2af23d337aaf23f59025d4c72"
 
 
 def preset_spec(name: str) -> str:
@@ -191,6 +162,18 @@ class TestDims:
         dims = [int(line.split(",")[1]) for line in text.splitlines()[1:]]
         assert dims == [comb(16 * (n // 15), n // 15) // n if n % 15 == 1 else 0
                         for n in range(201)]
+
+    def test_a_cap_at_the_weight_bound_is_exact(self, tmp_path):
+        # arity 9 over one ternary generator reads weights up to (9 - 1) // 2 = 4
+        f = tmp_path / "ternary.txt"
+        f.write_text("generator a 3\nrelation a(a(*,*,*),*,*)\n")
+        argv = ("dims", "--presentation", str(f), "--max-arity", "9", "--emit", "json")
+        uncapped = json.loads(invoke(*argv)[1])
+        for engine in ("dp", "brute"):
+            capped = json.loads(invoke(*argv, "--engine", engine, "--weight-cap", "4")[1])
+            assert capped == {**uncapped, "engine": engine} and capped["exact"] is True
+            below = json.loads(invoke(*argv, "--engine", engine, "--weight-cap", "3")[1])
+            assert below["exact"] is False and below["values"] != uncapped["values"]
 
     def test_every_operad_preset_agrees_with_brute_recount(self):
         for spec in ("ex53-1", "ex53-2", "ex53-3", "free-operad:2", "free-operad:3"):
@@ -300,16 +283,8 @@ class TestSeriesPipes:
         assert "order=1" in text
 
     @pytest.mark.parametrize("argv", sorted(SERIES_SHA256))
-    def test_series_bytes_are_pinned(self, tmp_path, monkeypatch, argv):
-        monkeypatch.chdir(tmp_path)
-        Path("alg.txt").write_text("var x1\nvar x2\nvar x3\nforbid x1 x2 x1\nforbid x2 x2\n"
-                                   "forbid x3 x1 x3 x3\nforbid x3 x3 x3\n")
-        digest = hashlib.sha256()
-        for emit in ("csv", "json", "gnuplot"):
-            code, text = invoke(*argv.split(), "--emit", emit)
-            assert code == 0
-            digest.update(text.encode())
-        assert digest.hexdigest() == SERIES_SHA256[argv]
+    def test_series_bytes_are_pinned(self, argv):
+        assert series_digest(argv) == SERIES_SHA256[argv]
 
     def test_series_from_algebra_file(self, tmp_path):
         f = tmp_path / "alg.txt"
@@ -373,14 +348,16 @@ class TestSeriesPipes:
         payload = json.loads(text)
         assert payload["exp_flag"] is True
 
-    def test_gk_bytes_are_pinned(self, monkeypatch):
-        digest = hashlib.sha256()
-        for argv, stdin in GK_RUNS:
-            for emit in ("csv", "json"):
-                code, text = invoke("gk", *argv, "--emit", emit, stdin=stdin,
-                                    monkeypatch=monkeypatch)
-                digest.update(f"{code}\n{text}".encode())
-        assert digest.hexdigest() == GK_SHA256
+    def test_gk_on_a_free_algebra_at_1e5(self):
+        # within 4 s (about 0.6 s on a 2-vCPU Linux VM; one pow call per
+        # d**n takes about 11 s, so the budget catches that)
+        start = time.perf_counter()
+        code, text = invoke("gk", "--preset", "free:2", "--N", "100000")
+        assert time.perf_counter() - start < 4
+        assert code == 0 and "exp_flag,true" in text.splitlines()
+
+    def test_gk_bytes_are_pinned(self):
+        assert gk_digest() == GK_SHA256
 
 
 class TestGapcheck:

@@ -31,7 +31,7 @@ from oplab import (
 )
 from oplab import cli, series
 from oplab.algebra import example62_dims, floor_power
-from oplab.dims import as_dim_values, log_of_int
+from oplab.dims import as_dim_values
 from oplab.series import TAIL_FRACTION, DegenerateSeriesError, GkReport, SeriesError
 
 
@@ -54,7 +54,7 @@ def full_window_gk(dims):
     window = [(n, sums[n]) for n in range(start, n_max + 1) if sums[n] > 0]
     if len(window) < 2:
         raise DegenerateSeriesError("partial sums vanish on the tail window")
-    logs = [(math.log(n), log_of_int(s)) for n, s in window]
+    logs = [(math.log(n), math.log(s)) for n, s in window]
     k = len(logs)
     sx = reduce(add, (x for x, _ in logs), 0.0)
     sy = reduce(add, (y for _, y in logs), 0.0)
@@ -62,7 +62,7 @@ def full_window_gk(dims):
     sxy = reduce(add, (x * y for x, y in logs), 0.0)
     den = k * sxx - sx * sx
     slope = (k * sxy - sx * sy) / den if den else 0.0
-    pointwise = log_of_int(sums[n_max]) / math.log(n_max)
+    pointwise = math.log(sums[n_max]) / math.log(n_max)
     pointwise_max = max(y / x for x, y in logs)
     return GkReport(pointwise, slope, pointwise_max, full_sums_geometric(sums),
                     (start, n_max), n_max)
@@ -82,7 +82,7 @@ def full_sums_geometric(sums):
         lo, hi = sums[n], sums[2 * n]
         if lo == 0:
             return False
-        exps.append((log_of_int(hi) - log_of_int(lo)) / math.log(2))
+        exps.append((math.log(hi) - math.log(lo)) / math.log(2))
     increasing = all(b > a for a, b in zip(exps, exps[1:]))
     return increasing and exps[-1] - exps[0] > 2.0
 
@@ -177,9 +177,9 @@ class TestAgainstFullWindow:
         assert kind == "report"
 
     def test_free_algebra_takes_the_big_log_path(self):
-        # its sums pass 2**900, where log_of_int no longer calls math.log directly
+        # its sums pass float range, where math.log reads an int's top bits
         dims = free_algebra_dims(2, 1500)
-        assert sum(dims.values).bit_length() > 900
+        assert sum(dims.values).bit_length() > 1024
         assert gk_estimate(dims).exp_flag
 
     @pytest.mark.parametrize("values", EDGES)
@@ -293,10 +293,16 @@ class TestStreamedValues:
     def test_other_closed_forms(self):
         assert list(polynomial_ring_dims(3, 50, stream=True)) == [math.comb(n + 2, 2)
                                                                   for n in range(51)]
-        assert list(free_algebra_dims(3, 50, stream=True)) == [3 ** n for n in range(51)]
         # degrees 2..5 and 28..257 lie on the gap intervals
         assert list(example62_dims(300, stream=True)) == [1, 2] + [
             3 + (not (2 <= n <= 5 or 28 <= n <= 257)) for n in range(2, 301)]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_free_algebra_is_a_running_product(self, d):
+        assert list(free_algebra_dims(d, 300, stream=True)) == [d ** n for n in range(301)]
+        assert free_algebra_dims(d, 300).values == tuple(d ** n for n in range(301))
+        assert free_algebra_dims(d, 0).values == (1,)
+        assert free_algebra_dims(d, -1).values == free_algebra_dims(d, -5).values == ()
 
     def test_bad_parameters_raise_when_the_iterator_is_made(self):
         with pytest.raises(ValueError, match="alpha must be positive"):

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -29,10 +30,10 @@ from oplab import (
     parse_monomial,
     submonomials,
 )
-from oplab.algebra import MonomialAlgebraPresentation
+from oplab.algebra import MonomialAlgebraPresentation, hilbert_dims, warfield_monomial_model
 from oplab.cli import sweep_family
-from oplab.constructions import operadize
-from oplab.dims import format_ratio
+from oplab.constructions import operadization_dims, operadize
+from oplab.dims import ENGINES, format_ratio
 from oplab.monomial import (
     GROWTH_BOUNDED,
     GROWTH_LINEAR,
@@ -304,6 +305,56 @@ class TestDimensions:
         p = binary_presentation(SHUFFLE)
         dims = dim_by_arity(p, 6)
         assert dims[0] == 0 and dims[1] == 1
+
+
+class TestWeightBound:
+    # Each node adds at least (least arity - 1) to arity - 1, so a count to
+    # max_arity reads the weights up to (max_arity - 1) // (least arity - 1)
+
+    @pytest.mark.parametrize("arities, max_arity", [
+        ({"a": 3}, 13), ({"a": 4}, 16), ({"a": 3, "b": 4}, 8)], ids=["a3", "a4", "a3-b4"])
+    def test_engines_agree_on_both_sides_of_the_bound(self, arities, max_arity):
+        # bounds 6, 5 and 3, below max_arity - 1; 8 seeded presentations of
+        # 1 to 4 relations of weight 2 to 4 each, about 0.6 s per alphabet on
+        # a 2-vCPU Linux VM, most of it in enumerate_irr
+        al = Alphabet.of(**arities)
+        bound = (max_arity - 1) // (min(arities.values()) - 1)
+        rng = random.Random(17)
+        for _ in range(8):
+            k = rng.randint(1, 4)
+            rels: list = []
+            while len(rels) < k:
+                t = random_monomial(rng, al, 4)
+                if t.weight >= 2:
+                    rels.append(t)
+            p = MonomialOperadPresentation(al, rels)
+            dims = dim_by_arity(p, max_arity)
+            assert dims.exact and dim_by_arity(p, max_arity, engine="brute") == dims
+            # one weight past the bound adds no tree of these arities
+            counts = Counter(t.arity for t in enumerate_irr(p, bound + 1))
+            assert dims.values == tuple(counts[n] for n in range(max_arity + 1))
+            below = dim_by_arity(p, max_arity, weight_cap=bound - 1)
+            assert not below.exact and below.values != dims.values
+            assert dim_by_arity(p, max_arity, engine="brute", weight_cap=bound - 1) == below
+            for cap in (bound, bound + 1, max_arity - 1):
+                for engine in ENGINES:
+                    assert dim_by_arity(p, max_arity, engine=engine, weight_cap=cap) == dims
+
+    def test_operadized_model_with_a_third_variable(self):
+        # the Warfield 5/2 model at degree 20 plus a variable y, with y x1
+        # and y x2 forbidden (its words are w y^k), operadized: one ternary
+        # generator, so arity 43 reads weights up to 21, not 42; within 5 s
+        # (about 0.8 s on a 2-vCPU Linux VM; compiling to weight 42 takes
+        # about 28 s, so the budget catches a lost bound)
+        model = warfield_monomial_model("5/2", 20)
+        a = MonomialAlgebraPresentation((*model.variables, "y"),
+                                        (*model.forbidden, ("y", "x1"), ("y", "x2")))
+        p = operadize(a)
+        assert [g.arity for g in p.alphabet.generators] == [3]
+        start = time.perf_counter()
+        dims = dim_by_arity(p, 43)
+        assert time.perf_counter() - start < 5
+        assert dims == operadization_dims(hilbert_dims(a, 20), 3, 43)
 
 
 def mirrored(p):
