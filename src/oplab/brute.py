@@ -40,21 +40,50 @@ if TYPE_CHECKING:
     from .monomial import MonomialOperadPresentation
 
 
-def _root_buckets(nslots: int, rels: list, weight: int, sizes: list[dict],
-                  max_arity: Optional[int]) -> list[tuple]:
-    """Bucket tuples, one bucket per child slot and of total weight
-    ``weight``, over which no relation in ``rels`` matches at the root: each
-    as its buckets' (weight, (mask, arity)) keys, the arity its trees share
-    and their number, the product of the bucket sizes in ``sizes``.
-
-    A relation is (one required mask per slot, slots up to its last
-    non-leaf child); a child fits a slot when its mask holds the required
-    bits, so the relations alive after a slot are those every earlier child
-    fits, and one whose remaining slots are all leaves rejects every
-    completion.  The tuples grow one slot at a time, in order.
+class _Root:
+    """The relations rooted at one generator, each one required mask per
+    slot, as bits over their indices: ``ends[slot]`` holds those with no
+    required bit after ``slot``, and ``fits[slot]`` maps a child mask to
+    those whose required bits at ``slot`` it holds, filled in on first use
+    by ``_root_buckets``.  ``base`` and ``tests`` give a built tree its mask.
     """
-    partial: list[tuple] = [((), weight, 0, 1, rels)]
-    for slot in range(nslots):
+
+    def __init__(self, g, relations, bits: dict) -> None:
+        self.generator = g
+        self.needs = [tuple(0 if c is LEAF else bits[c] for c in r.children)
+                      for r in relations if r.generator == g]
+        self.ends = [sum(1 << i for i, need in enumerate(self.needs) if not any(need[slot + 1:]))
+                     for slot in range(g.arity)]
+        self.fits: list[dict] = [{} for _ in range(g.arity)]
+        # a child of weight 1 has only leaves below it: it matches every g root
+        self.base = sum(b for c, b in bits.items() if c.generator == g and c.weight == 1)
+        self.tests = [(c, b) for c, b in bits.items() if c.generator == g and c.weight > 1]
+
+    def mask(self, t) -> int:
+        """``base`` plus the bits of the ``tests`` that match at ``t``'s root."""
+        mask = self.base
+        for pattern, bit in self.tests:
+            if matches_at_root(pattern, t):
+                mask |= bit
+        return mask
+
+
+def _root_buckets(root: _Root, weight: int, sizes: list[dict],
+                  max_arity: Optional[int]) -> list[tuple]:
+    """Bucket tuples, one bucket per child slot of ``root``'s generator and
+    of total weight ``weight``, over which none of its relations matches at
+    the root: each as its buckets' (weight, (mask, arity)) keys, the arity
+    its trees share and their number, the product of the bucket sizes in
+    ``sizes``.
+
+    A child fits a slot when its mask holds the required bits, so the
+    relations alive after a slot, one int of bits, are those every earlier
+    child fits; one with no required bit left rejects every completion.
+    The tuples grow one slot at a time, in order.
+    """
+    nslots = root.generator.arity
+    partial: list[tuple] = [((), weight, 0, 1, (1 << len(root.needs)) - 1)]
+    for slot, fits, ends in zip(range(nslots), root.fits, root.ends):
         rest = nslots - slot - 1
         grown = []
         for acc, remaining, arity, count, alive in partial:
@@ -63,44 +92,38 @@ def _root_buckets(nslots: int, rels: list, weight: int, sizes: list[dict],
                     mask, a = key
                     if max_arity is not None and arity + a + rest > max_arity:
                         continue
-                    still = [(need, end) for need, end in alive if need[slot] & mask == need[slot]]
-                    if any(end <= slot + 1 for _, end in still):
-                        continue
-                    grown.append(((*acc, (w1, key)), remaining - w1, arity + a, count * n, still))
+                    fit = fits.get(mask)
+                    if fit is None:
+                        fit = fits[mask] = sum(1 << i for i, need in enumerate(root.needs)
+                                               if need[slot] & mask == need[slot])
+                    still = alive & fit
+                    if not still & ends:
+                        grown.append(((*acc, (w1, key)), remaining - w1, arity + a, count * n,
+                                      still))
         partial = grown
     return [(acc, arity, count) for acc, _, arity, count, _ in partial]
 
 
 def _groups(roots: list, weight: int, sizes: list[dict], max_arity: Optional[int]) -> list:
-    """The accepted groups ``(generator, child buckets, arity, size)`` of
-    level ``weight`` over the bucket sizes in ``sizes``."""
-    return [(g, slots, arity, n) for g, rels in roots
-            for slots, arity, n in _root_buckets(g.arity, rels, weight - 1, sizes, max_arity)]
+    """The accepted groups ``(root, child buckets, arity, size)`` of level
+    ``weight`` over the bucket sizes in ``sizes``."""
+    return [(root, slots, arity, n) for root in roots
+            for slots, arity, n in _root_buckets(root, weight - 1, sizes, max_arity)]
 
 
-def _mask(base: int, root_tests: list, t) -> int:
-    """``base`` plus the bits of the relation children in ``root_tests``
-    that match at ``t``'s root."""
-    for pattern, bit in root_tests:
-        if matches_at_root(pattern, t):
-            base |= bit
-    return base
-
-
-def _by_arity(level: dict) -> Counter:
-    """Tree counts by arity of a level's (mask, arity) bucket sizes."""
+def _by_arity(counted) -> Counter:
+    """Tree counts by arity from (arity, count) pairs."""
     per_arity: Counter = Counter()
-    for (_, arity), n in level.items():
+    for arity, n in counted:
         per_arity[arity] += n
     return per_arity
 
 
-def _hangers(roots: list, tests: dict, trees: list, sizes: list[dict], wkey: tuple,
+def _hangers(roots: list, trees: list, sizes: list[dict], wkey: tuple,
              top: int, max_arity: Optional[int]) -> list[tuple]:
     """The groups of levels weight+1..top-1 that read bucket ``key`` of level
-    ``weight``, ``wkey`` = (weight, *key): each as (generator, base mask,
-    root tests, the kept children before and after the bucket's slot,
-    arity, level).
+    ``weight``, ``wkey`` = (weight, *key): each as (root, the kept children
+    before and after the bucket's slot, arity, level).
 
     They are found by ``_root_buckets`` over that one bucket and the kept
     buckets ``sizes`` light enough to sit beside it, so they pass the same
@@ -112,12 +135,12 @@ def _hangers(roots: list, tests: dict, trees: list, sizes: list[dict], wkey: tup
         light = heavier - weight  # the other slots weigh less, all kept
         view = [sizes[w] if w < light else {} for w in range(heavier)]
         view[weight] = {key: 1}
-        for g, slots, arity, _ in _groups(roots, heavier, view, max_arity):
+        for root, slots, arity, _ in _groups(roots, heavier, view, max_arity):
             i = next((i for i, (w, _) in enumerate(slots) if w == weight), None)
             if i is not None:
                 pools = [trees[w][k] for w, k in slots[:i] + slots[i + 1:]]
                 combos = [(kids[:i], kids[i:]) for kids in product(*pools)]
-                out.append((g, *tests[g], combos, arity, heavier))
+                out.append((root, combos, arity, heavier))
     return out
 
 
@@ -125,7 +148,7 @@ def _brute_counts(p: MonomialOperadPresentation, max_weight: int,
                   max_arity: Optional[int] = None) -> list[Counter]:
     """Nontrivial normal forms counted by arity, one Counter per weight
     1..max_weight: below the top weight from the bucket sizes of the built
-    trees, and at it from its accepted groups ``(generator, child buckets,
+    trees, and at it from its accepted groups ``(root, child buckets,
     arity, size)``, one bucket (weight, (mask, arity)) per slot.
 
     Each distinct non-leaf child of a relation gets one bit, and a built
@@ -157,17 +180,7 @@ def _brute_counts(p: MonomialOperadPresentation, max_weight: int,
         for c in r.children:
             if c is not LEAF:
                 bits.setdefault(c, 1 << len(bits))
-    roots = []
-    tests = {}
-    for g in p.alphabet.generators:
-        needs = [tuple(0 if c is LEAF else bits[c] for c in r.children)
-                 for r in p.relations if r.generator == g]
-        rels = [(need, max((i + 1 for i, b in enumerate(need) if b), default=0))
-                for need in needs]
-        roots.append((g, rels))
-        # a child of weight 1 has only leaves below it: it matches every g root
-        tests[g] = (sum(b for c, b in bits.items() if c.generator == g and c.weight == 1),
-                    [(c, b) for c, b in bits.items() if c.generator == g and c.weight > 1])
+    roots = [_Root(g, p.relations, bits) for g in p.alphabet.generators]
     top = max_weight
     sizes: list[dict] = [{(0, 1): 1}]
     trees: list[dict] = [{(0, 1): [LEAF]}]
@@ -181,11 +194,10 @@ def _brute_counts(p: MonomialOperadPresentation, max_weight: int,
             walk = walk or (w > (top - 2) // 2
                             and sum(n for *_, n in groups) > (top - 1 - w) * keys)
             kept: dict = {}
-            for g, slots, arity, _ in groups:
-                base, root_tests = tests[g]
+            for root, slots, arity, _ in groups:
                 for children in product(*[trees[sw][key] for sw, key in slots]):
-                    t = _fast_node(p.alphabet, g, children)
-                    key = _mask(base, root_tests, t), arity
+                    t = _fast_node(p.alphabet, root.generator, children)
+                    key = root.mask(t), arity
                     if not walk:
                         kept.setdefault(key, []).append(t)
                         continue
@@ -195,22 +207,19 @@ def _brute_counts(p: MonomialOperadPresentation, max_weight: int,
                         entry = walked.get(wkey)
                         if entry is None:
                             entry = walked[wkey] = [
-                                0, _hangers(roots, tests, trees, sizes, wkey, top, max_arity)]
+                                0, _hangers(roots, trees, sizes, wkey, top, max_arity)]
                         entry[0] += 1
-                        for g2, base2, tests2, combos, arity2, heavier in entry[1]:
+                        for root2, combos, arity2, heavier in entry[1]:
                             for before, after in combos:
-                                u = _fast_node(p.alphabet, g2, (*before, t, *after))
-                                stack.append((u, (heavier, _mask(base2, tests2, u), arity2)))
+                                u = _fast_node(p.alphabet, root2.generator, (*before, t, *after))
+                                stack.append((u, (heavier, root2.mask(u), arity2)))
             # a walked level's buckets stay empty here, so only kept ones are read
             sizes.append({key: len(ts) for key, ts in kept.items()})
             trees.append(kept)
             keys += len(kept)
     for (w, *key), (n, _) in walked.items():
         sizes[w][tuple(key)] = n
-    counts = [_by_arity(level) for level in sizes[1:]]
+    levels = [((arity, n) for (_, arity), n in level.items()) for level in sizes[1:]]
     if top >= 1:
-        per_arity: Counter = Counter()
-        for _, _, arity, n in _groups(roots, top, sizes, max_arity):
-            per_arity[arity] += n
-        counts.append(per_arity)
-    return counts
+        levels.append((arity, n) for _, _, arity, n in _groups(roots, top, sizes, max_arity))
+    return [_by_arity(level) for level in levels]

@@ -64,26 +64,6 @@ class Generator(Frozen):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "arity", arity)
 
-    # Frozen's rule, written out without ``_key`` tuples: the tree walks test
-    # ``!=`` on every node.  Identity first: the trees of one alphabet share
-    # its generator objects.
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name and self.arity == other.arity
-
-    def __ne__(self, other: object) -> bool:
-        if self is other:
-            return False
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name != other.name or self.arity != other.arity
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.arity))
-
 
 class Alphabet(Frozen):
     """A finite ordered collection of generators with unique names.
@@ -387,9 +367,12 @@ def matches_at_root(d: TreeMonomial, t: TreeMonomial) -> bool:
     """True when ``d``'s labeled shape occurs anchored at ``t``'s root vertex.
 
     Leaf positions of ``d`` impose no constraint; internal positions must be
-    internal in ``t`` with the same label.
+    internal in ``t`` with the same label.  Labels are compared by identity
+    first, since the trees of one alphabet share its generators, and then by
+    name and arity, inline: this is the hot label test of every tree walk.
     """
-    if d.generator != t.generator:
+    dg, tg = d.generator, t.generator
+    if dg is not tg and (dg is None or tg is None or dg.name != tg.name or dg.arity != tg.arity):
         return False
     # the child pairs of each matched vertex pair, from an explicit stack: a
     # tall tree must not hit the recursion limit
@@ -398,7 +381,10 @@ def matches_at_root(d: TreeMonomial, t: TreeMonomial) -> bool:
         for dc, tc in stack.pop():
             if dc is LEAF:
                 continue
-            if tc is LEAF or dc.generator != tc.generator:
+            if tc is LEAF:
+                return False
+            dg, tg = dc.generator, tc.generator
+            if dg is not tg and (dg.name != tg.name or dg.arity != tg.arity):
                 return False
             stack.append(zip(dc.children, tc.children))
     return True

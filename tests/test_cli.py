@@ -250,6 +250,13 @@ class TestSeriesPipes:
         assert code == 0
         assert "denominator=[1, -1, -1]" in text
 
+    def test_fit_prints_a_fractional_denominator(self, monkeypatch):
+        # 1/(1 - z/2): the fitted b_1 is not a multiple of the scale
+        series_csv = "".join(f"{n},{Fraction(1, 2 ** n)}\n" for n in range(40))
+        code, text = invoke("fit", stdin=series_csv, monkeypatch=monkeypatch)
+        assert (code, text) == (0, "rational fit for stdin: numerator=[1] "
+                                   "denominator=[1, -1/2] (holdout verified)\n")
+
     @pytest.mark.parametrize("argv, bounds", [
         (("--preset", "ex64-partition", "--max", "60"), "(den<=8, num<=11, N=60)"),
         (("--preset", "fibonacci", "--max", "60", "--max-den", "0"), "(den<=0, num<=3, N=60)"),

@@ -340,19 +340,21 @@ class TestWeightBound:
                 for engine in ENGINES:
                     assert dim_by_arity(p, max_arity, engine=engine, weight_cap=cap) == dims
 
-    def test_operadized_model_with_a_third_variable(self):
+    @pytest.mark.parametrize("engine", ["dp", "brute"])
+    def test_operadized_model_with_a_third_variable(self, engine):
         # the Warfield 5/2 model at degree 20 plus a variable y, with y x1
         # and y x2 forbidden (its words are w y^k), operadized: one ternary
         # generator, so arity 43 reads weights up to 21, not 42; within 5 s
-        # (about 0.8 s on a 2-vCPU Linux VM; compiling to weight 42 takes
-        # about 28 s, so the budget catches a lost bound)
+        # (about 0.8 s with dp and 0.3 s with brute on a 2-vCPU Linux VM;
+        # compiling to weight 42 takes about 28 s, so the budget catches a
+        # lost bound)
         model = warfield_monomial_model("5/2", 20)
         a = MonomialAlgebraPresentation((*model.variables, "y"),
                                         (*model.forbidden, ("y", "x1"), ("y", "x2")))
         p = operadize(a)
         assert [g.arity for g in p.alphabet.generators] == [3]
         start = time.perf_counter()
-        dims = dim_by_arity(p, 43)
+        dims = dim_by_arity(p, 43, engine=engine)
         assert time.perf_counter() - start < 5
         assert dims == operadization_dims(hilbert_dims(a, 20), 3, 43)
 

@@ -121,6 +121,12 @@ class TestFitRational:
         assert fit.numerator == (0, 1, 0, 1)
         assert fit.denominator == (1, -1)
 
+    def test_fractional_denominator(self):
+        # 1/(1 - z/2): the fitted b_1 is not a multiple of the scale
+        fit = fit_rational([Fraction(1, 2 ** n) for n in range(40)])
+        assert fit.numerator == (1,)
+        assert fit.denominator == (1, Fraction(-1, 2))
+
     def test_no_fit_for_partitions(self):
         fit = fit_rational(partition_dims(60), max_den_degree=6)
         assert fit is None

@@ -30,6 +30,7 @@ from oplab.trees import (
     MalformedPathError,
     TreeError,
     _fast_node,
+    matches_at_root,
 )
 
 
@@ -296,6 +297,33 @@ class TestDivides:
         for t in targets:
             for d in divisors:
                 assert divides(d, t) == divides_oracle(d, t)
+
+
+class TestLabels:
+    # matches_at_root tests labels by identity, then by name and arity
+
+    def test_twin_alphabets_give_the_same_answers(self):
+        one, other = Alphabet.of(a=2, b=3), Alphabet.of(a=2, b=3)
+        assert one == other and one["a"] is not other["a"]
+        rng = random.Random(11)
+        pool = [t for t in (random_monomial(rng, one, 5) for _ in range(40)) if not t.is_trivial]
+        twins = [parse_monomial(format_monomial(t), other) for t in pool]
+        answers = []
+        for d, d2 in zip(pool, twins):
+            for t, t2 in zip(pool, twins):
+                match = matches_at_root(d, t)
+                assert matches_at_root(d, t2) == matches_at_root(d2, t) == match
+                assert divides(d, t2) == divides(d2, t) == divides(d, t)
+                answers.append(match)
+        assert any(answers) and not all(answers)
+
+    def test_arity_is_part_of_the_label(self):
+        a2, a3 = Alphabet.of(a=2, b=2), Alphabet.of(a=3, b=2)
+        two, three = parse_monomial("a(*,*)", a2), parse_monomial("a(*,*,*)", a3)
+        assert not matches_at_root(two, three) and not matches_at_root(three, two)
+        below = parse_monomial("b(a(*,*,*),*)", a3)
+        assert not matches_at_root(parse_monomial("b(a(*,*),*)", a2), below)
+        assert matches_at_root(parse_monomial("b(*,*)", a2), below)
 
 
 class TestSubmonomials:
