@@ -576,8 +576,11 @@ def cmd_envelope(args, out) -> int:
         kind, envelope = "min_envelope", min_envelope_dims
     else:
         kind, envelope = "symmetric_envelope", symmetric_envelope_dims
+    # no generator has arity 0, so an operad's dims start with 0: count it to index 0 only
+    preset = CATALOG.get(args.preset.partition(":")[0])
+    n = 0 if preset and preset.kind == "presentation" else args.max_index
     try:
-        dims = envelope(preset_dims(args.preset, args.max_index))
+        dims = envelope(preset_dims(args.preset, n))
     except NonConnectedError:
         raise UsageError(f"preset {args.preset!r} is not a connected algebra "
                          f"(its dims do not start with 1)") from None

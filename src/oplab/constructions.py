@@ -88,9 +88,9 @@ def operadize(a: MonomialAlgebraPresentation) -> MonomialOperadPresentation:
 def operadization_dims(a_dims: DimSeries, d: int, max_arity: int) -> DimSeries:
     """The piecewise dimension formula for an operadized algebra.
 
-    dims[1] = dims[d] = 1, dims[(l+1)d - l] = a_dims[l] for l >= 1, zero
-    elsewhere.  A weight-m chain over one arity-d generator has arity
-    m(d-1) + 1, which is (l+1)d - l at m = l+1.
+    dims[1] = 1, dims[(l+1)d - l] = a_dims[l] for l >= 0, zero elsewhere.
+    A weight-m chain over one arity-d generator has arity m(d-1) + 1,
+    which is (l+1)d - l at m = l+1.
     """
     _require_connected(a_dims)
     if d < 2:
@@ -98,9 +98,7 @@ def operadization_dims(a_dims: DimSeries, d: int, max_arity: int) -> DimSeries:
     values = [0] * (max_arity + 1)
     if max_arity >= 1:
         values[1] = 1
-    if max_arity >= d:
-        values[d] = 1
-    for l in range(1, len(a_dims)):
+    for l in range(len(a_dims)):
         n = (l + 1) * d - l
         if n > max_arity:
             break

@@ -126,44 +126,36 @@ class TreeMonomial:
 
     __slots__ = ("alphabet", "generator", "children", "arity", "weight", "height", "_hash")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         alphabet: Alphabet,
         generator: Optional[Generator],
         children: Sequence[Optional["TreeMonomial"]] = (),
-    ) -> None:
+    ) -> "TreeMonomial":
         children = tuple(children)
         if generator is None:
             if children:
                 raise TreeError("the trivial monomial has no children")
-            arity, weight, height = 1, 0, 0
-        else:
-            if alphabet._by_name.get(generator.name) != generator:
-                raise AlphabetMismatchError(f"generator {generator.name!r} is not in the alphabet")
-            if len(children) != generator.arity:
-                raise TreeError(
-                    f"{generator.name} has arity {generator.arity} but got {len(children)} children"
-                )
-            arity, weight, height = 0, 1, 1
-            for c in children:
-                if c is LEAF:
-                    arity += 1
-                    continue
-                if not isinstance(c, TreeMonomial):
-                    raise TreeError(f"child must be LEAF or TreeMonomial, got {type(c).__name__}")
-                if c.generator is None:
-                    raise TreeError("the trivial monomial cannot be a child; use compose instead")
-                if c.alphabet != alphabet:
-                    raise AlphabetMismatchError("child monomial uses a different alphabet")
-                arity += c.arity
-                weight += c.weight
-                height = max(height, 1 + c.height)
-        self.alphabet = alphabet
-        self.generator = generator
-        self.children = children
-        self.arity = arity
-        self.weight = weight
-        self.height = height
+            t = object.__new__(cls)
+            t.alphabet, t.generator, t.children = alphabet, None, ()
+            t.arity, t.weight, t.height = 1, 0, 0
+            return t
+        if alphabet._by_name.get(generator.name) != generator:
+            raise AlphabetMismatchError(f"generator {generator.name!r} is not in the alphabet")
+        if len(children) != generator.arity:
+            raise TreeError(
+                f"{generator.name} has arity {generator.arity} but got {len(children)} children"
+            )
+        for c in children:
+            if c is LEAF:
+                continue
+            if not isinstance(c, TreeMonomial):
+                raise TreeError(f"child must be LEAF or TreeMonomial, got {type(c).__name__}")
+            if c.generator is None:
+                raise TreeError("the trivial monomial cannot be a child; use compose instead")
+            if c.alphabet != alphabet:
+                raise AlphabetMismatchError("child monomial uses a different alphabet")
+        return _fast_node(alphabet, generator, children)
 
     @classmethod
     def trivial(cls, alphabet: Alphabet) -> "TreeMonomial":
@@ -227,11 +219,12 @@ class TreeMonomial:
 
 def _fast_node(alphabet: Alphabet, generator: Generator,
                children: tuple) -> TreeMonomial:
-    """Unvalidated node constructor for the enumeration engines.
+    """The one node builder: the only code that computes a node's measures.
 
-    Callers guarantee a child tuple of the right length whose entries are
-    LEAF or nontrivial monomials over the same alphabet.  Like every tree,
-    the node computes its hash on first use, so trees that are only
+    It checks nothing: callers guarantee a child tuple of the right length
+    whose entries are LEAF or nontrivial monomials over the same alphabet,
+    as ``TreeMonomial(...)`` does by checking its arguments.  Like every
+    tree, the node computes its hash on first use, so trees that are only
     counted are never hashed.
     """
     t = object.__new__(TreeMonomial)
@@ -285,9 +278,8 @@ def _replace_leaf(node: TreeMonomial, i: int, repl: TreeMonomial) -> TreeMonomia
         path.append((node, k))
         node = c
     for node, k in reversed(path):
-        children = list(node.children)
-        children[k] = repl
-        repl = TreeMonomial(node.alphabet, node.generator, children)
+        kids = node.children
+        repl = _fast_node(node.alphabet, node.generator, (*kids[:k], repl, *kids[k + 1:]))
     return repl
 
 
@@ -347,7 +339,7 @@ def from_path_sequence(path: Sequence[Sequence[str]], alphabet: Alphabet) -> Tre
             if len(children) < g.arity:
                 break
             stack.pop()
-            tree = TreeMonomial(alphabet, g, children)
+            tree = _fast_node(alphabet, g, tuple(children))
         if not stack:
             break
         if pos >= len(words):
@@ -428,7 +420,7 @@ def _anchored_submonomials(node: TreeMonomial, cap: int, used: int = 1,
         return
     k = len(acc)
     if k == len(node.children):
-        yield TreeMonomial(node.alphabet, node.generator, acc)
+        yield _fast_node(node.alphabet, node.generator, acc)
         return
     yield from _anchored_submonomials(node, cap, used, (*acc, LEAF))
     c = node.children[k]

@@ -532,6 +532,18 @@ class TestEnvelope:
             f"oplab: usage error: preset {preset!r} is not a connected algebra "
             f"(its dims do not start with 1)\n")
 
+    def test_operad_preset_refused_before_it_is_counted(self, capsys):
+        # an operad's dims start with 0 at any max index, so arity 3000 is
+        # never counted: within 2 s (about 0.02 s on a 2-vCPU Linux VM)
+        start = time.perf_counter()
+        code, text = invoke("envelope", "--kind", "sym", "--preset", "free-operad:2",
+                            "--max-index", "3000")
+        assert time.perf_counter() - start < 2
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == (
+            "oplab: usage error: preset 'free-operad:2' is not a connected algebra "
+            "(its dims do not start with 1)\n")
+
     def test_min_partition(self):
         code, text = invoke("envelope", "--kind", "min", "--preset", "ex64-partition",
                             "--max-index", "8")

@@ -152,3 +152,6 @@ class TestOperadizationFormula:
         assert dims[2] == 0 and dims[4] == 0
         for l in range(1, 6):
             assert dims[2 * l + 3] == 3 ** l
+        # max_arity 0, 1, d - 1 and d: below the first chain of weight 2
+        for max_arity, values in ((0, (0,)), (1, (0, 1)), (2, (0, 1, 0)), (3, (0, 1, 0, 1))):
+            assert operadization_dims(hilbert_dims(a, 5), 3, max_arity).values == values

@@ -1,6 +1,8 @@
 """Tree monomials: grafting, path sequences, divisibility, submonomials."""
 
+import copy
 import gc
+import pickle
 import random
 import re
 
@@ -89,6 +91,32 @@ class TestConstruction:
     def test_trivial_child_rejected(self):
         with pytest.raises(TreeError):
             TreeMonomial(FIG3, FIG3["a"], (TreeMonomial.trivial(FIG3),))
+
+    @pytest.mark.parametrize("generator, children, error, message", [
+        (None, (LEAF,), TreeError, "the trivial monomial has no children"),
+        (Generator("a", 2), (LEAF, LEAF), AlphabetMismatchError,
+         "generator 'a' is not in the alphabet"),
+        (FIG3["b"], (LEAF,), TreeError, "b has arity 2 but got 1 children"),
+        (FIG3["a"], ("*",), TreeError, "child must be LEAF or TreeMonomial, got str"),
+        (FIG3["a"], (TreeMonomial.trivial(FIG3),), TreeError,
+         "the trivial monomial cannot be a child; use compose instead"),
+        (FIG3["a"], (TreeMonomial.node(BINARY, "a"),), AlphabetMismatchError,
+         "child monomial uses a different alphabet"),
+    ], ids=["trivial-with-children", "foreign-generator", "arity", "not-a-tree",
+            "trivial-child", "foreign-child"])
+    def test_rejections(self, generator, children, error, message):
+        with pytest.raises(TreeError) as info:
+            TreeMonomial(FIG3, generator, children)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda t: pickle.loads(pickle.dumps(t))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_rebuild_through_the_constructor(self, fig3, clone):
+        for t in (fig3["t4"], TreeMonomial.trivial(FIG3)):
+            again = clone(t)
+            assert again == t
+            assert (again.arity, again.weight, again.height) == (t.arity, t.weight, t.height)
 
     def test_structural_equality(self, fig3):
         again = parse_monomial("b(c(*,*),b(*,*))", FIG3)
